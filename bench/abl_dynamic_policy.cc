@@ -10,7 +10,7 @@
  *   none         uniform-oracle "*=none"  (== static none)
  *   static-best  best of the four candidate masks run uniformly
  *                (uniform-oracle runs are cycle-identical to static,
- *                which the test suite and CI pin)
+ *                which the test suite pins)
  *   phase        online per-phase explore-then-exploit
  *   feedback     window-IPC feedback with hysteresis
  *   oracle       per-phase best map composed from the uniform runs'
@@ -20,7 +20,7 @@
  * the phase/feedback columns show what the online policies actually
  * get, including their exploration and one-window-lag costs.
  *
- * --smoke: compress only (the CI policy-equivalence job's quick row).
+ * --smoke: compress only (the cli.bench_session ctest's quick row).
  */
 
 #include <cmath>

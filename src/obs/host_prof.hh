@@ -17,8 +17,7 @@
  * Gating: all timer sites are null-gated on the profiler pointer
  * (ScopedHostTimer with a null profiler never reads the clock), so a
  * run without `--stats-host` pays one predictable branch per section
- * per cycle — the same contract as the PipeTracer hooks, gated in
- * bench/perf_telemetry.
+ * per cycle — the same contract as the PipeTracer hooks.
  */
 
 #ifndef TCFILL_OBS_HOST_PROF_HH

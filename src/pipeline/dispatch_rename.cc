@@ -8,11 +8,9 @@ namespace tcfill::pipeline
 {
 
 DispatchRename::DispatchRename(const DispatchEnv &env)
-    : Stage("dispatch"), cfg_(env.cfg), in_(env.in), out_(env.out),
-      window_(env.window), issue_(env.issue)
+    : cfg_(env.cfg), in_(env.in), out_(env.out), window_(env.window),
+      issue_(env.issue)
 {
-    stats_.addCounter("lines", lines_, "fetched lines renamed");
-    stats_.addCounter("insts", insts_, "instructions renamed");
 }
 
 void

@@ -9,19 +9,11 @@ namespace tcfill::pipeline
 {
 
 FetchEngine::FetchEngine(const FetchEnv &env)
-    : Stage("fetch"), cfg_(env.cfg), oracle_(env.oracle),
+    : cfg_(env.cfg), oracle_(env.oracle),
       arena_(env.arena), mem_(env.mem), tcache_(env.tcache),
       ctrl_(env.ctrl), out_(env.out), num_fus_(env.numFus),
       bpred_(env.cfg.bpred), ras_(env.cfg.rasDepth), ipred_()
 {
-    stats_.addCounter("mispredicts", mispredicts_,
-                      "branches that resolved against the prediction");
-    stats_.addCounter("inactive_rescues", rescues_,
-                      "mispredicts hidden by inactive issue");
-    stats_.addCounter("trace_lines", trace_lines_,
-                      "lines fetched from the trace cache");
-    stats_.addCounter("icache_lines", icache_lines_,
-                      "blocks fetched through the supporting I-cache");
 }
 
 void

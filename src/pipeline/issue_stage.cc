@@ -4,12 +4,9 @@ namespace tcfill::pipeline
 {
 
 IssueStage::IssueStage(const IssueEnv &env)
-    : Stage("issue"), core_(env.core, env.mem), in_(env.in),
-      events_(env.events)
+    : core_(env.core, env.mem), in_(env.in), events_(env.events)
 {
     core_.setCompleteHook(&IssueStage::onComplete, this);
-    stats_.addCounter("dispatched", dispatched_,
-                      "instructions inserted into reservation stations");
 }
 
 void

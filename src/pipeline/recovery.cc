@@ -9,18 +9,9 @@ namespace tcfill::pipeline
 {
 
 RecoveryController::RecoveryController(const RecoveryEnv &env)
-    : Stage("recovery"), window_(env.window), rename_(env.rename),
-      ctrl_(env.ctrl), fetchq_(env.fetchq), issue_(env.issue),
-      events_(env.events)
+    : window_(env.window), rename_(env.rename), ctrl_(env.ctrl),
+      fetchq_(env.fetchq), issue_(env.issue), events_(env.events)
 {
-    stats_.addCounter("mispredict_stall_cycles",
-                      mispredict_stall_cycles_,
-                      "fetch cycles lost from mispredict detection to "
-                      "resolution");
-    stats_.addCounter("squashes", squashes_,
-                      "recovery squash sweeps performed");
-    stats_.addCounter("rescued_insts", rescued_insts_,
-                      "inactive instructions activated by rescue");
 }
 
 void

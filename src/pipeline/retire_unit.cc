@@ -17,24 +17,9 @@ constexpr Cycle kDeadlockWindow = 200000;
 } // namespace
 
 RetireUnit::RetireUnit(const RetireEnv &env)
-    : Stage("retire"), cfg_(env.cfg), window_(env.window),
-      oracle_(env.oracle), fill_(env.fill), issue_(env.issue),
-      ctrl_(env.ctrl)
+    : cfg_(env.cfg), window_(env.window), oracle_(env.oracle),
+      fill_(env.fill), issue_(env.issue), ctrl_(env.ctrl)
 {
-    stats_.addCounter("retired", retired_, "instructions committed");
-    stats_.addCounter("dyn_moves", dyn_moves_,
-                      "retired move-marked instructions");
-    stats_.addCounter("dyn_reassoc", dyn_reassoc_,
-                      "retired reassociated instructions");
-    stats_.addCounter("dyn_scaled", dyn_scaled_,
-                      "retired scaled-add instructions");
-    stats_.addCounter("dyn_elided", dyn_elided_,
-                      "retired dead-write-elided instructions");
-    stats_.addCounter("dyn_move_idioms", dyn_move_idioms_,
-                      "retired architectural move idioms");
-    stats_.addCounter("bypass_delayed", bypass_delayed_,
-                      "retired insts whose last operand crossed "
-                      "clusters");
 }
 
 void

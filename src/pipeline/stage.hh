@@ -1,18 +1,14 @@
 /**
  * @file
  * Common base for the first-class pipeline stages (DESIGN.md §10).
- * Each stage owns a stats::Group named after itself — queryable in
- * isolation, which is what the per-stage unit tests drive — and the
- * composition root additionally re-exports every stage counter into
- * the processor-wide "sim" registry via regStats() so dumps and
- * SimResult assembly see one flat namespace.
+ * A stage owns its counters but no registry: regStats() registers
+ * them, prefixed with the stage name, into the one processor-wide
+ * "sim" group, which dumps, SimResult assembly, the timeline and the
+ * per-stage unit tests all read.
  */
 
 #ifndef TCFILL_PIPELINE_STAGE_HH
 #define TCFILL_PIPELINE_STAGE_HH
-
-#include <string>
-#include <utility>
 
 #include "common/stats.hh"
 #include "obs/pipe_trace.hh"
@@ -20,22 +16,19 @@
 namespace tcfill::pipeline
 {
 
-/** A pipeline stage: named stats group + optional lifecycle tracer. */
+/** A pipeline stage: prefixed stats registration + optional tracer. */
 class Stage
 {
   public:
-    explicit Stage(std::string name) : stats_(std::move(name)) {}
+    Stage() = default;
     virtual ~Stage() = default;
 
     Stage(const Stage &) = delete;
     Stage &operator=(const Stage &) = delete;
 
-    /** This stage's own statistics (also re-exported into "sim"). */
-    const stats::Group &stats() const { return stats_; }
-
     /**
-     * Re-export this stage's counters (prefixed with the stage name)
-     * and any components it owns into the processor-wide registry.
+     * Register this stage's counters (prefixed with the stage name)
+     * and those of any components it owns into @p master.
      */
     virtual void regStats(stats::Group &master) = 0;
 
@@ -46,7 +39,6 @@ class Stage
     virtual void setTracer(obs::PipeTracer *tracer) { tracer_ = tracer; }
 
   protected:
-    stats::Group stats_;
     obs::PipeTracer *tracer_ = nullptr;
 };
 

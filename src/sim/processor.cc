@@ -73,7 +73,7 @@ Processor::wireStages(const pipeline::StagePolicy &policy)
                           recovery_env);
 
     // Registration order fixes the text/JSON stats layout; keep it
-    // stable (the golden-fixture CI job compares bytes).
+    // stable (the cli.golden ctest compares bytes).
     mem_.regStats(stats_);
     fetch_->regStats(stats_);    // bpred.* + fetch.*
     bias_.regStats(stats_);

@@ -117,8 +117,9 @@ configCacheKey(const SimConfig &cfg)
     os << "|bias=" << cfg.bias.entries << ','
        << cfg.bias.promoteThreshold;
     // Execution core. The scheduler kind never changes timing (the
-    // timing-identity CI job asserts so) but is keyed anyway: cached
-    // results must be reproducible by rerunning the exact config.
+    // cli.scheduler_identity ctest asserts so) but is keyed anyway:
+    // cached results must be reproducible by rerunning the exact
+    // config.
     os << "|core=" << cfg.core.numClusters << ','
        << cfg.core.fusPerCluster << ',' << cfg.core.rsEntries << ','
        << cfg.core.crossClusterDelay << ','

@@ -7,7 +7,7 @@
  * a SimRunner so repeated replays of the same trace under the same
  * config hit the result cache (keyed on trace *content*, not path).
  *
- * Determinism contract (enforced by CI): for any workload and
+ * Determinism contract (the cli.replay ctest): for any workload and
  * config, record → replay produces byte-identical tcfill-stats-v1
  * JSON apart from the host section and the mode field, because the
  * pipeline stages consume only ExecRecords via OracleStream and the

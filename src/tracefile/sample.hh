@@ -74,7 +74,7 @@ struct SampleSpec
     InstSeqNum warmup = 50'000;
 
     // None of the knobs below affect the estimate — only how fast it
-    // is produced (asserted byte-identical in tests and CI).
+    // is produced (asserted byte-identical by cli.sample_identity).
 
     /** Measurement worker threads (0 = SimRunner::defaultThreads()). */
     unsigned jobs = 0;
@@ -135,8 +135,8 @@ SimResult runSampled(const std::string &workload, unsigned scale,
  * re-executes its prefix functionally from instruction zero and times
  * warmup and warmup+measure as two separate runs. Ignores
  * SampleSpec's host-side knobs. runSampled must produce a
- * byte-identical SimResult body (asserted in tests and the CI
- * sample-determinism job).
+ * byte-identical SimResult body (asserted by the cli.sample_identity
+ * ctest).
  */
 SimResult runSampledReference(const std::string &workload, unsigned scale,
                               const SimConfig &cfg,

@@ -11,7 +11,7 @@
  * the default producer-driven wakeup/select design (dependent lists
  * built at dispatch, per-FU ready queues, loads re-armed by
  * store-window events) and the legacy per-cycle scan kept as the
- * reference oracle for the timing-identity CI job.
+ * reference oracle for the scheduler-identity tests.
  */
 
 #ifndef TCFILL_UARCH_EXEC_CORE_HH

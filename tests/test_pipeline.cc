@@ -119,7 +119,9 @@ TEST(FetchEngine, HandsCommittedPathLinesToLatch)
     EXPECT_EQ(line.insts.front()->seq, 1u);
     for (std::size_t i = 1; i < line.insts.size(); ++i)
         EXPECT_EQ(line.insts[i]->seq, line.insts[i - 1]->seq + 1);
-    EXPECT_EQ(fetch.stats().counterValue("icache_lines"), 1u);
+    stats::Group g("sim");
+    fetch.regStats(g);
+    EXPECT_EQ(g.counterValue("fetch.icache_lines"), 1u);
 }
 
 TEST(FetchEngine, RespectsLatchCapacity)
@@ -154,6 +156,7 @@ struct RecoveryFixture : ::testing::Test
     {
         for (InstSeqNum s = 1; s <= 10; ++s)
             m.window.insts.push_back(windowInst(s));
+        recovery.regStats(registry);
     }
 
     bool squashed(InstSeqNum s) const
@@ -164,6 +167,7 @@ struct RecoveryFixture : ::testing::Test
     StubMachine m;
     RenameTable rename;
     RecoveryController recovery;
+    stats::Group registry{"sim"};
 };
 
 TEST_F(RecoveryFixture, SquashRangeBoundsAreHalfOpen)
@@ -180,7 +184,7 @@ TEST_F(RecoveryFixture, SquashRangeBoundsAreHalfOpen)
     EXPECT_TRUE(squashed(8));   // rescue hi is exclusive
     EXPECT_FALSE(squashed(9));  // hi is exclusive
     EXPECT_FALSE(squashed(10));
-    EXPECT_EQ(recovery.stats().counterValue("squashes"), 1u);
+    EXPECT_EQ(registry.counterValue("recovery.squashes"), 1u);
 }
 
 TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
@@ -210,7 +214,7 @@ TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
     EXPECT_EQ(m.ctrl.avail, 11u);               // next cycle at best
     // Stall charged from fetch of the branch to its resolution.
     EXPECT_EQ(recovery.stallCycles(), 8u);
-    EXPECT_EQ(recovery.stats().counterValue("rescued_insts"), 2u);
+    EXPECT_EQ(registry.counterValue("recovery.rescued_insts"), 2u);
 }
 
 TEST_F(RecoveryFixture, CorrectPredictionDiscardsInactiveTail)
@@ -273,12 +277,13 @@ TEST(RetireUnit, FeedsCommittedInstructionsToFillUnit)
     EXPECT_EQ(retire.retired(), kInsts);
     EXPECT_TRUE(m.window.empty());
     EXPECT_EQ(retire.lastRetireCycle(), 4u);
-    EXPECT_EQ(retire.stats().counterValue("dyn_moves"), 1u);
+    stats::Group g("sim");
+    retire.regStats(g);
+    m.fill.regStats(g);
+    EXPECT_EQ(g.counterValue("retire.dyn_moves"), 1u);
 
     // The fill unit collected the committed stream and closed at
     // least the first loop body into a segment.
-    stats::Group g("ut");
-    m.fill.regStats(g);
     EXPECT_GT(g.counterValue("fill.segments"), 0u);
     EXPECT_GT(g.counterValue("fill.insts"), 0u);
 }

@@ -51,19 +51,6 @@ Usage:
         policy decisions feed back into segment construction, so they
         are timing-affecting and must be identical too.
 
-    check_stats_json.py BASELINE.json BENCH_OUT.json... --compare-perf
-        Perf-smoke gate: BASELINE.json is the pinned
-        tcfill-bench-baseline-v1 snapshot (BENCH_baseline.json); each
-        following file is a google-benchmark --benchmark_out document
-        (bench/perf_simulator, bench/perf_sample, ...) and their
-        benchmark rows are merged so one gate covers every baselined
-        binary. Fails when any baselined benchmark's sim_insts_per_s
-        falls below (1 - tol) x baseline (--perf-tol, default 0.25).
-        The committed baseline is the throughput the optimization
-        shipped with (or, for perf_simulator, the pre-optimization
-        floor), so this is a floor against catastrophic regression
-        that absorbs host-speed variance, not a precision measurement.
-
 Exit status: 0 clean, 1 validation/diff failure, 2 usage error.
 Stdlib only, so it runs in CI and on dev machines without a venv.
 """
@@ -641,71 +628,6 @@ def validate_trace_events(path):
     return not errors
 
 
-# ---- perf-smoke gate ----------------------------------------------------
-
-BASELINE_SCHEMA = "tcfill-bench-baseline-v1"
-PERF_COUNTER = "sim_insts_per_s"
-
-
-def bench_out_rates(doc):
-    """sim_insts_per_s per benchmark from a google-benchmark
-    --benchmark_out document, preferring the _median aggregate when
-    repetitions were used."""
-    rates = {}
-    for b in doc.get("benchmarks", []):
-        name = b.get("name", "")
-        if PERF_COUNTER not in b:
-            continue
-        base, sep, agg = name.rpartition("_")
-        if sep and agg in ("median", "mean"):
-            # Medians overwrite plain/mean entries; means only fill
-            # gaps so a median-less run still gates.
-            if agg == "median" or base not in rates:
-                rates[base] = b[PERF_COUNTER]
-        elif name not in rates:
-            rates[name] = b[PERF_COUNTER]
-    return rates
-
-
-def compare_perf(base_path, base, out_paths, outs, tol):
-    if base.get("schema") != BASELINE_SCHEMA:
-        print(f"{base_path}: expected schema '{BASELINE_SCHEMA}', "
-              f"got {base.get('schema')!r}", file=sys.stderr)
-        return False
-    # Merge rows across every bench-out document (one per benchmark
-    # binary); duplicate benchmark names across binaries would shadow
-    # each other, so reject them loudly.
-    rates = {}
-    for path, out in zip(out_paths, outs):
-        for name, rate in bench_out_rates(out).items():
-            if name in rates:
-                print(f"  !! {name}: appears in more than one "
-                      f"bench-out document (again in {path})")
-                return False
-            rates[name] = rate
-    out_path = ", ".join(out_paths)
-    ok = True
-    for name, entry in sorted(base.get("benchmarks", {}).items()):
-        want = entry[PERF_COUNTER]
-        floor = (1.0 - tol) * want
-        if name not in rates:
-            print(f"  !! {name}: baselined but absent from "
-                  f"{out_path}")
-            ok = False
-            continue
-        got = rates[name]
-        verdict = "ok" if got >= floor else "REGRESSED"
-        print(f"  {name}: {got:,.0f} {PERF_COUNTER} vs baseline "
-              f"{want:,.0f} (floor {floor:,.0f}, "
-              f"{got / want:.2f}x) {verdict}")
-        if got < floor:
-            ok = False
-    if not ok:
-        print(f"perf smoke FAILED: throughput below "
-              f"(1 - {tol}) x {base_path}")
-    return ok
-
-
 def main():
     ap = argparse.ArgumentParser(
         description="Validate / diff tcfill stats JSON documents.")
@@ -721,36 +643,18 @@ def main():
                     help="two-file mode: require identical simulation "
                          "content between two scheduler "
                          "implementations (timing-identity check)")
-    ap.add_argument("--compare-perf", action="store_true",
-                    help="multi-file mode: BASELINE.json vs one or "
-                         "more google-benchmark --benchmark_out "
-                         "documents (perf-smoke regression gate)")
-    ap.add_argument("--perf-tol", type=float, default=0.25,
-                    help="relative throughput drop tolerated by "
-                         "--compare-perf (default 0.25)")
     ap.add_argument("--validate-trace-events", action="store_true",
                     help="validate Chrome/Perfetto trace-event "
                          "exports (--trace-events files) instead of "
                          "stats documents")
     opts = ap.parse_args()
     modes = [m for m in ("--compare-replay", "--compare-timing",
-                         "--compare-perf", "--validate-trace-events")
+                         "--validate-trace-events")
              if getattr(opts, m[2:].replace("-", "_"))]
     if len(modes) > 1:
         ap.error("pick one of " + ", ".join(modes))
     if opts.validate_trace_events:
         ok = all([validate_trace_events(p) for p in opts.files])
-        sys.exit(0 if ok else 1)
-    if opts.compare_perf:
-        if len(opts.files) < 2:
-            ap.error("--compare-perf needs a baseline and at least "
-                     "one bench-out file")
-        # None of the files is a tcfill-stats-v1 document: skip schema
-        # validation and gate directly.
-        base = load(opts.files[0])
-        outs = [load(p) for p in opts.files[1:]]
-        ok = compare_perf(opts.files[0], base, opts.files[1:], outs,
-                          opts.perf_tol)
         sys.exit(0 if ok else 1)
     if len(opts.files) > 2:
         ap.error("expected one or two files")

@@ -1,19 +1,22 @@
 #!/usr/bin/env sh
-# Regenerate the refactor-equivalence golden fixtures.
+# Regenerate the golden fixtures under tests/golden/.
 #
 # The fixtures pin the deterministic tcfill-stats-v1 documents for
-# three (workload, config) seed pairs. CI reruns this script after
-# every change and byte-compares the output against tests/golden/ —
-# any pipeline refactor must leave cycles, IPC and every other
-# deterministic stat bit-identical (see DESIGN.md §10).
+# six (workload, config) points, and the stdout of the paper's figure
+# and table drivers. The `cli.golden` ctest reruns this script and
+# byte-compares its output against tests/golden/ — any change must
+# leave cycles, IPC, every other deterministic stat and every
+# reproduced paper number bit-identical, or update the fixtures and
+# say why in CHANGES.md (see DESIGN.md §10).
 #
-# Usage: tools/gen_golden_fixtures.sh <tcfill-binary> <output-dir>
+# Usage: tools/gen_golden_fixtures.sh <build-dir> <output-dir>
 set -eu
 
-TCFILL=${1:?usage: gen_golden_fixtures.sh <tcfill-binary> <output-dir>}
-OUT=${2:?usage: gen_golden_fixtures.sh <tcfill-binary> <output-dir>}
+BUILD=${1:?usage: gen_golden_fixtures.sh <build-dir> <output-dir>}
+OUT=${2:?usage: gen_golden_fixtures.sh <build-dir> <output-dir>}
+TCFILL="$BUILD/tools/tcfill"
 
-mkdir -p "$OUT"
+mkdir -p "$OUT/paper"
 
 "$TCFILL" -j 1 --max-insts 20000 --opts all \
     --stats-json "$OUT/compress-all.json" compress > /dev/null
@@ -24,8 +27,8 @@ mkdir -p "$OUT"
 
 # Sampled-run estimate (checkpoint-parallel engine, DESIGN.md §14).
 # The body is independent of --sample-jobs and of the checkpoint knobs
-# (asserted in CI's sample-determinism job), so one fixture pins the
-# whole engine.
+# (asserted by the `cli.sample_identity` ctest), so one fixture pins
+# the whole engine.
 "$TCFILL" --max-insts 200000 --opts all \
     --sample 4:10000 --sample-warmup 5000 --sample-jobs 1 \
     --stats-json "$OUT/compress-sample.json" compress > /dev/null
@@ -43,3 +46,11 @@ mkdir -p "$OUT"
 "$TCFILL" -j 1 --max-insts 20000 --opts all --fill-policy phase \
     --stats-interval 5000 \
     --stats-json "$OUT/compress-policy-phase.json" compress > /dev/null
+
+# The reproduced paper results (Figures 3-8, Table 2). The drivers'
+# output is identical at every TCFILL_THREADS width.
+for d in fig3_register_moves fig4_reassociation fig5_scaled_adds \
+         fig6_placement fig7_bypass_delay fig8_combined \
+         table2_transform_rates; do
+    "$BUILD/bench/$d" > "$OUT/paper/$d.txt"
+done

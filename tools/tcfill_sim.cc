@@ -26,7 +26,7 @@
  *   --scheduler KIND       instruction scheduler: wakeup (default,
  *                          event-driven) or scan (per-cycle rescan
  *                          reference; identical timing — used by the
- *                          timing-identity CI job)
+ *                          cli.scheduler_identity ctest)
  *   --stats                dump full component statistics
  *   --stats-dump           dump component statistics as JSON
  *   --stats-json FILE      write a tcfill-stats-v1 JSON document with
@@ -72,7 +72,7 @@
  *                          (default 1)
  *   --sample-reference     use the serial two-runs-per-point
  *                          reference implementation (oracle for the
- *                          CI sample-determinism job)
+ *                          cli.sample_identity ctest)
  */
 
 #include <cstdlib>
