@@ -18,23 +18,16 @@ Executor::Executor(const Program &prog) : prog_(prog)
     state_.write(kRegSP, static_cast<std::uint32_t>(prog.stackTop));
 }
 
-Instruction
-Executor::fetchDecode(Addr pc) const
-{
-    fatal_if(!prog_.containsPc(pc),
-             "%s: PC 0x%llx escaped the text segment",
-             prog_.name.c_str(), static_cast<unsigned long long>(pc));
-    return decode(mem_.readWord(pc));
-}
-
 void
 Executor::rebuildDecodeCache()
 {
     decoded_.resize(prog_.text.size());
+    raw_.resize(prog_.text.size());
     target_.assign(prog_.text.size(), 0);
     for (std::size_t i = 0; i < decoded_.size(); ++i) {
         const Addr pc = prog_.textBase + i * 4;
         Instruction in = decode(mem_.readWord(pc));
+        raw_[i] = in;
         // Normalize absent sources to R0 (hardwired zero) so the fast
         // path reads operands unconditionally; architecturally
         // equivalent since reading kNoReg was mapped to R0 anyway.
@@ -71,12 +64,15 @@ Executor::stepImpl(ExecRecord *rec, const FetchView &fv, Addr &pc_io)
     panic_if(halted_, "Executor::step() after halt");
 
     const Addr pc = pc_io;
-    [[maybe_unused]] Instruction fetched;
     std::size_t fast_idx = 0;
     const Instruction *inp;
     if constexpr (kRecord) {
-        fetched = fetchDecode(pc);
-        inp = &fetched;
+        // step() records the instruction exactly as decoded (absent
+        // sources stay kNoReg), from fv's un-normalized image.
+        fatal_if(!prog_.containsPc(pc),
+                 "%s: PC 0x%llx escaped the text segment",
+                 prog_.name.c_str(), static_cast<unsigned long long>(pc));
+        inp = &fv.dec[(pc - fv.base) / 4];
     } else {
         // One unsigned compare covers both text-segment bounds: a PC
         // below textBase wraps to a huge index.
@@ -277,9 +273,14 @@ Executor::stepImpl(ExecRecord *rec, const FetchView &fv, Addr &pc_io)
 ExecRecord
 Executor::step()
 {
+    if (decode_stale_)
+        rebuildDecodeCache();
     ExecRecord rec;
     Addr pc = state_.pc;
-    stepImpl<true>(&rec, FetchView{}, pc);
+    stepImpl<true>(&rec,
+                   FetchView{raw_.data(), nullptr, raw_.size(),
+                             prog_.textBase},
+                   pc);
     state_.pc = pc;
     return rec;
 }

@@ -140,9 +140,6 @@ class Executor : public CommitSource
     Memory &memory() { return mem_; }
     const Program &program() const { return prog_; }
 
-    /** Decode the instruction at @p pc from loaded text. */
-    Instruction fetchDecode(Addr pc) const;
-
   private:
     /**
      * Loop-invariant snapshot of the fast-fetch state. The simulated
@@ -170,10 +167,11 @@ class Executor : public CommitSource
     }
 
     /**
-     * Shared semantics for step() and fastStep(). With kRecord the
-     * committed instruction is described into @p rec and seq_
-     * advances; without, no record is built, fetch comes from @p fv's
-     * predecoded text image, and the caller accounts seq_. The PC
+     * Shared semantics for step() and fastStep(). Fetch comes from
+     * @p fv's predecoded text image. With kRecord the committed
+     * instruction is described into @p rec and seq_ advances (@p fv
+     * is the un-normalized image and carries no targets); without, no
+     * record is built and the caller accounts seq_. The PC
      * lives in @p pc_io (read and advanced there, not in state_) so
      * fast loops can keep it in a register; callers write it back.
      * Returns the ends-basic-block flag. Force-inlined into its
@@ -186,7 +184,7 @@ class Executor : public CommitSource
 #endif
     bool stepImpl(ExecRecord *rec, const FetchView &fv, Addr &pc_io);
 
-    /** (Re)decode the in-memory text image into decoded_. */
+    /** (Re)decode the in-memory text image into decoded_ and raw_. */
     void rebuildDecodeCache();
 
     /** A store overlapping text invalidates the predecode cache. */
@@ -203,14 +201,17 @@ class Executor : public CommitSource
     InstSeqNum seq_ = 0;
     bool halted_ = false;
 
-    // Lazily built fast-fetch cache: one decoded Instruction per text
-    // word, rebuilt from the memory image (not Program::text) so prior
-    // self-modifying stores stay visible. Stale until first fastStep()
-    // and again after any store into the text range. target_ carries
+    // Lazily built fetch cache: one decoded Instruction per text word,
+    // rebuilt from the memory image (not Program::text) so prior
+    // self-modifying stores stay visible. Stale until first use and
+    // again after any store into the text range. decoded_ normalizes
+    // absent sources to R0 for the fast path; raw_ keeps them as
+    // decoded, for step()'s records. target_ carries
     // the statically known taken-target per slot (conditional
     // branches, J/JAL) so the fast path skips the sign-extend/shift
     // address arithmetic on every taken transfer.
     std::vector<Instruction> decoded_;
+    std::vector<Instruction> raw_;
     std::vector<Addr> target_;
     bool decode_stale_ = true;
 };

@@ -2,7 +2,7 @@
  * @file
  * The one hashing/digest module every content-addressed identity in
  * the tree derives from: CRC-32 (IEEE) for on-disk framing checksums
- * (tcfill-trace-v1 frames, tcfill-store-v1 records, tcfill-svc-v1
+ * (tcfill-trace-v1 frames, tcfill-store-v1 records, tcfill-svc-v2
  * wire frames) and FNV-1a 64 for compact content keys (workload
  * digests, trace identities, persistent-store shard routing).
  *
@@ -26,7 +26,10 @@
 namespace tcfill::digest
 {
 
-/** CRC-32 (IEEE 802.3, poly 0xedb88320, init/final xor ~0). */
+/**
+ * CRC-32 (IEEE 802.3, poly 0xedb88320, init/final xor ~0), computed
+ * slice-by-8. Chain chunks by passing the previous result as @p seed.
+ */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t seed = 0);
 

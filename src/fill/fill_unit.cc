@@ -17,6 +17,7 @@ FillUnit::FillUnit(const FillUnitConfig &config, TraceCache &tcache,
     fatal_if(config.maxCondBranches > kSegmentMaxCondBranches,
              "fill unit: maxCondBranches must be <= %u",
              kSegmentMaxCondBranches);
+    pending_.insts.reserve(kSegmentMaxInsts);
 }
 
 void
@@ -122,6 +123,9 @@ FillUnit::finalize(Cycle now)
 
     TraceSegment seg = std::move(pending_);
     pending_ = TraceSegment{};
+    // A segment grows to at most kSegmentMaxInsts: size it once rather
+    // than regrowing from one instruction for every segment.
+    pending_.insts.reserve(kSegmentMaxInsts);
     pending_cond_branches_ = 0;
     pending_blocks_ = 1;
     pending_cf_region_ = 0;

@@ -31,68 +31,110 @@
 namespace tcfill::obs
 {
 
+/** Append @p s, escaped and quoted as a JSON string, to @p out. */
+inline void
+jsonQuote(std::string &out, std::string_view s)
+{
+    out += '"';
+    const char *p = s.data();
+    const char *const end = p + s.size();
+    while (p != end) {
+        // Bulk-copy the run that needs no escaping.
+        const char *run = p;
+        while (p != end && *p != '"' && *p != '\\' &&
+               static_cast<unsigned char>(*p) >= 0x20)
+            ++p;
+        out.append(run, static_cast<std::size_t>(p - run));
+        if (p == end)
+            break;
+        const char c = *p++;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const auto u = static_cast<unsigned char>(c);
+            const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4],
+                                kHex[u & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
+        }
+    }
+    out += '"';
+}
+
 /** Escape and quote @p s as a JSON string into @p os. */
 inline void
 jsonQuote(std::ostream &os, std::string_view s)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    std::string quoted;
+    jsonQuote(quoted, s);
+    os << quoted;
 }
 
 /**
- * Deterministic decimal rendering of a double: shortest round-trip
- * form via to_chars where available, else %.17g. Both are stable for
- * a given binary, which is what the byte-identical-output guarantees
- * rest on.
+ * Append the deterministic decimal rendering of a double to @p out:
+ * shortest round-trip form via to_chars where available, else %.17g.
+ * Both are stable for a given binary, which is what the
+ * byte-identical-output guarantees rest on.
  */
-inline std::string
-jsonNumber(double v)
+inline void
+appendJsonNumber(std::string &out, double v)
 {
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
     char buf[64];
     auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    if (ec == std::errc())
-        return std::string(buf, ptr);
+    if (ec == std::errc()) {
+        out.append(buf, ptr);
+        return;
+    }
 #endif
     char fbuf[64];
     std::snprintf(fbuf, sizeof(fbuf), "%.17g", v);
-    return fbuf;
+    out += fbuf;
+}
+
+/** appendJsonNumber() as a string. */
+inline std::string
+jsonNumber(double v)
+{
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 /**
  * Streaming JSON writer with two-space pretty printing. Keys are
  * emitted in call order, so output is byte-deterministic whenever the
  * caller's values are.
+ *
+ * The writer appends to a std::string. Constructed over a std::ostream
+ * it stages output in its own string and hands it to the stream
+ * whenever the outermost scope closes (and every kFlushBytes), so a
+ * finished document is in the stream while the writer is still alive.
  */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::ostream &os) : os_(os) {}
+    /** Append the document to @p out. */
+    explicit JsonWriter(std::string &out) : out_(out) {}
+
+    /** Write the document to @p os (see the class comment). */
+    explicit JsonWriter(std::ostream &os) : out_(staged_), os_(&os) {}
+
+    ~JsonWriter() { flush(); }
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &
     beginObject()
     {
         preValue();
-        os_ << '{';
+        out_ += '{';
         stack_.push_back({true, 0});
         return *this;
     }
@@ -115,7 +157,7 @@ class JsonWriter
     beginArray()
     {
         preValue();
-        os_ << '[';
+        out_ += '[';
         stack_.push_back({false, 0});
         return *this;
     }
@@ -140,19 +182,19 @@ class JsonWriter
         panic_if(stack_.empty() || !stack_.back().isObject,
                  "JsonWriter: key outside an object");
         separator();
-        jsonQuote(os_, k);
-        os_ << ": ";
+        jsonQuote(out_, k);
+        out_ += ": ";
         have_key_ = true;
         return *this;
     }
 
-    JsonWriter &value(std::string_view v) { preValue(); jsonQuote(os_, v); return *this; }
+    JsonWriter &value(std::string_view v) { preValue(); jsonQuote(out_, v); return valueDone(); }
     JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(const std::string &v) { return value(std::string_view(v)); }
-    JsonWriter &value(bool v) { preValue(); os_ << (v ? "true" : "false"); return *this; }
-    JsonWriter &value(double v) { preValue(); os_ << jsonNumber(v); return *this; }
-    JsonWriter &value(std::uint64_t v) { preValue(); os_ << v; return *this; }
-    JsonWriter &value(std::int64_t v) { preValue(); os_ << v; return *this; }
+    JsonWriter &value(bool v) { preValue(); out_ += v ? "true" : "false"; return valueDone(); }
+    JsonWriter &value(double v) { preValue(); appendJsonNumber(out_, v); return valueDone(); }
+    JsonWriter &value(std::uint64_t v) { preValue(); appendInt(v); return valueDone(); }
+    JsonWriter &value(std::int64_t v) { preValue(); appendInt(v); return valueDone(); }
     JsonWriter &value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
     JsonWriter &value(int v) { return value(static_cast<std::int64_t>(v)); }
 
@@ -169,7 +211,8 @@ class JsonWriter
     finish()
     {
         panic_if(!stack_.empty(), "JsonWriter: unclosed scopes");
-        os_ << '\n';
+        out_ += '\n';
+        flush();
     }
 
   private:
@@ -179,11 +222,42 @@ class JsonWriter
         unsigned count;
     };
 
+    /** Staged bytes past which an ostream writer flushes mid-document. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+    template <typename Int>
+    void
+    appendInt(Int v)
+    {
+        char buf[24];
+        auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        out_.append(buf, res.ptr);
+    }
+
+    void
+    flush()
+    {
+        if (os_ && !staged_.empty()) {
+            os_->write(staged_.data(),
+                       static_cast<std::streamsize>(staged_.size()));
+            staged_.clear();
+        }
+    }
+
+    /** A complete top-level value (or a full buffer) reaches the stream. */
+    JsonWriter &
+    valueDone()
+    {
+        if (os_ && (stack_.empty() || staged_.size() >= kFlushBytes))
+            flush();
+        return *this;
+    }
+
     void
     separator()
     {
         if (!stack_.empty() && stack_.back().count++ > 0)
-            os_ << ',';
+            out_ += ',';
         newlineIndent();
     }
 
@@ -209,18 +283,20 @@ class JsonWriter
         stack_.pop_back();
         if (!empty)
             newlineIndent();
-        os_ << c;
+        out_ += c;
+        valueDone();
     }
 
     void
     newlineIndent()
     {
-        os_ << '\n';
-        for (std::size_t i = 0; i < stack_.size(); ++i)
-            os_ << "  ";
+        out_ += '\n';
+        out_.append(2 * stack_.size(), ' ');
     }
 
-    std::ostream &os_;
+    std::string staged_;            ///< ostream mode's pending output
+    std::string &out_;
+    std::ostream *os_ = nullptr;
     std::vector<Scope> stack_;
     bool have_key_ = false;
 };
@@ -332,12 +408,8 @@ class ObjectReader
     {
         if (!ok_)
             return nullptr;
-        for (std::size_t i = 0; i < v_.obj.size(); ++i) {
-            if (v_.obj[i].first == name) {
-                seen_[i] = true;
-                return &v_.obj[i].second;
-            }
-        }
+        if (const JsonValue *m = consume(name))
+            return m;
         fail(std::string("missing member '") + name + "'");
         return nullptr;
     }
@@ -353,15 +425,7 @@ class ObjectReader
     const JsonValue *
     optional(const char *name)
     {
-        if (!ok_)
-            return nullptr;
-        for (std::size_t i = 0; i < v_.obj.size(); ++i) {
-            if (v_.obj[i].first == name) {
-                seen_[i] = true;
-                return &v_.obj[i].second;
-            }
-        }
-        return nullptr;
+        return ok_ ? consume(name) : nullptr;
     }
 
     bool
@@ -444,6 +508,26 @@ class ObjectReader
     }
 
   private:
+    /**
+     * Find and mark @p name. Readers ask for members in the order the
+     * writer emitted them, so the scan starts just past the last hit
+     * and wraps: one comparison per member in the usual case.
+     */
+    const JsonValue *
+    consume(const char *name)
+    {
+        const std::size_t n = v_.obj.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t i = next_ + k < n ? next_ + k : next_ + k - n;
+            if (v_.obj[i].first == name) {
+                seen_[i] = true;
+                next_ = i + 1;
+                return &v_.obj[i].second;
+            }
+        }
+        return nullptr;
+    }
+
     bool
     fail(const std::string &what)
     {
@@ -458,6 +542,7 @@ class ObjectReader
     std::string path_;
     std::string &err_;
     std::vector<bool> seen_;
+    std::size_t next_ = 0;      ///< where consume() starts scanning
     bool ok_ = true;
 };
 
@@ -517,13 +602,15 @@ class JsonParser
             return false;
         out.clear();
         while (pos_ < s_.size()) {
-            char c = s_[pos_++];
-            if (c == '"')
+            // Bulk-copy the run up to the next quote or escape.
+            const std::size_t run = pos_;
+            while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\')
+                ++pos_;
+            out.append(s_.data() + run, pos_ - run);
+            if (pos_ >= s_.size())
+                return false;
+            if (s_[pos_++] == '"')
                 return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= s_.size())
                 return false;
             char e = s_[pos_++];
@@ -583,11 +670,23 @@ class JsonParser
         }
         if (pos_ == start)
             return false;
-        std::string tok(s_.substr(start, pos_ - start));
+        // strtod needs a terminated token; numbers are short, so stage
+        // them on the stack and keep the heap for pathological ones.
+        const std::size_t len = pos_ - start;
+        char stack_tok[64];
+        std::string heap_tok;
+        char *tok = stack_tok;
+        if (len < sizeof(stack_tok)) {
+            std::memcpy(stack_tok, s_.data() + start, len);
+            stack_tok[len] = '\0';
+        } else {
+            heap_tok.assign(s_.data() + start, len);
+            tok = heap_tok.data();
+        }
         char *end = nullptr;
         out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(tok.c_str(), &end);
-        return end && *end == '\0';
+        out.number = std::strtod(tok, &end);
+        return end == tok + len;
     }
 
     bool

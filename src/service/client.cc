@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <sstream>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -22,14 +21,14 @@ namespace
 {
 
 std::string
-typedPayload(const char *type)
+typedHeader(const char *type)
 {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    std::string header;
+    obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", type);
     w.endObject();
-    return os.str();
+    return header;
 }
 
 /** The "message" of an error frame, or a generic fallback. */
@@ -68,15 +67,28 @@ ServiceClient::connect(const std::string &socketPath, std::string &err)
         return false;
     }
 
+    reader_.emplace(fd_);
+
+    std::string hello;
+    {
+        obs::JsonWriter w(hello);
+        w.beginObject();
+        w.field("type", "hello");
+        w.field("schema", kSvcSchema);
+        w.endObject();
+    }
     std::string reply;
-    if (!request(typedPayload("hello"), reply, err)) {
+    if (!request(hello, reply, err)) {
         close();
         return false;
     }
     auto v = obs::JsonValue::tryParse(reply);
     const obs::JsonValue *schema = v ? v->find("schema") : nullptr;
     if (!schema || !schema->isString() || schema->str != kSvcSchema) {
-        err = "server does not speak " + std::string(kSvcSchema);
+        const obs::JsonValue *type = v ? v->find("type") : nullptr;
+        err = type && type->isString() && type->str == "error"
+            ? errorText(*v)
+            : "server does not speak " + std::string(kSvcSchema);
         close();
         return false;
     }
@@ -90,23 +102,42 @@ ServiceClient::close()
         ::close(fd_);
         fd_ = -1;
     }
+    reader_.reset();
 }
 
 bool
-ServiceClient::request(const std::string &payload, std::string &reply,
+ServiceClient::request(std::string_view header, std::string &reply,
                        std::string &err)
 {
     if (fd_ < 0) {
         err = "not connected";
         return false;
     }
-    if (!writeFrame(fd_, payload)) {
+    std::string frame;
+    appendMessage(frame, header);
+    if (!writeAll(fd_, frame)) {
         err = "cannot write to server";
         return false;
     }
-    WireStatus st = readFrame(fd_, reply);
+    std::string_view replyHeader, body;
+    if (!readMessage(replyHeader, body, err))
+        return false;
+    reply.assign(replyHeader.data(), replyHeader.size());
+    return true;
+}
+
+bool
+ServiceClient::readMessage(std::string_view &header,
+                           std::string_view &body, std::string &err)
+{
+    std::string_view payload;
+    WireStatus st = reader_->next(payload);
     if (st != WireStatus::Ok) {
         err = std::string("server connection ") + wireStatusName(st);
+        return false;
+    }
+    if (!splitMessage(payload, header, body)) {
+        err = "malformed server frame";
         return false;
     }
     return true;
@@ -116,7 +147,7 @@ bool
 ServiceClient::ping(std::string &err)
 {
     std::string reply;
-    if (!request(typedPayload("ping"), reply, err))
+    if (!request(typedHeader("ping"), reply, err))
         return false;
     auto v = obs::JsonValue::tryParse(reply);
     const obs::JsonValue *type = v ? v->find("type") : nullptr;
@@ -130,7 +161,7 @@ ServiceClient::ping(std::string &err)
 bool
 ServiceClient::serverStats(std::string &payload, std::string &err)
 {
-    if (!request(typedPayload("stats"), payload, err))
+    if (!request(typedHeader("stats"), payload, err))
         return false;
     auto v = obs::JsonValue::tryParse(payload);
     const obs::JsonValue *type = v ? v->find("type") : nullptr;
@@ -145,7 +176,7 @@ bool
 ServiceClient::shutdownServer(std::string &err)
 {
     std::string reply;
-    if (!request(typedPayload("shutdown"), reply, err))
+    if (!request(typedHeader("shutdown"), reply, err))
         return false;
     auto v = obs::JsonValue::tryParse(reply);
     const obs::JsonValue *type = v ? v->find("type") : nullptr;
@@ -173,37 +204,38 @@ ServiceClient::sweep(const std::vector<Point> &points,
     }
 
     std::uint64_t id = nextId_++;
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.beginObject();
-    w.field("type", "sweep");
-    w.field("id", id);
-    w.beginArray("points");
-    for (const Point &p : points) {
+    std::string header;
+    {
+        obs::JsonWriter w(header);
         w.beginObject();
-        w.field("workload", p.workload);
-        w.field("scale", p.scale);
-        w.key("config");
-        configToJson(w, p.config);
+        w.field("type", "sweep");
+        w.field("id", id);
+        w.field("progress", static_cast<bool>(progress));
+        w.beginArray("points");
+        for (const Point &p : points) {
+            w.beginObject();
+            w.field("workload", p.workload);
+            w.field("scale", p.scale);
+            w.key("config");
+            configToJson(w, p.config);
+            w.endObject();
+        }
+        w.endArray();
         w.endObject();
     }
-    w.endArray();
-    w.endObject();
-    if (!writeFrame(fd_, os.str())) {
+    std::string frame;
+    appendMessage(frame, header);
+    if (!writeAll(fd_, frame)) {
         err = "cannot write to server";
         return false;
     }
 
     out.resize(points.size());
-    std::string payload;
     for (;;) {
-        WireStatus st = readFrame(fd_, payload);
-        if (st != WireStatus::Ok) {
-            err = std::string("server connection ") +
-                wireStatusName(st);
+        std::string_view replyHeader, body;
+        if (!readMessage(replyHeader, body, err))
             return false;
-        }
-        auto v = obs::JsonValue::tryParse(payload);
+        auto v = obs::JsonValue::tryParse(replyHeader);
         if (!v || !v->isObject()) {
             err = "malformed server frame";
             return false;
@@ -218,9 +250,7 @@ ServiceClient::sweep(const std::vector<Point> &points,
         if (t == "result") {
             const obs::JsonValue *idx = v->find("index");
             const obs::JsonValue *hit = v->find("cacheHit");
-            const obs::JsonValue *rec = v->find("record");
-            if (!idx || !idx->isNumber() || !rec ||
-                !rec->isString()) {
+            if (!idx || !idx->isNumber()) {
                 err = "malformed result frame";
                 return false;
             }
@@ -230,7 +260,7 @@ ServiceClient::sweep(const std::vector<Point> &points,
                 return false;
             }
             SimResult &res = out[i];
-            if (!resultFromRecordText(rec->str, res, err))
+            if (!resultFromRecordText(body, res, err))
                 return false;
             // Provenance and the cosmetic config label are
             // client-side facts: the record itself is normalized.

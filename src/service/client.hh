@@ -1,12 +1,14 @@
 /**
  * @file
- * ServiceClient: the tcfill-svc-v1 client side. Connects to a tcfilld
+ * ServiceClient: the tcfill-svc-v2 client side. Connects to a tcfilld
  * Unix-domain socket, performs the hello schema handshake, and runs
  * batched sweeps: points go out in one frame, results stream back in
  * request order as parsed SimResults whose cacheHit records where the
- * daemon found each one (store / memory / computed). Interleaved
- * progress frames feed an obs::ProgressFn, so the CLI's throttled
- * console reporter works unchanged against a remote daemon.
+ * daemon found each one (store / memory / computed). Each result
+ * frame carries the record's own bytes, parsed once. A sweep asks
+ * for progress frames only when its caller passes an obs::ProgressFn,
+ * so the CLI's throttled console reporter works unchanged against a
+ * remote daemon and other callers pay for no progress traffic.
  *
  * RemoteSource adapts a connected client to the ResultSource seam
  * (one-point sweeps), composing with StoreSource for a local
@@ -17,10 +19,13 @@
 #define TCFILL_SERVICE_CLIENT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/progress.hh"
+#include "service/protocol.hh"
 #include "service/source.hh"
 #include "sim/config.hh"
 #include "sim/result.hh"
@@ -63,7 +68,8 @@ class ServiceClient
     /**
      * Run one batched sweep. On success @p out holds one SimResult
      * per point, in order, and @p summary the daemon's provenance
-     * totals. @p progress (optional) is invoked per completed point.
+     * totals. @p progress (optional) is invoked per completed point;
+     * without it the daemon sends no progress frames.
      */
     bool sweep(const std::vector<Point> &points,
                std::vector<SimResult> &out, SweepSummary &summary,
@@ -78,10 +84,15 @@ class ServiceClient
     bool shutdownServer(std::string &err);
 
   private:
-    bool request(const std::string &payload, std::string &reply,
+    /** Send one header-only message; @p reply gets the reply header. */
+    bool request(std::string_view header, std::string &reply,
                  std::string &err);
+    /** Read the next message (views valid until the next read). */
+    bool readMessage(std::string_view &header, std::string_view &body,
+                     std::string &err);
 
     int fd_ = -1;
+    std::optional<FrameReader> reader_;
     std::uint64_t nextId_ = 1;
 };
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include <sys/socket.h>
@@ -29,30 +30,32 @@ namespace tcfill::service
 namespace
 {
 
-std::string
-errorPayload(const std::string &message, std::uint64_t id,
-             bool hasId)
+/** Append an error message frame to @p out. */
+void
+appendError(std::string &out, const std::string &message,
+            std::uint64_t id, bool hasId)
 {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    std::string header;
+    obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", "error");
     if (hasId)
         w.field("id", id);
     w.field("message", message);
     w.endObject();
-    return os.str();
+    appendMessage(out, header);
 }
 
-std::string
-simplePayload(const char *type)
+/** Append a message frame whose header holds only "type". */
+void
+appendTyped(std::string &out, const char *type)
 {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    std::string header;
+    obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", type);
     w.endObject();
-    return os.str();
+    appendMessage(out, header);
 }
 
 bool
@@ -103,8 +106,8 @@ shardWorkerMain(int fd, unsigned threads)
                 p = std::move(queue.front());
                 queue.pop_front();
             }
-            std::ostringstream os;
-            obs::JsonWriter w(os);
+            std::string header, record;
+            obs::JsonWriter w(header);
             w.beginObject();
             if (!p.error.empty()) {
                 w.field("type", "error");
@@ -116,20 +119,25 @@ shardWorkerMain(int fd, unsigned threads)
                 w.field("type", "result");
                 w.field("id", p.id);
                 w.field("cacheHit", p.hit ? "memory" : "computed");
-                w.field("record", normalizedRecordText(res));
+                record = normalizedRecordText(res);
             }
             w.endObject();
-            if (!writeFrame(fd, os.str()))
+            std::string frame;
+            appendMessage(frame, header, record);
+            if (!writeAll(fd, frame))
                 return;
         }
     });
 
-    std::string payload;
+    FrameReader reader(fd);
+    std::string_view payload, header, body;
     for (;;) {
-        WireStatus st = readFrame(fd, payload);
+        WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok)
             break;
-        auto v = obs::JsonValue::tryParse(payload);
+        std::optional<obs::JsonValue> v;
+        if (splitMessage(payload, header, body))
+            v = obs::JsonValue::tryParse(header);
         Pending p;
         std::string workload;
         unsigned scale = 1;
@@ -198,6 +206,8 @@ Daemon::Daemon(DaemonOptions opts)
                       "jobs answered by shard workers");
     stats_.addCounter("errors", errorCount_,
                       "error replies sent to clients");
+    stats_.addCounter("progressFrames", progressFrameCount_,
+                      "progress frames sent (only to sweeps asking)");
     stats_.addFormula("inFlight",
                       [this] {
                           return static_cast<double>(
@@ -352,6 +362,8 @@ Daemon::serve()
         connections_.push_back(std::move(slot));
         raw->t = std::thread([this, raw] {
             connectionLoop(raw->fd);
+            // The peer sees EOF now, not when the slot is reaped.
+            ::shutdown(raw->fd, SHUT_RDWR);
             raw->done.store(true);
         });
     }
@@ -377,23 +389,21 @@ Daemon::resolvePoint(const std::string &workload, unsigned scale,
 {
     std::string key = simPointKey(workload, scale, cfg);
 
+    Resolution res;
     std::unique_lock<std::mutex> lk(mu_);
-    if (store_) {
-        std::string record;
-        if (store_->get(key, record)) {
-            auto fl = std::make_shared<Flight>();
-            fl->promise.set_value(
-                Outcome{true, "", "store", std::move(record)});
-            fl->future = fl->promise.get_future().share();
-            return {fl->future, ""};
-        }
+    if (store_ && store_->get(key, res.ready.record)) {
+        res.ready.ok = true;
+        res.ready.provenance = "store";
+        return res;
     }
     auto it = flights_.find(key);
     if (it != flights_.end()) {
         // Identical point already being simulated: attach. The waiter
         // reports a memory hit — it cost no simulation.
         ++coalescedCount_;
-        return {it->second->future, "memory"};
+        res.future = it->second->future;
+        res.provenance = "memory";
+        return res;
     }
 
     auto fl = std::make_shared<Flight>();
@@ -406,22 +416,26 @@ Daemon::resolvePoint(const std::string &workload, unsigned scale,
     ++dispatchedCount_;
     lk.unlock();
 
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.beginObject();
-    w.field("type", "job");
-    w.field("id", jid);
-    w.field("workload", workload);
-    w.field("scale", scale);
-    w.key("config");
-    configToJson(w, cfg);
-    w.endObject();
+    std::string header;
+    {
+        obs::JsonWriter w(header);
+        w.beginObject();
+        w.field("type", "job");
+        w.field("id", jid);
+        w.field("workload", workload);
+        w.field("scale", scale);
+        w.key("config");
+        configToJson(w, cfg);
+        w.endObject();
+    }
+    std::string frame;
+    appendMessage(frame, header);
 
     Shard &s = *shards_[shard];
     bool sent = false;
     {
         std::lock_guard<std::mutex> wl(s.writeMu);
-        sent = writeFrame(s.fd, os.str());
+        sent = writeAll(s.fd, frame);
     }
     if (!sent) {
         std::lock_guard<std::mutex> lk2(mu_);
@@ -431,18 +445,22 @@ Daemon::resolvePoint(const std::string &workload, unsigned scale,
                 Outcome{false, "shard worker unavailable", "", ""});
         }
     }
-    return {fl->future, ""};
+    res.future = fl->future;
+    return res;
 }
 
 void
 Daemon::shardReaderLoop(Shard &shard)
 {
-    std::string payload;
+    FrameReader reader(shard.fd);
+    std::string_view payload, header, body;
     for (;;) {
-        WireStatus st = readFrame(shard.fd, payload);
+        WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok)
             break;
-        auto v = obs::JsonValue::tryParse(payload);
+        if (!splitMessage(payload, header, body))
+            continue;
+        auto v = obs::JsonValue::tryParse(header);
         if (!v || !v->isObject())
             continue;
         const obs::JsonValue *type = v->find("type");
@@ -466,10 +484,9 @@ Daemon::shardReaderLoop(Shard &shard)
         }
         if (type->str == "result") {
             const obs::JsonValue *hit = v->find("cacheHit");
-            const obs::JsonValue *rec = v->find("record");
             std::string prov =
                 hit && hit->isString() ? hit->str : "computed";
-            std::string record = rec && rec->isString() ? rec->str : "";
+            std::string record(body);
             if (store_ && !record.empty())
                 store_->put(key, record);
             fl->promise.set_value(
@@ -524,8 +541,8 @@ Daemon::dumpStats(std::ostream &os)
 std::string
 Daemon::statsPayload()
 {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    std::string header;
+    obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", "stats");
     w.field("schema", kSvcSchema);
@@ -543,6 +560,7 @@ Daemon::statsPayload()
         w.field("dispatched", dispatchedCount_.value());
         w.field("completed", completedCount_.value());
         w.field("errors", errorCount_.value());
+        w.field("progressFrames", progressFrameCount_.value());
         w.field("inFlight", dispatchedCount_.value() -
                 completedCount_.value());
         w.endObject();
@@ -563,71 +581,93 @@ Daemon::statsPayload()
         w.endObject();
     }
     w.endObject();
-    return os.str();
+    return header;
 }
 
 void
 Daemon::connectionLoop(int fd)
 {
-    std::string payload;
+    FrameReader reader(fd);
+    std::string_view payload, header, body;
+    std::string reply;
     for (;;) {
-        WireStatus st = readFrame(fd, payload);
+        WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok) {
             if (st == WireStatus::Corrupt)
                 warn("service: dropping connection on corrupt frame");
             return;
         }
-        auto v = obs::JsonValue::tryParse(payload);
+        reply.clear();
+        std::optional<obs::JsonValue> v;
+        if (splitMessage(payload, header, body))
+            v = obs::JsonValue::tryParse(header);
+        const obs::JsonValue *type =
+            v && v->isObject() ? v->find("type") : nullptr;
+        std::string t = type && type->isString() ? type->str : "";
+        bool quit = false;
         if (!v || !v->isObject()) {
-            {
+            std::lock_guard<std::mutex> lk(mu_);
+            ++errorCount_;
+            appendError(reply, "malformed message", 0, false);
+        } else if (t == "hello") {
+            const obs::JsonValue *schema = v->find("schema");
+            std::string peer =
+                schema && schema->isString() ? schema->str : "";
+            if (peer == kSvcSchema) {
+                std::string hello;
+                obs::JsonWriter w(hello);
+                w.beginObject();
+                w.field("type", "hello");
+                w.field("schema", kSvcSchema);
+                w.field("shards", opts_.shards);
+                w.endObject();
+                appendMessage(reply, hello);
+            } else {
                 std::lock_guard<std::mutex> lk(mu_);
                 ++errorCount_;
+                appendError(reply,
+                            "unsupported protocol '" +
+                                (peer.empty() ? "(none)" : peer) +
+                                "': this daemon speaks " + kSvcSchema,
+                            0, false);
+                quit = true;
             }
-            writeFrame(fd, errorPayload("malformed message", 0, false));
-            continue;
-        }
-        const obs::JsonValue *type = v->find("type");
-        std::string t = type && type->isString() ? type->str : "";
-        if (t == "hello") {
-            std::ostringstream os;
-            obs::JsonWriter w(os);
-            w.beginObject();
-            w.field("type", "hello");
-            w.field("schema", kSvcSchema);
-            w.field("shards", opts_.shards);
-            w.endObject();
-            writeFrame(fd, os.str());
         } else if (t == "ping") {
-            writeFrame(fd, simplePayload("pong"));
+            appendTyped(reply, "pong");
         } else if (t == "stats") {
-            writeFrame(fd, statsPayload());
+            appendMessage(reply, statsPayload());
         } else if (t == "shutdown") {
-            writeFrame(fd, simplePayload("ok"));
+            appendTyped(reply, "ok");
+            writeAll(fd, reply);
             requestShutdown();
             return;
         } else if (t == "sweep") {
-            handleSweep(fd, *v);
+            handleSweep(fd, *v, reply);
         } else {
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++errorCount_;
-            }
-            writeFrame(fd, errorPayload(
-                "unknown message type '" + t + "'", 0, false));
+            std::lock_guard<std::mutex> lk(mu_);
+            ++errorCount_;
+            appendError(reply, "unknown message type '" + t + "'", 0,
+                        false);
         }
+        if (!reply.empty() && !writeAll(fd, reply))
+            return;
+        if (quit)
+            return;
     }
 }
 
 void
-Daemon::handleSweep(int fd, const obs::JsonValue &v)
+Daemon::handleSweep(int fd, const obs::JsonValue &v, std::string &reply)
 {
     const obs::JsonValue *idv = v.find("id");
     std::uint64_t id = idv && idv->isNumber() ? idv->u64() : 0;
+    const obs::JsonValue *pv = v.find("progress");
+    const bool wantProgress = pv && pv->isBool() && pv->boolean;
     const obs::JsonValue *pts = v.find("points");
     if (!pts || !pts->isArray() || pts->arr.empty()) {
         std::lock_guard<std::mutex> lk(mu_);
         ++errorCount_;
-        writeFrame(fd, errorPayload("sweep has no points", id, true));
+        appendError(reply, "sweep has no points", id, true);
         return;
     }
 
@@ -660,7 +700,7 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v)
         if (!ok) {
             std::lock_guard<std::mutex> lk(mu_);
             ++errorCount_;
-            writeFrame(fd, errorPayload(perr, id, true));
+            appendError(reply, perr, id, true);
             return;
         }
         points.push_back(std::move(p));
@@ -678,17 +718,26 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v)
         res.push_back(resolvePoint(p.workload, p.scale, p.cfg));
 
     std::uint64_t storeHits = 0, memoryHits = 0, computed = 0;
+    std::string header;
     for (std::size_t i = 0; i < res.size(); ++i) {
-        Outcome out = res[i].future.get();
+        const Resolution &r = res[i];
+        if (r.future.valid() && !reply.empty() &&
+            r.future.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+            // About to block on a simulation: send what is ready.
+            if (!writeAll(fd, reply))
+                return;
+            reply.clear();
+        }
+        const Outcome &out = r.future.valid() ? r.future.get() : r.ready;
         if (!out.ok) {
             std::lock_guard<std::mutex> lk(mu_);
             ++errorCount_;
-            writeFrame(fd, errorPayload(out.error, id, true));
+            appendError(reply, out.error, id, true);
             return;
         }
-        std::string prov = res[i].provenance.empty()
-            ? out.provenance
-            : res[i].provenance;
+        const std::string &prov =
+            r.provenance.empty() ? out.provenance : r.provenance;
         {
             std::lock_guard<std::mutex> lk(mu_);
             if (prov == "store")
@@ -697,6 +746,8 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v)
                 ++memoryHitCount_;
             else
                 ++computedCount_;
+            if (wantProgress)
+                ++progressFrameCount_;
         }
         if (prov == "store")
             ++storeHits;
@@ -705,36 +756,37 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v)
         else
             ++computed;
 
-        std::ostringstream os;
-        obs::JsonWriter w(os);
-        w.beginObject();
-        w.field("type", "result");
-        w.field("id", id);
-        w.field("index", static_cast<std::uint64_t>(i));
-        w.field("cacheHit", prov);
-        w.field("record", out.record);
-        w.endObject();
-        if (!writeFrame(fd, os.str()))
-            return;
+        header.clear();
+        {
+            obs::JsonWriter w(header);
+            w.beginObject();
+            w.field("type", "result");
+            w.field("id", id);
+            w.field("index", static_cast<std::uint64_t>(i));
+            w.field("cacheHit", prov);
+            w.endObject();
+        }
+        appendMessage(reply, header, out.record);
 
-        std::ostringstream ps;
-        obs::JsonWriter pw(ps);
-        pw.beginObject();
-        pw.field("type", "progress");
-        pw.field("id", id);
-        pw.field("done", static_cast<std::uint64_t>(i + 1));
-        pw.field("points",
-                 static_cast<std::uint64_t>(points.size()));
-        pw.field("storeHits", storeHits);
-        pw.field("memoryHits", memoryHits);
-        pw.field("computed", computed);
-        pw.endObject();
-        if (!writeFrame(fd, ps.str()))
-            return;
+        if (wantProgress) {
+            header.clear();
+            obs::JsonWriter pw(header);
+            pw.beginObject();
+            pw.field("type", "progress");
+            pw.field("id", id);
+            pw.field("done", static_cast<std::uint64_t>(i + 1));
+            pw.field("points",
+                     static_cast<std::uint64_t>(points.size()));
+            pw.field("storeHits", storeHits);
+            pw.field("memoryHits", memoryHits);
+            pw.field("computed", computed);
+            pw.endObject();
+            appendMessage(reply, header);
+        }
     }
 
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    header.clear();
+    obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", "done");
     w.field("id", id);
@@ -743,7 +795,7 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v)
     w.field("memoryHits", memoryHits);
     w.field("computed", computed);
     w.endObject();
-    writeFrame(fd, os.str());
+    appendMessage(reply, header);
 }
 
 } // namespace tcfill::service

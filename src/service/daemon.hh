@@ -5,11 +5,12 @@
  * and the request-coalescing flight table; simulation itself runs in
  * a set of forked *shard* worker processes, each holding its own
  * SimRunner pool and in-memory result cache, connected to the parent
- * by a socketpair speaking tcfill-svc-v1 job frames.
+ * by a socketpair speaking tcfill-svc-v2 job frames.
  *
  * A sweep request resolves each point in order:
  *
- *   1. persistent store hit        → "store"   (no shard involved)
+ *   1. persistent store hit        → "store"   (answered inline: no
+ *      shard, no future)
  *   2. identical point in flight   → "memory"  (coalesced: attach to
  *      the existing future; two identical concurrent requests cost
  *      one simulation)
@@ -19,8 +20,11 @@
  *
  * The shard hash is stable, so a recurring point always lands on the
  * same shard and its program/result caches stay hot. Results stream
- * back to the client in request order with interleaved progress
- * frames, feeding the client-side obs::ProgressFn seam.
+ * back to the client in request order, each carrying the record's
+ * bytes as the store holds them, with progress frames interleaved
+ * when the sweep asked for them (the client-side obs::ProgressFn
+ * seam). A reply's frames collect in one buffer that is written once,
+ * or just before the daemon blocks on a point still being simulated.
  *
  * Fork-before-threads: start() forks every shard before the parent
  * creates its reader/accept threads, so shard children never inherit
@@ -122,9 +126,11 @@ class Daemon
 
     struct Resolution
     {
+        /// A store hit, answered inline; used when `future` is empty.
+        Outcome ready;
         std::shared_future<Outcome> future;
         /// Provenance override for coalesced waiters ("memory"); the
-        /// future's own provenance applies when empty.
+        /// outcome's own provenance applies when empty.
         std::string provenance;
     };
 
@@ -146,7 +152,8 @@ class Daemon
                             const SimConfig &cfg);
     void shardReaderLoop(Shard &shard);
     void connectionLoop(int fd);
-    void handleSweep(int fd, const obs::JsonValue &v);
+    /** Answer one sweep: frames go to @p reply, flushed to @p fd. */
+    void handleSweep(int fd, const obs::JsonValue &v, std::string &reply);
     std::string statsPayload();
 
     DaemonOptions opts_;
@@ -175,6 +182,7 @@ class Daemon
     stats::Counter dispatchedCount_;
     stats::Counter completedCount_;
     stats::Counter errorCount_;
+    stats::Counter progressFrameCount_;
 };
 
 /**

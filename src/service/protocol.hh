@@ -1,31 +1,43 @@
 /**
  * @file
- * tcfill-svc-v1: the framing layer of the simulation service. Every
- * message — client↔daemon and daemon↔shard-worker alike — is one JSON
- * object shipped in a length-prefixed, CRC-checked frame:
+ * tcfill-svc-v2: the framing layer of the simulation service. Every
+ * message — client↔daemon and daemon↔shard-worker alike — travels in
+ * one length-prefixed, CRC-checked frame:
  *
- *   magic    u32 LE   kFrameMagic ("tsv1")
+ *   magic    u32 LE   kFrameMagic ("tsv2")
  *   len      u32 LE   payload byte length (<= kMaxFramePayload)
- *   payload  bytes    UTF-8 JSON object with a "type" member
+ *   payload  bytes    one message (below)
  *   crc      u32 LE   CRC-32 (IEEE) of payload — common/digest
  *
  * The CRC mirrors the tcfill-trace-v1 frame convention: a frame is
  * either delivered intact or rejected as corrupt; there is no partial
- * acceptance. Messages (by "type"):
+ * acceptance. A message is a small JSON header plus an opaque body:
  *
- *   client → daemon:  hello, ping, stats, sweep{id, points:[{workload,
- *                     scale, config}]}, shutdown
- *   daemon → client:  hello{schema}, pong, stats{service, store,
- *                     shards}, result{id, index, cacheHit, record},
- *                     progress{id, done, points, storeHits,
+ *   hlen     u32 LE   header byte length (<= len - 4)
+ *   header   bytes    UTF-8 JSON object with a "type" member
+ *   body     bytes    the rest of the payload
+ *
+ * Only result messages have a body: the result record's own bytes
+ * (sim/result_io), exactly as the store holds them, so a store hit is
+ * never escaped into a JSON string and parsed back out. Messages (by
+ * header "type"):
+ *
+ *   client → daemon:  hello{schema}, ping, stats, sweep{id, progress,
+ *                     points:[{workload, scale, config}]}, shutdown
+ *   daemon → client:  hello{schema, shards}, pong, stats{service,
+ *                     store, shards}, result{id, index, cacheHit} +
+ *                     record, progress{id, done, points, storeHits,
  *                     memoryHits, computed}, done{id, points,
  *                     storeHits, memoryHits, computed}, error{message
  *                     [, id]}, ok
  *   daemon → shard:   job{id, workload, scale, config}
- *   shard → daemon:   result{id, cacheHit, record}, error{id, message}
+ *   shard → daemon:   result{id, cacheHit} + record, error{id, message}
  *
- * `config` objects are sim/config_io serializations; `record` strings
- * are sim/result_io deterministic result records.
+ * The daemon refuses a hello whose schema is not kSvcSchema. Progress
+ * frames go only to sweeps that set "progress": true. Every endpoint
+ * reads a socket through one FrameReader and sends each reply with a
+ * single write, so a store hit costs one read and one write per side.
+ * `config` objects are sim/config_io serializations.
  */
 
 #ifndef TCFILL_SERVICE_PROTOCOL_HH
@@ -33,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -40,10 +53,10 @@ namespace tcfill::service
 {
 
 /** Protocol schema tag exchanged in the hello handshake. */
-inline constexpr const char *kSvcSchema = "tcfill-svc-v1";
+inline constexpr const char *kSvcSchema = "tcfill-svc-v2";
 
-/** Frame magic: "tsv1", little-endian. */
-inline constexpr std::uint32_t kFrameMagic = 0x31767374u;
+/** Frame magic: "tsv2", little-endian. */
+inline constexpr std::uint32_t kFrameMagic = 0x32767374u;
 
 /** Upper bound on one frame's payload (sanity cap, not a target). */
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
@@ -74,6 +87,21 @@ const char *frameStatusName(FrameStatus s);
 FrameStatus decodeFrame(std::string_view buf, std::string &payload,
                         std::size_t &consumed);
 
+/**
+ * Append one complete frame carrying the message @p header + @p body
+ * to @p out. Replies are built by appending their frames to one
+ * buffer and sent with one writeAll().
+ */
+void appendMessage(std::string &out, std::string_view header,
+                   std::string_view body = {});
+
+/**
+ * Split a frame payload into its JSON header and its body (views into
+ * @p payload). False when the header length overruns the payload.
+ */
+bool splitMessage(std::string_view payload, std::string_view &header,
+                  std::string_view &body);
+
 /** Outcome of reading one frame from a stream socket. */
 enum class WireStatus : std::uint8_t
 {
@@ -85,11 +113,45 @@ enum class WireStatus : std::uint8_t
 
 const char *wireStatusName(WireStatus s);
 
-/** Write one complete frame to @p fd (retrying short writes). */
-bool writeFrame(int fd, std::string_view payload);
+/** Write all of @p bytes to @p fd (retrying short writes). */
+bool writeAll(int fd, std::string_view bytes);
 
-/** Read one complete frame's payload from @p fd (blocking). */
-WireStatus readFrame(int fd, std::string &payload);
+/**
+ * Buffered frame reader over one stream socket. Each read takes what
+ * the socket has, so a reply sent with one write usually arrives with
+ * one read, and bytes that follow a frame stay buffered for the next
+ * call (a client may pipeline requests). The buffer doubles only when
+ * arriving bytes fill it, never past one largest frame, so a forged
+ * length cannot make the reader allocate much more than the peer sent.
+ */
+class FrameReader
+{
+  public:
+    explicit FrameReader(int fd) : fd_(fd) {}
+
+    FrameReader(const FrameReader &) = delete;
+    FrameReader &operator=(const FrameReader &) = delete;
+
+    /**
+     * Read the next frame (blocking). On Ok, @p payload views its
+     * payload until the next call. Eof only at a frame boundary;
+     * Error on a read failure or an EOF inside a frame; Corrupt on a
+     * bad magic, size or CRC. After any status but Ok the stream is
+     * unusable.
+     */
+    WireStatus next(std::string_view &payload);
+
+    /** Most bytes the reader ever buffers: one largest frame. */
+    static constexpr std::size_t kMaxBuffered =
+        kMaxFramePayload + kFrameOverhead;
+
+  private:
+    int fd_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t cap_ = 0;
+    std::size_t begin_ = 0;     ///< first byte not yet returned
+    std::size_t end_ = 0;       ///< one past the last byte read
+};
 
 } // namespace tcfill::service
 

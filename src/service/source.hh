@@ -75,7 +75,7 @@ class StoreSource final : public ResultSource
 
 /**
  * Normalize @p r to the provenance-free record text the store (and
- * the tcfill-svc-v1 wire) carries: cacheHit forced to "computed" so
+ * the tcfill-svc-v2 wire) carries: cacheHit forced to "computed" so
  * byte-identity of records never depends on which cache layer served
  * a particular run.
  */

@@ -213,14 +213,12 @@ ResultStore::replayLog(const std::string &log, std::string &err)
             auto it = index_.find(key);
             if (it != index_.end())
                 dropLocked(key, /*logErase=*/false);
-            lru_.push_front(key);
             Entry e;
             e.valueOffset = valOff;
             e.valueLen = static_cast<std::uint32_t>(valLen);
             e.crc = want;
-            e.lruIt = lru_.begin();
             stats_.liveBytes += key.size() + valLen;
-            index_.emplace(std::move(key), e);
+            insertLocked(std::move(key), e);
         } else if (op == kOpTouch || op == kOpErase) {
             std::uint32_t want = 0;
             if (!getU32(log, pos, want)) {
@@ -273,6 +271,14 @@ ResultStore::appendRecord(const std::string &record)
     logBytes_ += record.size();
     stats_.logBytes = logBytes_;
     return true;
+}
+
+void
+ResultStore::insertLocked(std::string key, const Entry &e)
+{
+    auto it = index_.emplace(std::move(key), e).first;
+    lru_.push_front(&it->first);
+    it->second.lruIt = lru_.begin();
 }
 
 void
@@ -377,24 +383,22 @@ ResultStore::put(const std::string &key, const std::string &value)
     if (!appendRecord(record))
         return false;
 
-    lru_.push_front(key);
     Entry e;
     e.valueOffset = valOff;
     e.valueLen = static_cast<std::uint32_t>(value.size());
     e.crc = crc;
-    e.lruIt = lru_.begin();
-    index_[key] = e;
+    insertLocked(key, e);
     stats_.liveBytes += key.size() + value.size();
     stats_.liveRecords = index_.size();
     stats_.puts++;
 
     // Size cap: shed least-recently-used entries, always keeping the
     // entry just written. Copy the victim key: dropLocked() erases the
-    // list node lru_.back() refers into, then logs an ERASE record
-    // built from the key.
+    // index node whose key lru_.back() points at, then logs an ERASE
+    // record built from the key.
     while (maxBytes_ != 0 && stats_.liveBytes > maxBytes_ &&
            lru_.size() > 1) {
-        std::string victim = lru_.back();
+        std::string victim = *lru_.back();
         dropLocked(victim, /*logErase=*/true);
         stats_.evictions++;
     }
@@ -419,15 +423,16 @@ ResultStore::compact(std::string &err)
     // Replaying PUTs pushes each key to the LRU front, so writing
     // least-recent first reproduces today's recency order on reload.
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        const Entry &e = index_.at(*it);
+        const std::string &key = **it;
+        const Entry &e = index_.at(key);
         std::string value;
-        if (!readValueLocked(*it, e, value)) {
+        if (!readValueLocked(key, e, value)) {
             err = "corrupt entry during compaction of '" + path_ + "'";
             return false;
         }
         fresh.push_back(static_cast<char>(kOpPut));
-        tracefile::putVarint(fresh, it->size());
-        fresh += *it;
+        tracefile::putVarint(fresh, key.size());
+        fresh += key;
         tracefile::putVarint(fresh, value.size());
         fresh += value;
         putU32(fresh, e.crc);

@@ -100,11 +100,13 @@ class ResultStore
         std::uint64_t valueOffset = 0;  ///< value bytes, within the log
         std::uint32_t valueLen = 0;
         std::uint32_t crc = 0;          ///< CRC-32(key || value)
-        std::list<std::string>::iterator lruIt;
+        std::list<const std::string *>::iterator lruIt;
     };
 
     bool replayLog(const std::string &log, std::string &err);
     bool appendRecord(const std::string &record);
+    /** Index a key absent from index_ as the most recently used. */
+    void insertLocked(std::string key, const Entry &e);
     void touchLocked(const std::string &key, Entry &e);
     void dropLocked(const std::string &key, bool logErase);
     bool readValueLocked(const std::string &key, const Entry &e,
@@ -117,7 +119,9 @@ class ResultStore
     int fd_ = -1;
     std::uint64_t logBytes_ = 0;
     std::unordered_map<std::string, Entry> index_;
-    std::list<std::string> lru_;    ///< front = most recently used
+    /// index_'s keys (a node's key never moves), front = most
+    /// recently used: each key is held once, however long.
+    std::list<const std::string *> lru_;
     StoreStats stats_;
 };
 

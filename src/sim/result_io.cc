@@ -1,7 +1,6 @@
 #include "sim/result_io.hh"
 
 #include <memory>
-#include <sstream>
 
 #include "obs/json.hh"
 
@@ -123,10 +122,13 @@ policyFromJson(const obs::JsonValue &v, SimResult &out,
 std::string
 resultRecordText(const SimResult &r)
 {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
+    std::string text;
+    obs::JsonWriter w(text);
     r.toJson(w, /*include_host=*/false);
-    return os.str();
+    // Callers keep records (stores, caches, benchmarks): drop the
+    // slack the string grew while the writer appended.
+    text.shrink_to_fit();
+    return text;
 }
 
 bool
@@ -182,7 +184,7 @@ resultFromJson(const obs::JsonValue &v, SimResult &out,
 }
 
 bool
-resultFromRecordText(const std::string &text, SimResult &out,
+resultFromRecordText(std::string_view text, SimResult &out,
                      std::string &err)
 {
     auto v = obs::JsonValue::tryParse(text);

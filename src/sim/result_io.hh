@@ -4,8 +4,9 @@
  * *record* is the deterministic body of one result — exactly
  * SimResult::toJson(include_host=false) — rendered as a standalone
  * JSON object. Records are what the persistent result store holds and
- * what the tcfill-svc-v1 protocol ships; resultFromJson() inverts
- * them so a client can re-emit a tcfill-stats-v1 document
+ * what the tcfill-svc-v2 protocol ships, byte for byte, as a result
+ * frame's body; resultFromJson() inverts them so a client can re-emit
+ * a tcfill-stats-v1 document
  * byte-identical to one written from the freshly computed results
  * (double fields survive because obs::jsonNumber renders shortest
  * round-trip forms; derived fields — ipc, the frac* family, per-phase
@@ -16,6 +17,7 @@
 #define TCFILL_SIM_RESULT_IO_HH
 
 #include <string>
+#include <string_view>
 
 #include "sim/result.hh"
 
@@ -40,7 +42,7 @@ bool resultFromJson(const obs::JsonValue &v, SimResult &out,
                     std::string &err);
 
 /** Convenience: parse record text (resultFromJson over a parse). */
-bool resultFromRecordText(const std::string &text, SimResult &out,
+bool resultFromRecordText(std::string_view text, SimResult &out,
                           std::string &err);
 
 } // namespace tcfill

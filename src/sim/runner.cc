@@ -1,7 +1,8 @@
 #include "sim/runner.hh"
 
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
+#include <type_traits>
 
 #include "common/digest.hh"
 #include "common/logging.hh"
@@ -18,8 +19,59 @@ namespace tcfill
 namespace
 {
 
+/**
+ * The text configCacheKey() builds, formatted exactly as a default
+ * std::ostream would format each streamed type — bools as 0/1,
+ * integers in decimal, doubles as %g with six significant digits —
+ * without paying for a stream. The store keys on disk are this text,
+ * so these rules must never change.
+ */
+class KeyText
+{
+  public:
+    KeyText() { text_.reserve(320); }
+
+    KeyText &operator<<(const char *s) { text_ += s; return *this; }
+    KeyText &operator<<(const std::string &s) { text_ += s; return *this; }
+    KeyText &operator<<(char c) { text_ += c; return *this; }
+    KeyText &operator<<(bool b) { text_ += b ? '1' : '0'; return *this; }
+
+    KeyText &
+    operator<<(double v)
+    {
+        char buf[32];
+        auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 6);
+        text_.append(buf, res.ptr);
+        return *this;
+    }
+
+    template <typename T>
+        requires(std::is_integral_v<T> && !std::is_same_v<T, bool> &&
+                 !std::is_same_v<T, char>)
+    KeyText &
+    operator<<(T v)
+    {
+        char buf[24];
+        auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        text_.append(buf, res.ptr);
+        return *this;
+    }
+
+    /** The finished text, without the slack of the reservation. */
+    std::string
+    take()
+    {
+        text_.shrink_to_fit();
+        return std::move(text_);
+    }
+
+  private:
+    std::string text_;
+};
+
 void
-keyCache(std::ostream &os, const CacheParams &c)
+keyCache(KeyText &os, const CacheParams &c)
 {
     os << c.sizeBytes << ',' << c.lineBytes << ',' << c.ways << ';';
 }
@@ -34,7 +86,7 @@ keyCache(std::ostream &os, const CacheParams &c)
 // wire serialization in sim/config_io.cc (configToJson +
 // configFromJson; round-trip-tested against this key in
 // tests/test_service.cc) — the persistent result store and the
-// tcfill-svc-v1 protocol both key off this serialization, so a field
+// tcfill-svc-v2 protocol both key off this serialization, so a field
 // the key misses would silently alias distinct configs on disk. Then
 // update the expected size. Sizes assume the LP64 Itanium ABI both CI
 // and the dev containers use; other ABIs skip the check (the unit
@@ -71,7 +123,7 @@ static_assert(sizeof(SimConfig) ==
 std::string
 configCacheKey(const SimConfig &cfg)
 {
-    std::ostringstream os;
+    KeyText os;
     // Top-level machine knobs.
     os << "tc=" << cfg.useTraceCache << ";ii=" << cfg.inactiveIssue
        << ";fw=" << cfg.fetchWidth << ";fq=" << cfg.fetchQueueLines
@@ -124,7 +176,7 @@ configCacheKey(const SimConfig &cfg)
        << cfg.core.fusPerCluster << ',' << cfg.core.rsEntries << ','
        << cfg.core.crossClusterDelay << ','
        << static_cast<unsigned>(cfg.core.scheduler);
-    return os.str();
+    return os.take();
 }
 
 std::string

@@ -40,6 +40,15 @@ makePipeEvent(obs::PipeStage stage, const DynInst &di, Cycle cycle)
     return ev;
 }
 
+#if TCFILL_PIPE_TRACE_ENABLED
+/**
+ * tracePipe()'s cold half: snapshot and emit. Out of line, so the
+ * inline null test is all a hook site costs with no tracer attached.
+ */
+void emitPipeEvent(obs::PipeTracer &tracer, obs::PipeStage stage,
+                   const DynInst &di, Cycle cycle);
+#endif
+
 /** Emit @p stage for @p di iff @p tracer is attached. */
 inline void
 tracePipe(obs::PipeTracer *tracer, obs::PipeStage stage,
@@ -47,7 +56,7 @@ tracePipe(obs::PipeTracer *tracer, obs::PipeStage stage,
 {
 #if TCFILL_PIPE_TRACE_ENABLED
     if (tracer) [[unlikely]]
-        tracer->instEvent(makePipeEvent(stage, di, cycle));
+        emitPipeEvent(*tracer, stage, di, cycle);
 #else
     (void)tracer;
     (void)stage;

@@ -14,10 +14,13 @@ first broken contract.
 import difflib
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -262,6 +265,34 @@ def stop_daemon(proc, sock):
             proc.wait()
 
 
+def svc_message(sock, header):
+    """Send one tcfill-svc-v2 message; return the reply's header."""
+    hdr = json.dumps(header).encode()
+    payload = struct.pack("<I", len(hdr)) + hdr
+    sock.sendall(struct.pack("<II", 0x32767374, len(payload)) + payload +
+                 struct.pack("<I", zlib.crc32(payload)))
+    data = b""
+    while len(data) < 8 or len(data) < 12 + struct.unpack_from(
+            "<I", data, 4)[0]:
+        chunk = sock.recv(65536)
+        if not chunk:
+            fail("daemon hung up before replying")
+        data += chunk
+    magic, size = struct.unpack_from("<II", data)
+    payload = data[8:8 + size]
+    if magic != 0x32767374 or struct.unpack_from(
+            "<I", data, 8 + size)[0] != zlib.crc32(payload):
+        fail("malformed reply frame")
+    hlen = struct.unpack_from("<I", payload)[0]
+    return json.loads(payload[4:4 + hlen])
+
+
+def progress_frames(sock):
+    stats = json.loads(client(sock, "--server-stats",
+                              stdout=subprocess.PIPE))
+    return stats["service"]["progressFrames"]
+
+
 def check_service():
     """Cold then warm sweeps, restart, compaction: same records."""
     sweep = ["--opts-list", "all;none;extended;moves",
@@ -273,8 +304,28 @@ def check_service():
                "--require", "computed", "compress,li")
         client(sock, *sweep, "--stats-json", path("warm.json"),
                "--require", "store", "compress,li")
-        json.loads(client(sock, "--server-stats",
-                          stdout=subprocess.PIPE))
+        # Neither sweep asked for progress, so none was sent; with
+        # --progress the client asks, and prints every point.
+        if progress_frames(sock) != 0:
+            fail("progress frames sent to sweeps that did not ask")
+        res = subprocess.run(
+            [os.path.join(BUILD, "tools/tcfill_client"), "--socket", sock,
+             *map(str, sweep), "--progress", "compress,li"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if res.returncode or "service sweep 16/16" not in res.stderr:
+            fail(f"--progress printed no progress: {res.stderr!r}")
+        if progress_frames(sock) != 16:
+            fail("a --progress sweep of 16 points got "
+                 f"{progress_frames(sock)} progress frames")
+        # A client naming another protocol is refused, by name.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.connect(sock)
+            reply = svc_message(raw, {"type": "hello",
+                                      "schema": "tcfill-svc-v1"})
+        want = ("unsupported protocol 'tcfill-svc-v1': this daemon "
+                "speaks tcfill-svc-v2")
+        if reply.get("type") != "error" or reply.get("message") != want:
+            fail(f"old-protocol hello not refused clearly: {reply}")
     finally:
         stop_daemon(daemon, sock)
     same_replay(path("cold.json"), path("warm.json"))

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -159,6 +160,116 @@ TEST(Json, NumberFormattingRoundTrips)
         JsonValue v = JsonValue::parse(ss.str());
         EXPECT_EQ(v.at("v").num(), d) << ss.str();
     }
+}
+
+/** One document exercising every escape and number form the writer has. */
+void
+writePinnedDocument(JsonWriter &w)
+{
+    w.beginObject();
+    w.field("quote", "say \"hi\"");
+    w.field("backslash", "a\\b/c");
+    w.field("controls", std::string("\n\r\t\b\f\x01\x1f\x7f", 8));
+    w.field("utf8", "caf\xc3\xa9");
+    w.field("u64", std::numeric_limits<std::uint64_t>::max());
+    w.field("i64", std::numeric_limits<std::int64_t>::min());
+    w.field("zero", 0u);
+    w.field("neg", -42);
+    w.field("third", 1.0 / 3.0);
+    w.field("sum", 0.1 + 0.2);
+    w.field("tiny", 5e-324);
+    w.field("big", 1e300);
+    w.field("whole", 1e21);
+    w.field("flag", false);
+    w.beginArray("empty");
+    w.endArray();
+    w.beginObject("nested");
+    w.beginArray("xs");
+    w.value(-0.0);
+    w.value("k\"ey");
+    w.endArray();
+    w.endObject();
+    w.endObject();
+    w.finish();
+}
+
+// Stats documents, golden fixtures and the result store's records are
+// all this writer's bytes, so they are pinned here, identical for the
+// string sink and the ostream sink.
+TEST(Json, WriterBytesArePinnedForBothSinks)
+{
+    const std::string expected =
+        "{\n"
+        "  \"quote\": \"say \\\"hi\\\"\",\n"
+        "  \"backslash\": \"a\\\\b/c\",\n"
+        "  \"controls\": \"\\n\\r\\t\\u0008\\u000c\\u0001\\u001f\x7f" "\",\n"
+        "  \"utf8\": \"caf\xc3" "\xa9\",\n"
+        "  \"u64\": 18446744073709551615,\n"
+        "  \"i64\": -9223372036854775808,\n"
+        "  \"zero\": 0,\n"
+        "  \"neg\": -42,\n"
+        "  \"third\": 0.3333333333333333,\n"
+        "  \"sum\": 0.30000000000000004,\n"
+        "  \"tiny\": 5e-324,\n"
+        "  \"big\": 1e+300,\n"
+        "  \"whole\": 1e+21,\n"
+        "  \"flag\": false,\n"
+        "  \"empty\": [],\n"
+        "  \"nested\": {\n"
+        "    \"xs\": [\n"
+        "      -0,\n"
+        "      \"k\\\"ey\"\n"
+        "    ]\n"
+        "  }\n"
+        "}\n";
+    std::string direct;
+    {
+        JsonWriter w(direct);
+        writePinnedDocument(w);
+    }
+    std::ostringstream ss;
+    {
+        JsonWriter w(ss);
+        writePinnedDocument(w);
+    }
+    EXPECT_EQ(direct, expected);
+    EXPECT_EQ(ss.str(), expected);
+
+    JsonValue v = JsonValue::parse(direct);
+    EXPECT_EQ(v.at("controls").str, std::string("\n\r\t\b\f\x01\x1f\x7f", 8));
+    EXPECT_EQ(v.at("nested").at("xs").arr[1].str, "k\"ey");
+}
+
+// An ostream writer stages its output, but a finished document is in
+// the stream as soon as the outermost scope closes, before finish()
+// and while the writer is still alive.
+TEST(Json, StreamHoldsDocumentOnceOutermostScopeCloses)
+{
+    std::ostringstream ss;
+    JsonWriter w(ss);
+    w.beginObject();
+    w.field("a", 1u);
+    w.beginArray("b");
+    w.endArray();
+    EXPECT_EQ(ss.str(), "");
+    w.endObject();
+    EXPECT_EQ(ss.str(), "{\n  \"a\": 1,\n  \"b\": []\n}");
+}
+
+TEST(Json, ParserHandlesEscapeRunsAndLongNumbers)
+{
+    JsonValue v = JsonValue::parse(
+        "{\"s\": \"plain run \\\"q\\\" \\\\ \\u00e9\\n tail\"}");
+    EXPECT_EQ(v.at("s").str, "plain run \"q\" \\ \xc3\xa9\n tail");
+    // Longer than any number the writer emits: still one token.
+    const std::string digits = "0." + std::string(80, '0') + "15";
+    JsonValue n = JsonValue::parse("[" + digits + ", -12e-1]");
+    EXPECT_EQ(n.arr[0].num(), 1.5e-81);
+    EXPECT_EQ(n.arr[1].num(), -1.2);
+    EXPECT_FALSE(JsonValue::tryParse("[1e]").has_value());
+    EXPECT_FALSE(JsonValue::tryParse("[" + digits + "e]").has_value());
+    EXPECT_FALSE(JsonValue::tryParse("[--1]").has_value());
+    EXPECT_FALSE(JsonValue::tryParse("\"esc at end\\").has_value());
 }
 
 // --------------------------------------------------------------------

@@ -2,28 +2,42 @@
  * @file
  * Simulation-service tests: the digest primitives every
  * content-addressed identity derives from (pinned to published test
- * vectors so an accidental algorithm change orphans no store), the
- * tcfill-svc-v1 frame codec, the persistent ResultStore (round trips,
- * reopen, LRU eviction, compaction, corruption recovery), the
- * ResultSource composition seam, and the daemon end to end: request
- * coalescing, provenance accounting, and byte-identical records
- * across every provenance path and shard count.
+ * vectors and a bytewise reference so an accidental algorithm change
+ * orphans no store), the store-key text, the tcfill-svc-v2 frame
+ * codec, message layout and buffered reader (with a seeded mutation
+ * fuzz of frame streams and of result frames), the persistent
+ * ResultStore (round trips, reopen, LRU eviction, compaction,
+ * corruption recovery), the ResultSource composition seam, and the
+ * daemon end to end: the schema handshake, pipelined requests,
+ * progress on request, request coalescing, provenance accounting, and
+ * byte-identical records across every provenance path and shard
+ * count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include "common/digest.hh"
+#include "common/random.hh"
+#include "obs/json.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
 #include "service/source.hh"
 #include "service/store.hh"
+#include "sim/result_io.hh"
 #include "sim/runner.hh"
 
 using namespace tcfill;
@@ -71,6 +85,46 @@ TEST(Digest, Crc32Seeding)
                       digest::crc32(a.data(), a.size()));
     const std::string ab = a + b;
     EXPECT_EQ(chained, digest::crc32(ab.data(), ab.size()));
+}
+
+/** The textbook bit-at-a-time CRC-32 the table-driven one must match. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t len, std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+// Slice-by-8 folds eight bytes per step, so pin it against the
+// reference at every start alignment and every tail length, chained.
+TEST(Digest, Crc32MatchesBitwiseReferenceAtEveryAlignment)
+{
+    Random rng(7);
+    unsigned char buf[64 + 8];
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const unsigned char *p = buf + align;
+            const std::uint32_t seed =
+                static_cast<std::uint32_t>(align * 131 + len);
+            EXPECT_EQ(digest::crc32(p, len), bitwiseCrc32(p, len, 0))
+                << "align " << align << " len " << len;
+            EXPECT_EQ(digest::crc32(p, len, seed),
+                      bitwiseCrc32(p, len, seed))
+                << "align " << align << " len " << len;
+            // Any split point chains to the one-shot value.
+            const std::size_t cut = len / 3;
+            EXPECT_EQ(digest::crc32(p + cut, len - cut,
+                                    digest::crc32(p, cut, seed)),
+                      bitwiseCrc32(p, len, seed));
+        }
+    }
 }
 
 TEST(Digest, Fnv64Vectors)
@@ -121,6 +175,60 @@ TEST(PointKey, KnobsAreNot)
               simPointKey("compress", 2, base));
     EXPECT_NE(simPointKey("compress", 1, base),
               simPointKey("li", 1, base));
+}
+
+// The persistent store is keyed by this text: its bytes must never
+// move. The two policy doubles keep ostream's default %g (six
+// significant digits), which differs from the shortest round-trip
+// form for values such as 0.1 + 0.2.
+TEST(PointKey, KeyTextIsPinned)
+{
+    EXPECT_EQ(configCacheKey(SimConfig{}),
+              "tc=1;ii=1;fw=16;fq=4;rw=16;win=512;ras=32;mi=0;mc=0;ti=0;"
+              "tp=0|fill=5,1,0,1,1,16,3|opts=00000,11|policy=0,8,10000,"
+              "0.05,0.02,|tcache=2048,4,000|mem=4096,64,4;65536,64,4;"
+              "1048576,64,4;6,50,8|bp=65536,16384,8192,14|bias=8192,64|"
+              "core=4,4,32,1,0");
+
+    SimConfig b = SimConfig::withOpts(FillOptimizations::all(), 10);
+    b.fill.policy.newPhaseDist = 0.1 + 0.2;
+    b.fill.policy.hysteresis = 1e-7;
+    EXPECT_EQ(simPointKey("compress", 3, b),
+              "compress@3#tc=1;ii=1;fw=16;fq=4;rw=16;win=512;ras=32;mi=0;"
+              "mc=0;ti=0;tp=0|fill=10,1,0,1,1,16,3|opts=11110,11|"
+              "policy=0,8,10000,0.3,1e-07,|tcache=2048,4,111|"
+              "mem=4096,64,4;65536,64,4;1048576,64,4;6,50,8|"
+              "bp=65536,16384,8192,14|bias=8192,64|core=4,4,32,1,0");
+
+    SimConfig c;
+    c.fill.policy.kind = FillPolicyKind::Oracle;
+    c.fill.policy.oracleMap = "0=all,*=none";
+    c.fill.policy.newPhaseDist = 1.0 / 3;
+    c.fill.policy.hysteresis = 123456789.0;
+    c.maxInsts = std::numeric_limits<InstSeqNum>::max();
+    c.useTraceCache = false;
+    EXPECT_EQ(configCacheKey(c),
+              "tc=0;ii=1;fw=16;fq=4;rw=16;win=512;ras=32;"
+              "mi=18446744073709551615;mc=0;ti=0;tp=0|fill=5,1,0,1,1,16,3|"
+              "opts=00000,11|policy=3,8,10000,0.333333,1.23457e+08,"
+              "0=all,*=none|tcache=2048,4,000|mem=4096,64,4;65536,64,4;"
+              "1048576,64,4;6,50,8|bp=65536,16384,8192,14|bias=8192,64|"
+              "core=4,4,32,1,0");
+
+    auto policyText = [](double dist, double hyst) {
+        SimConfig cfg;
+        cfg.fill.policy.newPhaseDist = dist;
+        cfg.fill.policy.hysteresis = hyst;
+        const std::string key = configCacheKey(cfg);
+        const std::size_t at = key.find("|policy=");
+        return key.substr(at, key.find("|tcache") - at);
+    };
+    EXPECT_EQ(policyText(std::numeric_limits<double>::infinity(), -0.0),
+              "|policy=0,8,10000,inf,-0,");
+    EXPECT_EQ(policyText(1e21, 100000.0),
+              "|policy=0,8,10000,1e+21,100000,");
+    EXPECT_EQ(policyText(1000000.0, 0.0001),
+              "|policy=0,8,10000,1e+06,0.0001,");
 }
 
 // ---- frame codec --------------------------------------------------------
@@ -202,6 +310,400 @@ TEST(Frame, ForgedLengthIsTooLarge)
     std::string out;
     std::size_t consumed = 0;
     EXPECT_EQ(decodeFrame(frame, out, consumed), FrameStatus::TooLarge);
+}
+
+// ---- messages -----------------------------------------------------------
+
+/** Put @p v little-endian into @p out at @p at. */
+void
+pokeU32(std::string &out, std::size_t at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out[at + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+TEST(Message, HeaderAndBodyRoundTrip)
+{
+    const std::string header = "{\"type\": \"result\"}";
+    const std::string body = "{\n  \"record\": \"raw \\\"bytes\\\"\"\n}";
+    std::string frames;
+    appendMessage(frames, header, body);
+    appendMessage(frames, "{\"type\": \"done\"}");
+
+    std::string payload;
+    std::size_t consumed = 0;
+    ASSERT_EQ(decodeFrame(frames, payload, consumed), FrameStatus::Ok);
+    std::string_view h, b;
+    ASSERT_TRUE(splitMessage(payload, h, b));
+    EXPECT_EQ(h, header);
+    EXPECT_EQ(b, body) << "the body travels as its own bytes";
+    ASSERT_EQ(decodeFrame(std::string_view(frames).substr(consumed),
+                          payload, consumed),
+              FrameStatus::Ok);
+    ASSERT_TRUE(splitMessage(payload, h, b));
+    EXPECT_EQ(h, "{\"type\": \"done\"}");
+    EXPECT_TRUE(b.empty());
+}
+
+TEST(Message, ForgedHeaderLengthIsRejected)
+{
+    std::string_view h, b;
+    EXPECT_FALSE(splitMessage("", h, b));
+    EXPECT_FALSE(splitMessage("\x01\x00\x00", h, b));
+    std::string payload("\x00\x00\x00\x00{}", 6);
+    for (std::uint32_t hlen : {3u, 100u, 0xffffffffu}) {
+        pokeU32(payload, 0, hlen);
+        EXPECT_FALSE(splitMessage(payload, h, b)) << hlen;
+    }
+    pokeU32(payload, 0, 2);
+    ASSERT_TRUE(splitMessage(payload, h, b));
+    EXPECT_EQ(h, "{}");
+    pokeU32(payload, 0, 0);
+    ASSERT_TRUE(splitMessage(payload, h, b));
+    EXPECT_EQ(h, "");
+    EXPECT_EQ(b, "{}");
+}
+
+// ---- buffered frame reader ----------------------------------------------
+
+/** What a FrameReader made of one byte stream. */
+struct Drained
+{
+    std::vector<std::string> payloads;
+    WireStatus end = WireStatus::Ok;
+};
+
+/**
+ * Send @p bytes through a socketpair (from a writer thread, then
+ * half-close) and read frames until the reader stops.
+ */
+Drained
+drainThroughSocket(const std::string &bytes)
+{
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::thread writer([&] {
+        std::size_t put = 0;
+        while (put < bytes.size()) {
+            ssize_t r = ::send(sv[0], bytes.data() + put,
+                               bytes.size() - put, MSG_NOSIGNAL);
+            if (r <= 0)
+                break;
+            put += static_cast<std::size_t>(r);
+        }
+        ::shutdown(sv[0], SHUT_WR);
+    });
+    Drained d;
+    {
+        FrameReader reader(sv[1]);
+        std::string_view payload;
+        while ((d.end = reader.next(payload)) == WireStatus::Ok)
+            d.payloads.emplace_back(payload);
+    }
+    // Unblock a writer still sending after the reader gave up.
+    ::close(sv[1]);
+    writer.join();
+    ::close(sv[0]);
+    return d;
+}
+
+TEST(FrameReader, BackToBackFramesThenCleanEof)
+{
+    const std::string stream =
+        encodeFrame("first") + encodeFrame("") + encodeFrame("third");
+    Drained d = drainThroughSocket(stream);
+    EXPECT_EQ(d.end, WireStatus::Eof);
+    EXPECT_EQ(d.payloads,
+              (std::vector<std::string>{"first", "", "third"}));
+    EXPECT_EQ(drainThroughSocket("").end, WireStatus::Eof);
+}
+
+TEST(FrameReader, EveryTruncationIsEofOrError)
+{
+    const std::string first = encodeFrame("kept");
+    const std::string frame = encodeFrame("truncate me");
+    for (std::size_t n = 0; n < frame.size(); ++n) {
+        Drained d = drainThroughSocket(first + frame.substr(0, n));
+        ASSERT_EQ(d.payloads.size(), 1u) << "prefix length " << n;
+        EXPECT_EQ(d.payloads[0], "kept");
+        // EOF is clean only at a frame boundary.
+        EXPECT_EQ(d.end, n == 0 ? WireStatus::Eof : WireStatus::Error)
+            << "prefix length " << n;
+    }
+}
+
+TEST(FrameReader, BadMagicIsCorrupt)
+{
+    std::string frame = encodeFrame("x");
+    frame[0] ^= 0xff;
+    Drained d = drainThroughSocket(encodeFrame("ok") + frame);
+    EXPECT_EQ(d.payloads, std::vector<std::string>{"ok"});
+    EXPECT_EQ(d.end, WireStatus::Corrupt);
+}
+
+TEST(FrameReader, PayloadCorruptionIsCorrupt)
+{
+    std::string frame = encodeFrame("payload bytes");
+    frame[8] ^= 0x01;
+    EXPECT_EQ(drainThroughSocket(frame).end, WireStatus::Corrupt);
+    frame = encodeFrame("payload bytes");
+    frame[frame.size() - 1] ^= 0x80;    // the CRC itself
+    EXPECT_EQ(drainThroughSocket(frame).end, WireStatus::Corrupt);
+}
+
+TEST(FrameReader, ForgedLengthIsCorruptOrError)
+{
+    std::string frame = encodeFrame("x");
+    pokeU32(frame, 4, kMaxFramePayload + 1);
+    EXPECT_EQ(drainThroughSocket(frame).end, WireStatus::Corrupt);
+    // A length within the cap that the peer never sends: the reader
+    // waits for it, then reports the EOF inside the frame.
+    frame = encodeFrame("x");
+    pokeU32(frame, 4, kMaxFramePayload);
+    EXPECT_EQ(drainThroughSocket(frame).end, WireStatus::Error);
+}
+
+TEST(FrameReader, LargeFrameRoundTrips)
+{
+    std::string big(3u << 20, '\0');
+    Random rng(3);
+    for (char &c : big)
+        c = static_cast<char>(rng.next());
+    Drained d = drainThroughSocket(encodeFrame(big) + encodeFrame("tail"));
+    EXPECT_EQ(d.end, WireStatus::Eof);
+    ASSERT_EQ(d.payloads.size(), 2u);
+    EXPECT_TRUE(d.payloads[0] == big);
+    EXPECT_EQ(d.payloads[1], "tail");
+}
+
+// ---- seeded mutation fuzz -----------------------------------------------
+
+std::string
+randomBytes(Random &rng, std::size_t n)
+{
+    std::string out(n, '\0');
+    for (char &c : out)
+        c = static_cast<char>(rng.next());
+    return out;
+}
+
+// Truncated, bit-flipped, forged-length, garbage-spliced and plain
+// concatenated frame streams: the reader must hand back an untouched
+// prefix of the sent payloads and then stop with a WireStatus — never
+// a wrong payload, a crash, a hang or a read past the buffer.
+TEST(WireFuzz, MutatedFrameStreamsRejectOrRoundTrip)
+{
+    Random rng(0x5eed);
+    for (int iter = 0; iter < 500; ++iter) {
+        std::vector<std::string> sent;
+        std::vector<std::size_t> ends{0};
+        std::string stream;
+        const std::size_t frames = 1 + rng.below(4);
+        for (std::size_t k = 0; k < frames; ++k) {
+            std::string payload;
+            if (rng.below(2)) {
+                appendMessage(payload, "{\"type\": \"ping\"}",
+                              randomBytes(rng, rng.below(64)));
+                payload = payload.substr(8, payload.size() - 12);
+            } else {
+                payload = randomBytes(rng, rng.below(300));
+            }
+            stream += encodeFrame(payload);
+            sent.push_back(payload);
+            ends.push_back(stream.size());
+        }
+
+        std::string mutated = stream;
+        const std::size_t at = rng.below(stream.size());
+        const std::size_t frame = rng.below(frames);
+        switch (iter % 5) {
+          case 0:   // truncation anywhere
+            mutated.resize(rng.below(stream.size() + 1));
+            break;
+          case 1:   // one flipped bit
+            mutated[at] = static_cast<char>(
+                mutated[at] ^ (1 << rng.below(8)));
+            break;
+          case 2:   // one forged length word
+            pokeU32(mutated, ends[frame] + 4,
+                    rng.below(2) ? static_cast<std::uint32_t>(rng.next())
+                                 : static_cast<std::uint32_t>(
+                                       rng.below(400)));
+            break;
+          case 3:   // garbage spliced in at a frame boundary
+            mutated.insert(ends[rng.below(frames + 1)],
+                           randomBytes(rng, 1 + rng.below(16)));
+            break;
+          default:  // plain concatenation
+            break;
+        }
+
+        Drained d = drainThroughSocket(mutated);
+        ASSERT_LE(d.payloads.size(), sent.size()) << "iteration " << iter;
+        for (std::size_t j = 0; j < d.payloads.size(); ++j)
+            ASSERT_EQ(d.payloads[j], sent[j]) << "iteration " << iter;
+        std::size_t clean = frames + 1;
+        for (std::size_t k = 0; k <= frames; ++k) {
+            if (mutated == stream.substr(0, ends[k]))
+                clean = k;
+        }
+        if (clean <= frames) {
+            EXPECT_EQ(d.end, WireStatus::Eof) << "iteration " << iter;
+            EXPECT_EQ(d.payloads.size(), clean) << "iteration " << iter;
+        } else {
+            EXPECT_TRUE(d.end == WireStatus::Error ||
+                        d.end == WireStatus::Corrupt)
+                << "iteration " << iter << ": "
+                << wireStatusName(d.end);
+        }
+    }
+}
+
+/**
+ * A stand-in daemon on a Unix socket: answers one client's hello and
+ * replies to its sweep with canned bytes, then hangs up.
+ */
+class ScriptedServer
+{
+  public:
+    explicit ScriptedServer(const std::string &path) : path_(path)
+    {
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        ::unlink(path.c_str());
+        EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(fd_, 4), 0);
+    }
+
+    ~ScriptedServer()
+    {
+        ::close(fd_);
+        ::unlink(path_.c_str());
+    }
+
+    /** Serve one connection in the background; join with finish(). */
+    void
+    serveOnce(std::string sweepReply)
+    {
+        thread_ = std::thread([this, reply = std::move(sweepReply)] {
+            int c = ::accept(fd_, nullptr, nullptr);
+            if (c < 0)
+                return;
+            FrameReader reader(c);
+            std::string_view payload;
+            if (reader.next(payload) == WireStatus::Ok) {
+                std::string hello;
+                appendMessage(hello, std::string("{\"type\": \"hello\", "
+                                                 "\"schema\": \"") +
+                                         kSvcSchema + "\"}");
+                writeAll(c, hello);
+                if (reader.next(payload) == WireStatus::Ok)
+                    writeAll(c, reply);
+            }
+            ::close(c);
+        });
+    }
+
+    void finish() { thread_.join(); }
+
+  private:
+    std::string path_;
+    int fd_ = -1;
+    std::thread thread_;
+};
+
+// Result frames carry a record's raw bytes after a JSON header. The
+// client must turn every mutation of one — header, body, header
+// length — into a clean error or the intact record, never a crash.
+TEST(WireFuzz, MutatedResultFramesRejectOrRoundTrip)
+{
+    const std::string dir = scratchDir("fuzzresult");
+    ScriptedServer server(dir + "/sock");
+
+    SimResult sample;
+    sample.config = "fuzz";
+    sample.workload = "compress";
+    sample.maxInsts = 2'000;
+    sample.retired = 2'000;
+    sample.cycles = 1'234;
+    sample.tcHits = 77;
+    sample.bpredAccuracy = 0.9375;
+    const std::string record = resultRecordText(sample);
+    const std::string header =
+        "{\"type\": \"result\", \"id\": 1, \"index\": 0, "
+        "\"cacheHit\": \"store\"}";
+    std::string done;
+    appendMessage(done, "{\"type\": \"done\", \"id\": 1, \"points\": 1}");
+    std::vector<ServiceClient::Point> pts(1);
+    pts[0].workload = "compress";
+    pts[0].config = tinyConfig();
+
+    std::string original(4, '\0');
+    pokeU32(original, 0, static_cast<std::uint32_t>(header.size()));
+    original += header + record;
+
+    Random rng(0xf00d);
+    for (int iter = 0; iter < 300; ++iter) {
+        std::string payload = original;
+        const std::size_t at = rng.below(payload.size());
+        switch (iter % 6) {
+          case 0:   // flipped byte in the header
+            payload[4 + rng.below(header.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+            break;
+          case 1:   // flipped byte in the record
+            payload[4 + header.size() + rng.below(record.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+            break;
+          case 2:   // truncated payload
+            payload.resize(at);
+            break;
+          case 3:   // forged header length
+            pokeU32(payload, 0,
+                    static_cast<std::uint32_t>(
+                        rng.below(2) ? rng.next() : rng.below(200)));
+            break;
+          case 4:   // record replaced by garbage
+            payload = payload.substr(0, 4 + header.size()) +
+                randomBytes(rng, rng.below(200));
+            break;
+          default:  // intact
+            break;
+        }
+        const bool intact = payload == original;
+        server.serveOnce(encodeFrame(payload) + done);
+
+        ServiceClient client;
+        std::string err;
+        ASSERT_TRUE(client.connect(dir + "/sock", err)) << err;
+        std::vector<SimResult> out;
+        ServiceClient::SweepSummary summary;
+        const bool ok = client.sweep(pts, out, summary, err);
+        client.close();
+        server.finish();
+        if (ok) {
+            ASSERT_EQ(out.size(), 1u);
+            if (intact) {
+                EXPECT_EQ(out[0].cacheHit, "store");
+                EXPECT_EQ(resultRecordText(out[0]),
+                          resultRecordText([&] {
+                              SimResult r = sample;
+                              r.config = pts[0].config.name;
+                              r.cacheHit = "store";
+                              return r;
+                          }()));
+            }
+        } else {
+            EXPECT_FALSE(intact) << "iteration " << iter << ": " << err;
+            EXPECT_FALSE(err.empty()) << "iteration " << iter;
+        }
+    }
 }
 
 // ---- persistent result store --------------------------------------------
@@ -652,6 +1154,122 @@ TEST(Daemon, RecordsIdenticalAcrossShardCounts)
     const auto four = runAt("shards4", 4);
     ASSERT_EQ(one.size(), pts.size());
     EXPECT_EQ(one, four);
+}
+
+/** A raw connection to @p path, for speaking the protocol by hand. */
+int
+rawConnect(const std::string &path)
+{
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+}
+
+/** The next message's header, parsed (nullopt on any failure). */
+std::optional<obs::JsonValue>
+nextHeader(FrameReader &reader)
+{
+    std::string_view payload, header, body;
+    if (reader.next(payload) != WireStatus::Ok ||
+        !splitMessage(payload, header, body))
+        return std::nullopt;
+    return obs::JsonValue::tryParse(header);
+}
+
+TEST(Daemon, RefusesAnotherProtocolSchema)
+{
+    DaemonHarness harness("schema", 1, /*with_store=*/false);
+    ASSERT_TRUE(harness.started());
+
+    for (const char *hello :
+         {"{\"type\": \"hello\", \"schema\": \"tcfill-svc-v1\"}",
+          "{\"type\": \"hello\"}"}) {
+        int fd = rawConnect(harness.socketPath());
+        std::string frame;
+        appendMessage(frame, hello);
+        ASSERT_TRUE(writeAll(fd, frame));
+        FrameReader reader(fd);
+        auto v = nextHeader(reader);
+        ASSERT_TRUE(v.has_value()) << hello;
+        EXPECT_EQ(v->at("type").str, "error");
+        const std::string msg = v->at("message").str;
+        EXPECT_NE(msg.find("unsupported protocol"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(kSvcSchema), std::string::npos) << msg;
+        // The daemon hangs up after refusing.
+        std::string_view payload;
+        EXPECT_EQ(reader.next(payload), WireStatus::Eof);
+        ::close(fd);
+    }
+}
+
+// Clients may pipeline: bytes after the first frame stay buffered for
+// the next, and the replies come back in request order.
+TEST(Daemon, PipelinedRequestsAreAnsweredInOrder)
+{
+    DaemonHarness harness("pipeline", 1, /*with_store=*/false);
+    ASSERT_TRUE(harness.started());
+
+    int fd = rawConnect(harness.socketPath());
+    std::string frames;
+    appendMessage(frames, std::string("{\"type\": \"hello\", "
+                                      "\"schema\": \"") +
+                              kSvcSchema + "\"}");
+    appendMessage(frames, "{\"type\": \"ping\"}");
+    appendMessage(frames, "{\"type\": \"stats\"}");
+    appendMessage(frames, "{\"type\": \"ping\"}");
+    ASSERT_TRUE(writeAll(fd, frames));
+    FrameReader reader(fd);
+    for (const char *want : {"hello", "pong", "stats", "pong"}) {
+        auto v = nextHeader(reader);
+        ASSERT_TRUE(v.has_value()) << want;
+        EXPECT_EQ(v->at("type").str, want);
+    }
+    ::close(fd);
+}
+
+TEST(Daemon, ProgressFramesOnlyOnRequest)
+{
+    DaemonHarness harness("progress", 1);
+    ASSERT_TRUE(harness.started());
+
+    ServiceClient client;
+    std::string err;
+    ASSERT_TRUE(client.connect(harness.socketPath(), err)) << err;
+    auto progressFrames = [&] {
+        std::string payload;
+        EXPECT_TRUE(client.serverStats(payload, err)) << err;
+        return obs::JsonValue::parse(payload)
+            .at("service")
+            .at("progressFrames")
+            .u64();
+    };
+
+    std::vector<ServiceClient::Point> pts{
+        point("compress", tinyConfig()),
+        point("li", tinyConfig()),
+    };
+    std::vector<SimResult> out;
+    ServiceClient::SweepSummary summary;
+    ASSERT_TRUE(client.sweep(pts, out, summary, err)) << err;
+    EXPECT_EQ(progressFrames(), 0u);
+
+    std::vector<obs::SweepProgress> seen;
+    ASSERT_TRUE(client.sweep(pts, out, summary, err,
+                             [&seen](const obs::SweepProgress &p) {
+                                 seen.push_back(p);
+                             }))
+        << err;
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[1].done, 2u);
+    EXPECT_EQ(seen[1].points, 2u);
+    EXPECT_EQ(seen[1].cacheHits, 2u);
+    EXPECT_EQ(progressFrames(), 2u);
 }
 
 TEST(Daemon, RejectsUnknownWorkloadWithoutKillingTheSweep)

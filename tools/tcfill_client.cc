@@ -2,7 +2,7 @@
  * @file
  * tcfill_client: batched sweep client for a running tcfilld daemon.
  * Builds a (workload × opts × fill-latency) cross product, ships it
- * as one tcfill-svc-v1 sweep request, and prints each result with its
+ * as one tcfill-svc-v2 sweep request, and prints each result with its
  * provenance — "store" (persistent store hit), "memory" (daemon-side
  * coalescing or a shard's pool cache) or "computed".
  *
@@ -24,7 +24,8 @@
  *   --tc-entries N         trace cache entries (default 2048)
  *   --stats-json FILE      write a tcfill-stats-v1 document with a
  *                          `service` provenance section
- *   --progress             live sweep progress on stderr
+ *   --progress             live sweep progress on stderr (the daemon
+ *                          sends progress frames only when asked)
  *   --require SOURCE       exit 1 unless every result came from
  *                          SOURCE (store | memory | computed)
  *   --server-stats         print the daemon's stats JSON and exit

@@ -1,7 +1,7 @@
 /**
  * @file
  * tcfilld: the simulation-as-a-service daemon. Listens on a
- * Unix-domain socket for tcfill-svc-v1 sweep requests (see
+ * Unix-domain socket for tcfill-svc-v2 sweep requests (see
  * tools/tcfill_client.cc and DESIGN.md §17), dedupes every requested
  * point against a persistent content-addressed result store, and
  * schedules misses onto a set of forked shard worker processes, each
