@@ -44,12 +44,12 @@ class DispatchRename : public Stage
     explicit DispatchRename(const DispatchEnv &env);
 
     /** One dispatch cycle: rename at most one fetched line. */
-    virtual void tick(Cycle now);
+    void tick(Cycle now);
 
     /** The mapping table (recovery rebuilds it after a squash). */
     RenameTable &renameTable() { return rename_; }
 
-    void regStats(stats::Group &master) override;
+    void regStats(stats::Group &master);
 
   private:
     void renameTraceLine(FetchLine &line, Cycle now);

@@ -5,9 +5,6 @@
  * return-address-stack and indirect-target prediction, and advance of
  * the committed-path oracle. Owns the predictors outright; everything
  * else arrives as a narrow constructor-injected view (FetchEnv).
- *
- * The virtual tick()/line-builder hooks are the StagePolicy seam for
- * alternate front ends (e.g. a wrong-path-aware fetch engine).
  */
 
 #ifndef TCFILL_PIPELINE_FETCH_ENGINE_HH
@@ -47,14 +44,14 @@ class FetchEngine : public Stage
     explicit FetchEngine(const FetchEnv &env);
 
     /** One fetch cycle: build at most one line into the FetchLatch. */
-    virtual void tick(Cycle now);
+    void tick(Cycle now);
 
-    void regStats(stats::Group &master) override;
+    void regStats(stats::Group &master);
 
     std::uint64_t mispredicts() const { return mispredicts_.value(); }
     std::uint64_t rescues() const { return rescues_.value(); }
 
-  protected:
+  private:
     FetchLine buildTraceLine(const TraceSegment &seg, Cycle ready);
     FetchLine buildICacheLine(Cycle ready);
     DynInstPtr makeDynInst(const Instruction &inst, Addr pc,

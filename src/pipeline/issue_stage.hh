@@ -4,8 +4,7 @@
  * §10): owns the clustered ExecCore, drains the DispatchLatch into
  * reservation stations, and each cycle runs select/execute, pushing
  * branch-resolution events into the ResolutionQueue as completion
- * times become known. The virtual tick() is the StagePolicy seam for
- * alternate schedulers.
+ * times become known.
  */
 
 #ifndef TCFILL_PIPELINE_ISSUE_STAGE_HH
@@ -42,14 +41,14 @@ class IssueStage : public Stage
     void dispatchPending();
 
     /** One select/execute cycle; completions feed the event queue. */
-    virtual void tick(Cycle now);
+    void tick(Cycle now);
 
     /**
      * Earliest future cycle (>= @p next) the back end can do work;
      * kNoCycle when quiescent. Forwarded from the ExecCore for the
      * Processor's cycle-skipping.
      */
-    virtual Cycle
+    Cycle
     nextEventCycle(Cycle next) const
     {
         return core_.nextEventCycle(next);
@@ -67,8 +66,8 @@ class IssueStage : public Stage
 
     const ExecCore &core() const { return core_; }
 
-    void regStats(stats::Group &master) override;
-    void setTracer(obs::PipeTracer *tracer) override;
+    void regStats(stats::Group &master);
+    void setTracer(obs::PipeTracer *tracer);
 
   private:
     /** ExecCore completion sink: filter branch-resolution events. */

@@ -39,7 +39,7 @@ class RecoveryController : public Stage
     explicit RecoveryController(const RecoveryEnv &env);
 
     /** Process every resolution event due at or before @p now. */
-    virtual void tick(Cycle now);
+    void tick(Cycle now);
 
     /** Resolve one branch (public for the stage unit tests). */
     void resolveBranch(const DynInstPtr &di, Cycle now);
@@ -59,7 +59,7 @@ class RecoveryController : public Stage
         return mispredict_stall_cycles_.value();
     }
 
-    void regStats(stats::Group &master) override;
+    void regStats(stats::Group &master);
 
   private:
     InstWindow &window_;

@@ -52,7 +52,7 @@ class RetireUnit : public Stage
     explicit RetireUnit(const RetireEnv &env);
 
     /** One retire cycle: commit up to retireWidth instructions. */
-    virtual void tick(Cycle now);
+    void tick(Cycle now);
 
     std::uint64_t retired() const { return retired_.value(); }
     Cycle lastRetireCycle() const { return last_retire_cycle_; }
@@ -122,7 +122,7 @@ class RetireUnit : public Stage
         probe_cycle_ = out;
     }
 
-    void regStats(stats::Group &master) override;
+    void regStats(stats::Group &master);
 
   private:
     const SimConfig &cfg_;

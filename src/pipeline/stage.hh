@@ -1,10 +1,11 @@
 /**
  * @file
  * Common base for the first-class pipeline stages (DESIGN.md §10).
- * A stage owns its counters but no registry: regStats() registers
+ * A stage owns its counters but no registry: its regStats() registers
  * them, prefixed with the stage name, into the one processor-wide
  * "sim" group, which dumps, SimResult assembly, the timeline and the
- * per-stage unit tests all read.
+ * per-stage unit tests all read. The Processor holds each stage as a
+ * plain member of its concrete type, so every call is direct.
  */
 
 #ifndef TCFILL_PIPELINE_STAGE_HH
@@ -16,29 +17,24 @@
 namespace tcfill::pipeline
 {
 
-/** A pipeline stage: prefixed stats registration + optional tracer. */
+/** A pipeline stage: non-copyable, with an optional tracer. */
 class Stage
 {
   public:
-    Stage() = default;
-    virtual ~Stage() = default;
-
     Stage(const Stage &) = delete;
     Stage &operator=(const Stage &) = delete;
 
     /**
-     * Register this stage's counters (prefixed with the stage name)
-     * and those of any components it owns into @p master.
-     */
-    virtual void regStats(stats::Group &master) = 0;
-
-    /**
      * Attach a pipeline lifecycle tracer (nullptr detaches). Purely
-     * observational; stages forward to owned components as needed.
+     * observational; stages that own traced components shadow this
+     * to forward it.
      */
-    virtual void setTracer(obs::PipeTracer *tracer) { tracer_ = tracer; }
+    void setTracer(obs::PipeTracer *tracer) { tracer_ = tracer; }
 
   protected:
+    Stage() = default;
+    ~Stage() = default;
+
     obs::PipeTracer *tracer_ = nullptr;
 };
 

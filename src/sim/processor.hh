@@ -34,9 +34,13 @@
 #include "obs/host_prof.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/timeline.hh"
+#include "pipeline/dispatch_rename.hh"
+#include "pipeline/fetch_engine.hh"
+#include "pipeline/issue_stage.hh"
 #include "pipeline/latches.hh"
 #include "pipeline/oracle.hh"
-#include "pipeline/policy.hh"
+#include "pipeline/recovery.hh"
+#include "pipeline/retire_unit.hh"
 #include "sim/config.hh"
 #include "sim/result.hh"
 #include "trace/tcache.hh"
@@ -49,13 +53,8 @@ namespace tcfill
 class Processor
 {
   public:
-    /**
-     * Build the machine. @p policy may substitute any pipeline stage
-     * (see pipeline::StagePolicy); null factories build the standard
-     * stages.
-     */
-    Processor(const Program &prog, const SimConfig &cfg,
-              const pipeline::StagePolicy &policy = {});
+    /** Build the machine around a live Executor of @p prog. */
+    Processor(const Program &prog, const SimConfig &cfg);
 
     /**
      * Build the machine around an externally owned committed-path
@@ -66,31 +65,30 @@ class Processor
      * @p src must outlive this Processor.
      */
     Processor(CommitSource &src, const std::string &workload,
-              Addr entry, const SimConfig &cfg,
-              const pipeline::StagePolicy &policy = {});
+              Addr entry, const SimConfig &cfg);
 
     /** Run to completion (or the configured caps); returns results. */
     SimResult run();
 
     /** Current cycle (after run: total cycles). */
     Cycle cycles() const { return cycle_; }
-    InstSeqNum retired() const { return retire_->retired(); }
+    InstSeqNum retired() const { return retire_.retired(); }
 
     const TraceCache &traceCache() const { return tcache_; }
     const FillUnit &fillUnit() const { return fill_; }
     const MemoryHierarchy &memory() const { return mem_; }
 
     // ---- stage views (read-only; experiments and tests) -------------
-    const pipeline::FetchEngine &fetchEngine() const { return *fetch_; }
+    const pipeline::FetchEngine &fetchEngine() const { return fetch_; }
     const pipeline::DispatchRename &dispatchRename() const
     {
-        return *dispatch_;
+        return dispatch_;
     }
-    const pipeline::IssueStage &issueStage() const { return *issue_; }
-    const pipeline::RetireUnit &retireUnit() const { return *retire_; }
+    const pipeline::IssueStage &issueStage() const { return issue_; }
+    const pipeline::RetireUnit &retireUnit() const { return retire_; }
     const pipeline::RecoveryController &recovery() const
     {
-        return *recovery_;
+        return recovery_;
     }
 
     /** Dump all registered component statistics. */
@@ -136,6 +134,14 @@ class Processor
     }
 
   private:
+    /**
+     * The one wiring path: @p prog set builds a live Executor (and
+     * @p src is null); otherwise @p src is the external source.
+     */
+    Processor(const Program *prog, CommitSource *src,
+              const std::string &workload, Addr entry,
+              const SimConfig &cfg);
+
     void doCycle();
     void doCycleProfiled();
     /**
@@ -148,7 +154,6 @@ class Processor
      * statistics are bit-identical (DESIGN.md §13).
      */
     void skipIdleCycles();
-    void wireStages(const pipeline::StagePolicy &policy);
 
     // ---- members ----------------------------------------------------
     // Declared first so it is destroyed last: every DynInstPtr held
@@ -176,12 +181,14 @@ class Processor
     pipeline::InstWindow window_;
     pipeline::ResolutionQueue events_;
 
-    // The five stages, wired in the constructor.
-    std::unique_ptr<pipeline::IssueStage> issue_;
-    std::unique_ptr<pipeline::FetchEngine> fetch_;
-    std::unique_ptr<pipeline::DispatchRename> dispatch_;
-    std::unique_ptr<pipeline::RetireUnit> retire_;
-    std::unique_ptr<pipeline::RecoveryController> recovery_;
+    // The five stages. Declaration order is construction order:
+    // fetch reads the issue stage's FU count and recovery borrows the
+    // dispatch stage's rename table.
+    pipeline::IssueStage issue_;
+    pipeline::FetchEngine fetch_;
+    pipeline::DispatchRename dispatch_;
+    pipeline::RetireUnit retire_;
+    pipeline::RecoveryController recovery_;
 
     Cycle cycle_ = 0;
 
