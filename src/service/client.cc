@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/logging.hh"
 #include "obs/json.hh"
 #include "service/protocol.hh"
 #include "sim/config_io.hh"
@@ -306,22 +305,6 @@ ServiceClient::sweep(const std::vector<Point> &points,
         err = "unexpected server frame '" + t + "'";
         return false;
     }
-}
-
-SimResult
-RemoteSource::fetch(const std::string &workload, unsigned scale,
-                    const SimConfig &cfg)
-{
-    std::vector<ServiceClient::Point> pts(1);
-    pts[0].workload = workload;
-    pts[0].scale = scale;
-    pts[0].config = cfg;
-    std::vector<SimResult> out;
-    ServiceClient::SweepSummary summary;
-    std::string err;
-    if (!client_.sweep(pts, out, summary, err))
-        fatal("service: %s", err.c_str());
-    return out.at(0);
 }
 
 } // namespace tcfill::service

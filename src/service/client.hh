@@ -9,10 +9,6 @@
  * for progress frames only when its caller passes an obs::ProgressFn,
  * so the CLI's throttled console reporter works unchanged against a
  * remote daemon and other callers pay for no progress traffic.
- *
- * RemoteSource adapts a connected client to the ResultSource seam
- * (one-point sweeps), composing with StoreSource for a local
- * read-through cache in front of a remote daemon.
  */
 
 #ifndef TCFILL_SERVICE_CLIENT_HH
@@ -26,7 +22,6 @@
 
 #include "obs/progress.hh"
 #include "service/protocol.hh"
-#include "service/source.hh"
 #include "sim/config.hh"
 #include "sim/result.hh"
 
@@ -94,20 +89,6 @@ class ServiceClient
     int fd_ = -1;
     std::optional<FrameReader> reader_;
     std::uint64_t nextId_ = 1;
-};
-
-/** ResultSource over a connected ServiceClient (one-point sweeps). */
-class RemoteSource final : public ResultSource
-{
-  public:
-    explicit RemoteSource(ServiceClient &client) : client_(client) {}
-
-    /** fatal()s on protocol or server errors (CLI semantics). */
-    SimResult fetch(const std::string &workload, unsigned scale,
-                    const SimConfig &cfg) override;
-
-  private:
-    ServiceClient &client_;
 };
 
 } // namespace tcfill::service

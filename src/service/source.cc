@@ -1,46 +1,9 @@
 #include "service/source.hh"
 
-#include "common/logging.hh"
-#include "service/store.hh"
 #include "sim/result_io.hh"
-#include "sim/runner.hh"
 
 namespace tcfill::service
 {
-
-SimResult
-RunnerSource::fetch(const std::string &workload, unsigned scale,
-                    const SimConfig &cfg)
-{
-    return runner_.run(workload, cfg, scale);
-}
-
-SimResult
-StoreSource::fetch(const std::string &workload, unsigned scale,
-                   const SimConfig &cfg)
-{
-    std::string key = simPointKey(workload, scale, cfg);
-    std::string record;
-    if (store_.get(key, record)) {
-        SimResult res;
-        std::string err;
-        if (resultFromRecordText(record, res, err)) {
-            // The config *name* is cosmetic and excluded from the
-            // key, so relabel with the requested one (as
-            // SimRunner::run does for memory hits).
-            res.config = cfg.name;
-            res.cacheHit = "store";
-            return res;
-        }
-        // A record that CRC-verified but no longer parses means the
-        // record schema moved on; recompute and overwrite it.
-        warn("result store: stale record for '%s' (%s); recomputing",
-             workload.c_str(), err.c_str());
-    }
-    SimResult res = next_.fetch(workload, scale, cfg);
-    store_.put(key, normalizedRecordText(res));
-    return res;
-}
 
 std::string
 normalizedRecordText(const SimResult &r)
