@@ -199,7 +199,7 @@ runSampled(const std::string &workload, unsigned scale,
     {
         obs::ScopedHostTimer profile_timer(spec.profiler,
                                            obs::HostSection::Profile);
-        if (spec.useCheckpoints) {
+        {
             // Boundary zero: every skip has a base.
             obs::ScopedHostTimer ckpt_timer(
                 spec.profiler, obs::HostSection::Checkpoint);
@@ -214,8 +214,8 @@ runSampled(const std::string &workload, unsigned scale,
             ++n;
             // No checkpoint at the end of the profiled region: no
             // measurement can start there.
-            if (spec.useCheckpoints && n % ckpt_every == 0 &&
-                !prof_exec.halted() && (cap == 0 || n < cap)) {
+            if (n % ckpt_every == 0 && !prof_exec.halted() &&
+                (cap == 0 || n < cap)) {
                 obs::ScopedHostTimer ckpt_timer(
                     spec.profiler, obs::HostSection::Checkpoint);
                 ckpts.capture();
@@ -262,15 +262,10 @@ runSampled(const std::string &workload, unsigned scale,
         const PointTask t = pointTask(points[i], ivs, spec);
         tasks[i] = t;
 
-        std::size_t base = 0;
-        if (spec.useCheckpoints) {
-            base = ckpts.latestAtOrBefore(t.skip);
-            res.sample.restores += 1;
-            res.sample.restoredPages += ckpts.pagesUpTo(base);
-            res.sample.ffInsts += t.skip - ckpts.at(base).instCount;
-        } else {
-            res.sample.ffInsts += t.skip;
-        }
+        const std::size_t base = ckpts.latestAtOrBefore(t.skip);
+        res.sample.restores += 1;
+        res.sample.restoredPages += ckpts.pagesUpTo(base);
+        res.sample.ffInsts += t.skip - ckpts.at(base).instCount;
 
         // Cache key: everything the measurement depends on — the
         // committed stream (workload, scale) and the machine /
@@ -280,7 +275,6 @@ runSampled(const std::string &workload, unsigned scale,
             << configCacheKey(cfg) << '#' << t.skip << ':' << t.warm
             << ':' << t.measure;
 
-        const bool use_ckpt = spec.useCheckpoints;
         obs::TraceEventWriter *ev = spec.events;
         obs::HostProfiler *hp = spec.profiler;
         const int host_tid = hostTidPoint(i);
@@ -291,20 +285,15 @@ runSampled(const std::string &workload, unsigned scale,
         }
         futs[i] = pool.submitKeyed(
             key.str(),
-            [&prog, &cfg, &ckpts, t, base, use_ckpt, ev, hp,
-             host_tid]() {
+            [&prog, &cfg, &ckpts, t, base, ev, hp, host_tid]() {
                 std::unique_ptr<Executor> exec;
-                InstSeqNum residue = t.skip;
+                const InstSeqNum residue =
+                    t.skip - ckpts.at(base).instCount;
                 {
                     obs::ScopedHostTimer timer(
                         hp, obs::HostSection::Restore);
                     const double span_t0 = ev ? ev->nowUs() : 0.0;
-                    if (use_ckpt) {
-                        exec = ckpts.restore(base);
-                        residue = t.skip - ckpts.at(base).instCount;
-                    } else {
-                        exec = std::make_unique<Executor>(prog);
-                    }
+                    exec = ckpts.restore(base);
                     hostSpan(ev, host_tid, "restore", span_t0);
                 }
                 {

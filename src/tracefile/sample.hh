@@ -79,12 +79,6 @@ struct SampleSpec
     /** Measurement worker threads (0 = SimRunner::defaultThreads()). */
     unsigned jobs = 0;
     /**
-     * Reach measurement start points by restoring interval-boundary
-     * checkpoints (arch/checkpoint.hh); when false, functionally
-     * re-execute the prefix instead (still on the fast path).
-     */
-    bool useCheckpoints = true;
-    /**
      * Capture a checkpoint every this-many interval boundaries (>= 1).
      * Wider strides journal fewer pages at the cost of a longer
      * residual fast-forward per measurement.

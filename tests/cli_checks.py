@@ -183,7 +183,6 @@ def check_sample_identity():
     for name, extra in (("j2.json", ["--sample-jobs", 2]),
                         ("j8.json", ["--sample-jobs", 8]),
                         ("stride4.json", ["--sample-ckpt-stride", 4]),
-                        ("nockpt.json", ["--sample-no-checkpoint"]),
                         ("reference.json", ["--sample-reference"])):
         same_bytes(ref, sample(name, *extra))
 
