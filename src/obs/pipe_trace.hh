@@ -8,11 +8,10 @@
  * elided). The fill unit additionally reports one event per finalized
  * segment.
  *
- * Gating: the hooks are runtime-gated on a null tracer pointer (one
- * predictable branch per event site) and compile-time-gated by
- * TCFILL_PIPE_TRACE_ENABLED (CMake option TCFILL_PIPE_TRACE; when
- * OFF the hook bodies compile away entirely). Tracing is purely
- * observational: enabling it never changes simulated cycles or IPC.
+ * Gating: the hooks are always compiled in and runtime-gated on a
+ * null tracer pointer (one predictable branch per event site).
+ * Tracing is purely observational: enabling it never changes
+ * simulated cycles or IPC.
  */
 
 #ifndef TCFILL_OBS_PIPE_TRACE_HH
@@ -23,10 +22,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-#ifndef TCFILL_PIPE_TRACE_ENABLED
-#define TCFILL_PIPE_TRACE_ENABLED 1
-#endif
 
 namespace tcfill::obs
 {

@@ -354,13 +354,11 @@ FetchEngine::tick(Cycle now)
         if (const TraceSegment *seg = tcache_.lookup(ctrl_.pc)) {
             line = buildTraceLine(*seg, now);
             ctrl_.avail = now + 1;
-#if TCFILL_PIPE_TRACE_ENABLED
             if (tracer_) {
                 for (const auto &di : line.insts)
                     tracePipe(tracer_, obs::PipeStage::Fetch, *di,
                               di->fetchCycle);
             }
-#endif
             if (!line.insts.empty())
                 out_.lines.push_back(std::move(line));
             return;
@@ -372,13 +370,11 @@ FetchEngine::tick(Cycle now)
     Cycle done = mem_.accessInst(ctrl_.pc, now);
     line = buildICacheLine(done);
     ctrl_.avail = done + 1;
-#if TCFILL_PIPE_TRACE_ENABLED
     if (tracer_) {
         for (const auto &di : line.insts)
             tracePipe(tracer_, obs::PipeStage::Fetch, *di,
                       di->fetchCycle);
     }
-#endif
     if (!line.insts.empty())
         out_.lines.push_back(std::move(line));
 }

@@ -6,9 +6,6 @@
  * src/pipeline/ stages, ExecCore, FillUnit). Keeps src/obs free of
  * any uarch dependency — the event struct lives there, the DynInst
  * knowledge lives here.
- *
- * With TCFILL_PIPE_TRACE_ENABLED=0 tracePipe() compiles to nothing,
- * so hook sites cost zero cycles and the binary is hook-free.
  */
 
 #ifndef TCFILL_UARCH_PIPE_HOOKS_HH
@@ -40,29 +37,20 @@ makePipeEvent(obs::PipeStage stage, const DynInst &di, Cycle cycle)
     return ev;
 }
 
-#if TCFILL_PIPE_TRACE_ENABLED
 /**
  * tracePipe()'s cold half: snapshot and emit. Out of line, so the
  * inline null test is all a hook site costs with no tracer attached.
  */
 void emitPipeEvent(obs::PipeTracer &tracer, obs::PipeStage stage,
                    const DynInst &di, Cycle cycle);
-#endif
 
 /** Emit @p stage for @p di iff @p tracer is attached. */
 inline void
 tracePipe(obs::PipeTracer *tracer, obs::PipeStage stage,
           const DynInst &di, Cycle cycle)
 {
-#if TCFILL_PIPE_TRACE_ENABLED
     if (tracer) [[unlikely]]
         emitPipeEvent(*tracer, stage, di, cycle);
-#else
-    (void)tracer;
-    (void)stage;
-    (void)di;
-    (void)cycle;
-#endif
 }
 
 } // namespace tcfill

@@ -354,8 +354,6 @@ TEST(SimResultJson, RoundTripMatchesRun)
 // Pipeline tracer
 // --------------------------------------------------------------------
 
-#if TCFILL_PIPE_TRACE_ENABLED
-
 TEST(PipeTrace, EventOrderingPerInstruction)
 {
     Program p = loopProgram(300);
@@ -475,28 +473,20 @@ TEST(PipeTrace, JsonlEmitterProducesParseableLines)
     EXPECT_EQ(n, tracer.events());
 }
 
-#endif // TCFILL_PIPE_TRACE_ENABLED
-
 TEST(PipeTrace, TracingNeverPerturbsTiming)
 {
     // The acceptance bar: a traced run is bit-identical to an
-    // untraced run of the same point (tracer compiled in, and both
-    // attached and detached at runtime).
+    // untraced run of the same point.
     Program p = loopProgram(300);
     SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
 
     Processor plain(p, cfg);
     SimResult base = plain.run();
 
-#if TCFILL_PIPE_TRACE_ENABLED
     obs::RecordingPipeTracer rec;
     Processor traced(p, cfg);
     traced.setTracer(&rec);
     SimResult r = traced.run();
-#else
-    Processor traced(p, cfg);
-    SimResult r = traced.run();
-#endif
 
     EXPECT_EQ(r.retired, base.retired);
     EXPECT_EQ(r.cycles, base.cycles);
@@ -820,8 +810,6 @@ TEST(TraceEvents, WriterEmitsStrictDocument)
     EXPECT_EQ(evs.arr[4].at("args").at("insts").num(), 7.0);
 }
 
-#if TCFILL_PIPE_TRACE_ENABLED
-
 TEST(TraceEvents, TracerRendersPipelineAndPreservesTiming)
 {
     Program p = loopProgram(500);
@@ -865,8 +853,6 @@ TEST(TraceEvents, TracerRendersPipelineAndPreservesTiming)
     // Sim timebase: 1 cycle = 1us, so no span outlives the run.
     EXPECT_LE(max_end, static_cast<double>(base.cycles));
 }
-
-#endif // TCFILL_PIPE_TRACE_ENABLED
 
 TEST(StatsJson, HostSectionsAppearOnRequest)
 {
