@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/executor.hh"
@@ -54,6 +55,14 @@ struct FillUnitConfig
     FillOptimizations opts{};
     /** Pass-selection policy (default: static, i.e. opts as-is). */
     FillPolicyParams policy{};
+
+    /**
+     * Why this configuration cannot build a fill unit ("" when it
+     * can), naming the offending field; policy.check() covers the
+     * policy. configFromJson() rejects it; the constructor fatals on
+     * it.
+     */
+    std::string check() const;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "fill/passes.hh"
 
 #include <array>
+#include <charconv>
 
 #include "common/logging.hh"
 
@@ -474,21 +475,32 @@ passMaskName(PassMask mask)
     return out;
 }
 
-PassMask
-parsePassMask(const std::string &token)
+bool
+parsePassMask(const std::string &token, PassMask &out, std::string &err)
 {
-    if (token == "none")
-        return kPassMaskNone;
-    if (token == "all")
-        return kPassMaskAll;
-    if (token == "extended")
-        return kPassMaskExtended;
+    if (token == "none") {
+        out = kPassMaskNone;
+        return true;
+    }
+    if (token == "all") {
+        out = kPassMaskAll;
+        return true;
+    }
+    if (token == "extended") {
+        out = kPassMaskExtended;
+        return true;
+    }
     if (!token.empty() && token.find_first_not_of("0123456789") ==
                               std::string::npos) {
-        unsigned long v = std::stoul(token);
-        fatal_if(v > kPassMaskEvery, "pass mask value out of range: %s",
-                 token.c_str());
-        return static_cast<PassMask>(v);
+        unsigned long long v = 0;
+        const char *end = token.data() + token.size();
+        if (std::from_chars(token.data(), end, v).ec != std::errc() ||
+            v > kPassMaskEvery) {
+            err = "pass mask value out of range: " + token;
+            return false;
+        }
+        out = static_cast<PassMask>(v);
+        return true;
     }
     PassMask m = kPassMaskNone;
     std::size_t pos = 0;
@@ -507,11 +519,23 @@ parsePassMask(const std::string &token)
             m |= kPassDeadCodeElim;
         else if (part == "placement")
             m |= kPassPlacement;
-        else
-            fatal("unknown pass mask token '%s' in '%s'", part.c_str(),
-                  token.c_str());
+        else {
+            err = "unknown pass mask token '" + part + "' in '" + token +
+                "'";
+            return false;
+        }
         pos = end + 1;
     }
+    out = m;
+    return true;
+}
+
+PassMask
+parsePassMask(const std::string &token)
+{
+    PassMask m = kPassMaskNone;
+    std::string err;
+    fatal_if(!parsePassMask(token, m, err), "%s", err.c_str());
     return m;
 }
 

@@ -118,8 +118,13 @@ std::string passMaskName(PassMask mask);
 
 /**
  * Parse a mask token: the names passMaskName() produces, the --opts
- * keyword forms, or a decimal bit value. Fatals on unknown tokens.
+ * keyword forms, or a decimal bit value. Returns false with a reason
+ * in @p err on an unknown token or an out-of-range value.
  */
+bool parsePassMask(const std::string &token, PassMask &out,
+                   std::string &err);
+
+/** parsePassMask() for command lines: fatals on a bad token. */
 PassMask parsePassMask(const std::string &token);
 
 /**

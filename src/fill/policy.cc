@@ -1,6 +1,8 @@
 #include "fill/policy.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -49,8 +51,6 @@ WindowedFillPolicy::WindowedFillPolicy(const char *kind, PassMask initial,
                                        bool track_phases)
     : FillPolicy(kind, initial, true), params_(params)
 {
-    fatal_if(params_.windowInsts == 0,
-             "fill policy '%s' needs a non-zero decision window", kind);
     if (track_phases)
         tracker_ = std::make_unique<OnlinePhaseTracker>(params_.maxPhases,
                                                         params_.newPhaseDist);
@@ -255,37 +255,79 @@ FeedbackPolicy::onWindow(int phase, double ipc, double bypass_frac)
 // OraclePolicy
 // --------------------------------------------------------------------
 
-OraclePolicy::OraclePolicy(PassMask initial, const FillPolicyParams &params)
-    : WindowedFillPolicy("oracle", initial, params, true),
-      default_mask_(initial)
+bool
+parseOracleMap(const std::string &spec, OracleMap &out, std::string &err)
 {
-    fatal_if(params.oracleMap.empty(),
-             "oracle fill policy needs --policy-map (e.g. \"*=all\" or "
-             "\"0=none,1=all\")");
-    const std::string &spec = params.oracleMap;
+    out = OracleMap{};
+    if (spec.empty()) {
+        err = "oracle fill policy needs --policy-map (e.g. \"*=all\" or "
+              "\"0=none,1=all\")";
+        return false;
+    }
     std::size_t pos = 0;
     while (pos <= spec.size()) {
         std::size_t end = spec.find(',', pos);
         if (end == std::string::npos)
             end = spec.size();
         const std::string entry = spec.substr(pos, end - pos);
-        const std::size_t eq = entry.find('=');
-        fatal_if(eq == std::string::npos,
-                 "oracle map entry '%s' is not KEY=MASK", entry.c_str());
-        const std::string key = entry.substr(0, eq);
-        const PassMask m = parsePassMask(entry.substr(eq + 1));
-        if (key == "*") {
-            default_mask_ = m;
-        } else {
-            fatal_if(key.empty() || key.find_first_not_of("0123456789") !=
-                                        std::string::npos,
-                     "oracle map key '%s' is not a phase id or '*'",
-                     key.c_str());
-            map_phase_.push_back(static_cast<int>(std::stoul(key)));
-            map_mask_.push_back(m);
-        }
         pos = end + 1;
+        const std::size_t eq = entry.find('=');
+        if (eq == std::string::npos) {
+            err = "oracle map entry '" + entry + "' is not KEY=MASK";
+            return false;
+        }
+        const std::string key = entry.substr(0, eq);
+        PassMask m = kPassMaskNone;
+        if (!parsePassMask(entry.substr(eq + 1), m, err))
+            return false;
+        if (key == "*") {
+            out.fallback = m;
+            continue;
+        }
+        if (key.empty() ||
+            key.find_first_not_of("0123456789") != std::string::npos) {
+            err = "oracle map key '" + key + "' is not a phase id or '*'";
+            return false;
+        }
+        unsigned long long id = 0;
+        if (std::from_chars(key.data(), key.data() + key.size(), id).ec !=
+                std::errc() ||
+            id > static_cast<unsigned long long>(
+                     std::numeric_limits<int>::max())) {
+            err = "oracle map key '" + key +
+                "' is out of range (phase ids are 0.." +
+                std::to_string(std::numeric_limits<int>::max()) + ")";
+            return false;
+        }
+        out.phases.emplace_back(static_cast<int>(id), m);
     }
+    return true;
+}
+
+std::string
+FillPolicyParams::check() const
+{
+    if (kind != FillPolicyKind::Static && windowInsts == 0)
+        return std::string("windowInsts must be positive for the '") +
+            fillPolicyKindName(kind) + "' policy";
+    if (kind == FillPolicyKind::Oracle) {
+        OracleMap map;
+        std::string err;
+        if (!parseOracleMap(oracleMap, map, err))
+            return "oracleMap: " + err;
+    }
+    return {};
+}
+
+OraclePolicy::OraclePolicy(PassMask initial, const FillPolicyParams &params)
+    : WindowedFillPolicy("oracle", initial, params, true),
+      default_mask_(initial)
+{
+    std::string err;
+    fatal_if(!parseOracleMap(params.oracleMap, map_, err), "%s",
+             err.c_str());
+    if (map_.fallback)
+        default_mask_ = *map_.fallback;
     // The initial mask is the map's prediction for phase 0 (the first
     // window necessarily runs before any label exists).
     setMask(maskFor(0));
@@ -295,9 +337,9 @@ OraclePolicy::OraclePolicy(PassMask initial, const FillPolicyParams &params)
 PassMask
 OraclePolicy::maskFor(int phase) const
 {
-    for (std::size_t i = 0; i < map_phase_.size(); ++i)
-        if (map_phase_[i] == phase)
-            return map_mask_[i];
+    for (const auto &[id, mask] : map_.phases)
+        if (id == phase)
+            return mask;
     return default_mask_;
 }
 
@@ -318,6 +360,8 @@ OraclePolicy::onWindow(int phase, double ipc, double bypass_frac)
 std::unique_ptr<FillPolicy>
 makeFillPolicy(const FillPolicyParams &params, const FillOptimizations &opts)
 {
+    const std::string err = params.check();
+    fatal_if(!err.empty(), "fill policy: %s", err.c_str());
     const PassMask initial = passMaskFromOpts(opts);
     switch (params.kind) {
       case FillPolicyKind::Static:

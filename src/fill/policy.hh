@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/kmeans.hh"
@@ -71,7 +73,33 @@ struct FillPolicyParams
      * a decimal value, ...).
      */
     std::string oracleMap;
+
+    /**
+     * Why these parameters cannot build a policy ("" when they can),
+     * naming the offending field: a zero decision window on an
+     * adaptive kind, or an oracle map parseOracleMap() refuses.
+     * configFromJson() rejects it; makeFillPolicy() fatals on it.
+     */
+    std::string check() const;
 };
+
+/** A parsed FillPolicyParams::oracleMap. */
+struct OracleMap
+{
+    /** Phase id -> mask entries, in map order (first match wins). */
+    std::vector<std::pair<int, PassMask>> phases;
+    /** The "*" entry's mask, if the map has one. */
+    std::optional<PassMask> fallback;
+};
+
+/**
+ * Parse an oracle map spec (see FillPolicyParams::oracleMap). Returns
+ * false with a reason in @p err on an empty spec, an entry that is not
+ * KEY=MASK, a key that is neither '*' nor a phase id in [0, INT_MAX],
+ * or a bad mask token.
+ */
+bool parseOracleMap(const std::string &spec, OracleMap &out,
+                    std::string &err);
 
 /** Summary of one phase's decisions for the SimResult policy section. */
 struct PolicyPhaseStat
@@ -366,8 +394,7 @@ class OraclePolicy final : public WindowedFillPolicy
     PassMask maskFor(int phase) const;
 
   private:
-    std::vector<int> map_phase_;       // parallel arrays: phase id ...
-    std::vector<PassMask> map_mask_;   // ... -> mask
+    OracleMap map_;
     PassMask default_mask_;
 };
 

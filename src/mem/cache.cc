@@ -8,16 +8,28 @@
 namespace tcfill
 {
 
+std::string
+CacheParams::check() const
+{
+    if (!isPowerOf2(lineBytes))
+        return "lineBytes must be a power of two";
+    if (ways == 0)
+        return "ways must be positive";
+    // Divide before multiplying: lineBytes * ways may overflow.
+    if (sizeBytes / lineBytes < ways)
+        return "sizeBytes must hold at least one set (lineBytes * ways)";
+    const std::size_t set_bytes = lineBytes * ways;
+    if (sizeBytes % set_bytes != 0 || !isPowerOf2(sizeBytes / set_bytes))
+        return "sizeBytes / (lineBytes * ways), the set count, must be "
+               "a power of two";
+    return {};
+}
+
 SetAssocCache::SetAssocCache(const CacheParams &params) : params_(params)
 {
-    fatal_if(!isPowerOf2(params.lineBytes),
-             "%s: line size must be a power of two", params.name.c_str());
-    fatal_if(params.ways == 0, "%s: zero ways", params.name.c_str());
-    fatal_if(params.sizeBytes % (params.lineBytes * params.ways) != 0,
-             "%s: size not divisible by way size", params.name.c_str());
+    const std::string err = params.check();
+    fatal_if(!err.empty(), "%s: %s", params.name.c_str(), err.c_str());
     num_sets_ = params.sizeBytes / (params.lineBytes * params.ways);
-    fatal_if(!isPowerOf2(num_sets_), "%s: set count must be a power of two",
-             params.name.c_str());
     line_shift_ = floorLog2(params.lineBytes);
     lines_.resize(num_sets_ * params.ways);
 }

@@ -25,6 +25,13 @@ struct CacheParams
     std::size_t sizeBytes = 4096;
     std::size_t lineBytes = 64;
     std::size_t ways = 4;
+
+    /**
+     * Why these parameters cannot build a cache ("" when they
+     * can), naming the offending field. The constructor fatals on it
+     * and configFromJson() rejects it.
+     */
+    std::string check() const;
 };
 
 /** Set-associative tag store with LRU replacement. */

@@ -1,0 +1,65 @@
+#include "sim/config.hh"
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
+namespace tcfill
+{
+
+std::string
+SimConfig::check() const
+{
+    const std::pair<const char *, unsigned> positive[] = {
+        {"fetchWidth", fetchWidth},
+        {"fetchQueueLines", fetchQueueLines},
+        {"retireWidth", retireWidth},
+        {"windowCap", windowCap},
+        {"rasDepth", rasDepth},
+    };
+    for (const auto &[knob, value] : positive) {
+        if (value == 0)
+            return std::string("config: ") + knob + " must be positive";
+    }
+
+    const std::pair<const char *, std::string> parts[] = {
+        {"config.fill", fill.check()},
+        {"config.fill.policy", fill.policy.check()},
+        {"config.tcache", tcache.check()},
+        {"config.mem.l1i", mem.l1i.check()},
+        {"config.mem.l1d", mem.l1d.check()},
+        {"config.mem.l2", mem.l2.check()},
+        {"config.bpred", bpred.check()},
+        {"config.bias", bias.check()},
+        {"config.core", core.check()},
+    };
+    for (const auto &[path, err] : parts) {
+        if (!err.empty())
+            return std::string(path) + ": " + err;
+    }
+
+    // Dispatch moves a whole fetch line into the window at once, so
+    // the window must hold the longest line: a trace segment, or an
+    // I-cache block of at most fetchWidth 4-byte instructions that
+    // stops at the end of its cache line.
+    const std::uint64_t block = std::min<std::uint64_t>(
+        fetchWidth, std::max<std::uint64_t>(1, mem.l1i.lineBytes / 4));
+    const std::uint64_t longest =
+        useTraceCache ? std::max<std::uint64_t>(block, fill.maxInsts)
+                      : block;
+    if (windowCap < longest)
+        return "config: windowCap must hold the longest fetch line (" +
+            std::to_string(longest) + " instructions)";
+    // A trace-cache line issues each instruction to the functional
+    // unit its slot names.
+    if (useTraceCache &&
+        std::uint64_t{core.numClusters} * core.fusPerCluster <
+            kSegmentMaxInsts) {
+        return "config.core: numClusters * fusPerCluster must be at "
+               "least " + std::to_string(kSegmentMaxInsts) +
+            " with the trace cache on (one unit per trace-line slot)";
+    }
+    return {};
+}
+
+} // namespace tcfill

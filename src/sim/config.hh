@@ -74,6 +74,16 @@ struct SimConfig
     unsigned statsPhases = 0;
 
     /**
+     * Why this machine cannot run ("" when it can): the first field
+     * that some component's check() refuses, or a knob that would
+     * make the pipeline panic or never finish. The message starts
+     * with the field's configToJson() path ("config.core: ...").
+     * configFromJson() rejects such a config and the Processor fatals
+     * on it, so a hostile sweep point never reaches the model.
+     */
+    std::string check() const;
+
+    /**
      * Convenience: the paper's baseline with a chosen optimization
      * set and fill latency.
      */

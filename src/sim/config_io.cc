@@ -281,7 +281,10 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             return false;
     }
 
-    return s.finish();
+    if (!s.finish())
+        return false;
+    err = out.check();
+    return err.empty();
 }
 
 } // namespace tcfill

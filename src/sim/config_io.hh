@@ -7,9 +7,10 @@
  * lets the daemon key its persistent store off configs that crossed
  * the wire (tested per knob in tests/test_service.cc).
  *
- * Parsing is strict but non-fatal: unknown members, missing members
- * and type mismatches are reported through the error string, never by
- * aborting — a daemon must survive malformed requests.
+ * Parsing is strict but non-fatal: unknown members, missing members,
+ * type mismatches and values the model cannot run (SimConfig::check)
+ * are reported through the error string, never by aborting — a
+ * daemon must survive malformed and hostile requests.
  */
 
 #ifndef TCFILL_SIM_CONFIG_IO_HH
@@ -34,8 +35,8 @@ void configToJson(obs::JsonWriter &w, const SimConfig &cfg);
 /**
  * Parse a configToJson() object into @p out (a default SimConfig plus
  * every serialized knob). Returns false with a description in @p err
- * on any unknown / missing / mistyped member; @p out is unspecified
- * then.
+ * on any unknown / missing / mistyped member or on a config
+ * SimConfig::check() refuses; @p out is unspecified then.
  */
 bool configFromJson(const obs::JsonValue &v, SimConfig &out,
                     std::string &err);

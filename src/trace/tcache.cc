@@ -10,14 +10,21 @@ TraceCache::TraceCache() : TraceCache(Params{})
 {
 }
 
+std::string
+TraceCache::Params::check() const
+{
+    if (ways == 0)
+        return "ways must be positive";
+    if (entries % ways != 0 || !isPowerOf2(entries / ways))
+        return "entries / ways, the set count, must be a power of two";
+    return {};
+}
+
 TraceCache::TraceCache(const Params &params) : params_(params)
 {
-    fatal_if(params.ways == 0, "trace cache: zero ways");
-    fatal_if(params.entries % params.ways != 0,
-             "trace cache: entries not divisible by ways");
+    const std::string err = params.check();
+    fatal_if(!err.empty(), "trace cache: %s", err.c_str());
     num_sets_ = params.entries / params.ways;
-    fatal_if(!isPowerOf2(num_sets_),
-             "trace cache: set count must be a power of two");
     ways_.resize(params.entries);
 }
 

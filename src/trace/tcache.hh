@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -32,6 +33,13 @@ class TraceCache
         bool moveBits = false;
         bool scaledBits = false;
         bool placementBits = false;
+
+        /**
+         * Why these parameters cannot build a trace cache ("" when
+         * they can), naming the offending field. The constructor
+         * fatals on it and configFromJson() rejects it.
+         */
+        std::string check() const;
     };
 
     TraceCache();

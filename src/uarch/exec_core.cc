@@ -12,13 +12,26 @@ namespace tcfill
 static_assert(alignof(DynInst) >= 8,
               "wake-list pointer tagging needs 3 free low bits");
 
+std::string
+ExecCoreParams::check() const
+{
+    // In 64 bits, so no overflow can wrap into range.
+    const std::uint64_t fus =
+        std::uint64_t{numClusters} * fusPerCluster;
+    if (fus == 0 || fus > 32)
+        return "numClusters * fusPerCluster must be in [1,32] (one "
+               "ready-mask bit per functional unit)";
+    if (rsEntries == 0)
+        return "rsEntries must be positive";
+    return {};
+}
+
 ExecCore::ExecCore(const ExecCoreParams &params, MemoryHierarchy &mem)
     : params_(params), mem_(mem),
       num_fus_(params.numClusters * params.fusPerCluster)
 {
-    fatal_if(num_fus_ == 0, "execution core has no functional units");
-    fatal_if(num_fus_ > 32, "ready_mask_ supports at most 32 FUs");
-    fatal_if(params.rsEntries == 0, "reservation stations are empty");
+    const std::string err = params.check();
+    fatal_if(!err.empty(), "execution core: %s", err.c_str());
     rs_.resize(num_fus_);
     for (auto &station : rs_)
         station.reserve(params.rsEntries);

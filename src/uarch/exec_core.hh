@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,13 @@ struct ExecCoreParams
     unsigned rsEntries = 32;
     SchedulerKind scheduler = SchedulerKind::Wakeup;
     Cycle crossClusterDelay = 1;
+
+    /**
+     * Why these parameters cannot build a core ("" when
+     * they can), naming the offending field. configFromJson()
+     * rejects it; the constructor fatals on it.
+     */
+    std::string check() const;
 };
 
 /** Clustered reservation stations + functional units + bypass. */

@@ -557,6 +557,82 @@ TEST(OracleFillPolicyDeathTest, RejectsMalformedMaps)
     params.oracleMap = "0=bogus";
     EXPECT_DEATH(makeFillPolicy(params, FillOptimizations::all()),
                  "bogus");
+    // Phase ids are ints: a key past INT_MAX is refused, not thrown
+    // out of the parser or wrapped onto a small id.
+    params.oracleMap = "99999999999999999999=all";
+    EXPECT_DEATH(makeFillPolicy(params, FillOptimizations::all()),
+                 "'99999999999999999999' is out of range");
+    params.oracleMap = "4294967296=all";
+    EXPECT_DEATH(makeFillPolicy(params, FillOptimizations::all()),
+                 "'4294967296' is out of range");
+}
+
+/** @p map written back as an oracle map spec. */
+std::string
+oracleMapSpec(const OracleMap &map)
+{
+    std::string spec;
+    for (const auto &[id, mask] : map.phases)
+        spec += std::to_string(id) + "=" + std::to_string(mask) + ",";
+    if (map.fallback)
+        spec += "*=" + std::to_string(*map.fallback) + ",";
+    spec.pop_back();
+    return spec;
+}
+
+// Seeded random token strings, built as KEY=MASK lists with hostile
+// tokens and stray separators mixed in: every one is refused with a
+// reason, or parses to ids and masks in range that survive a
+// write-back.
+TEST(OracleMapFuzz, RandomTokenStringsRejectOrRoundTrip)
+{
+    const char *const keys[] = {
+        "*", "0", "1", "7", "2147483647", "2147483648", "4294967296",
+        "99999999999999999999", "", "-1", "x", " 1", "0x1",
+    };
+    const char *const masks[] = {
+        "all", "none", "extended", "moves", "reassoc", "scaled", "dce",
+        "placement", "0", "31", "32", "99999999999999999999", "bogus",
+        "",
+    };
+    const char *const seps[] = {",", ",", ",", ",", "", ",,", "=", "+"};
+    Random rng(0x0acc1e);
+    unsigned accepted = 0;
+    for (int iter = 0; iter < 5000; ++iter) {
+        std::string spec;
+        const std::size_t entries = rng.below(5);
+        for (std::size_t e = 0; e < entries; ++e) {
+            if (e > 0)
+                spec += seps[rng.below(std::size(seps))];
+            spec += keys[rng.below(std::size(keys))];
+            spec += rng.percent(90) ? "=" : "";
+            spec += masks[rng.below(std::size(masks))];
+            if (rng.percent(20)) {
+                spec += "+";
+                spec += masks[rng.below(std::size(masks))];
+            }
+        }
+
+        OracleMap map;
+        std::string err;
+        if (!parseOracleMap(spec, map, err)) {
+            EXPECT_FALSE(err.empty()) << "'" << spec << "'";
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(!map.phases.empty() || map.fallback) << spec;
+        for (const auto &[id, mask] : map.phases) {
+            EXPECT_GE(id, 0) << spec;
+            EXPECT_LE(mask, kPassMaskEvery) << spec;
+        }
+        OracleMap again;
+        ASSERT_TRUE(parseOracleMap(oracleMapSpec(map), again, err))
+            << spec << ": " << err;
+        EXPECT_EQ(again.phases, map.phases) << spec;
+        EXPECT_EQ(again.fallback, map.fallback) << spec;
+    }
+    // The generator must reach the accepting paths, not only errors.
+    EXPECT_GT(accepted, 100u);
 }
 
 // --------------------------------------------------------------------
