@@ -7,7 +7,10 @@
  * SimRunner pool and in-memory result cache, connected to the parent
  * by a socketpair speaking tcfill-svc-v2 job frames.
  *
- * A sweep request resolves each point in order:
+ * A sweep request is refused whole, with an error frame, when any
+ * point names an unknown workload or a config the model cannot run
+ * (configFromJson applies SimConfig::check), so no shard ever sees
+ * such a point. Otherwise it resolves each point in order:
  *
  *   1. persistent store hit        → "store"   (answered inline: no
  *      shard, no future)
