@@ -10,7 +10,6 @@
 #define TCFILL_FILL_FILL_UNIT_HH
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,12 +80,8 @@ class FillUnit
      * @param miss_target the instruction's fetch missed the trace
      *        cache and started an instruction-cache line — a future
      *        fetch address the trace cache should serve.
-     * @param bypass_delayed the instruction's result arrived through
-     *        a delayed (cross-cluster) bypass — a feedback signal for
-     *        adaptive pass-selection policies.
      */
-    void retire(const ExecRecord &rec, Cycle now,
-                bool miss_target = false, bool bypass_delayed = false);
+    void retire(const ExecRecord &rec, Cycle now, bool miss_target = false);
 
     /** Install all segments whose readyCycle <= @p now. */
     void tick(Cycle now);
@@ -108,10 +103,8 @@ class FillUnit
     std::uint64_t deadWritesElided() const { return pipeline_.deadElided(); }
 
     // ---- pass-selection policy ----------------------------------------
-    const FillPolicy &policy() const { return *policy_; }
-
     /** Stable address of the active mask (Timeline interval probe). */
-    const std::uint8_t *activeMaskPtr() const { return policy_->maskPtr(); }
+    const std::uint8_t *activeMaskPtr() const { return policy_.maskPtr(); }
 
     /** Decision record plus pass transform totals (SimResult). */
     PolicySummary policySummary() const;
@@ -136,9 +129,7 @@ class FillUnit
     BiasTable &bias_;
 
     PassPipeline pipeline_;
-    std::unique_ptr<FillPolicy> policy_;
-    /** Cached policy_->wantsRetireSignals(): one branch on hot path. */
-    bool policy_signals_ = false;
+    FillPolicy policy_;
     /** Mask applied to the previous finalize (policy-switch tracing). */
     int last_mask_ = -1;
 

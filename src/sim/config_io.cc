@@ -80,7 +80,6 @@ configToJson(obs::JsonWriter &w, const SimConfig &cfg)
     w.field("maxPhases", f.policy.maxPhases);
     w.field("windowInsts", f.policy.windowInsts);
     w.field("newPhaseDist", f.policy.newPhaseDist);
-    w.field("hysteresis", f.policy.hysteresis);
     w.field("oracleMap", f.policy.oracleMap);
     w.endObject();
     w.endObject();
@@ -183,9 +182,7 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             if (ps.string("kind", kind)) {
                 bool known = false;
                 for (FillPolicyKind k :
-                     {FillPolicyKind::Static, FillPolicyKind::Phase,
-                      FillPolicyKind::Feedback,
-                      FillPolicyKind::Oracle}) {
+                     {FillPolicyKind::Static, FillPolicyKind::Oracle}) {
                     if (kind == fillPolicyKindName(k)) {
                         f.policy.kind = k;
                         known = true;
@@ -201,7 +198,6 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             ps.integer("maxPhases", f.policy.maxPhases);
             ps.integer("windowInsts", f.policy.windowInsts);
             ps.real("newPhaseDist", f.policy.newPhaseDist);
-            ps.real("hysteresis", f.policy.hysteresis);
             ps.string("oracleMap", f.policy.oracleMap);
             if (!ps.finish())
                 return false;

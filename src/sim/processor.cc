@@ -89,8 +89,8 @@ Processor::Processor(const Program *prog, CommitSource *src,
         timeline_ = std::make_unique<obs::Timeline>(
             stats_, cfg_.statsInterval, cfg_.statsPhases);
         retire_.setTimeline(timeline_.get());
-        // Record the active pass mask per interval, but only for
-        // adaptive policies: static runs must keep their serialized
+        // Record the active pass mask per interval, but only for the
+        // oracle policy: static runs must keep their serialized
         // timeline bytes (golden fixtures pin them).
         if (cfg_.fill.policy.kind != FillPolicyKind::Static)
             timeline_->setMaskProbe(fill_.activeMaskPtr());
@@ -269,7 +269,7 @@ Processor::run()
         retire_.setTimeline(nullptr);
         timeline_.reset();
     }
-    // Policy decision record: only for non-static policies, so legacy
+    // Policy decision record: only for the oracle policy, so static
     // result documents are byte-identical to the pre-policy code.
     if (cfg_.fill.policy.kind != FillPolicyKind::Static) {
         res.policy =

@@ -106,8 +106,8 @@ struct SimResult
     std::shared_ptr<const obs::TimelineData> timeline;
 
     /**
-     * Fill-policy decision record (non-static --fill-policy runs
-     * only; null otherwise, so legacy documents do not change).
+     * Fill-policy decision record (--fill-policy oracle runs only;
+     * null otherwise, so static documents do not change).
      * Deterministic simulation data — policy decisions are a function
      * of the committed stream and cycle numbers, so this section is
      * timing-affecting and byte-identical across -j1/-j8, schedulers

@@ -96,7 +96,7 @@ static_assert(sizeof(ReassocOptions) == 2,
               "ReassocOptions changed: update configCacheKey()");
 static_assert(sizeof(FillOptimizations) == 7,
               "FillOptimizations changed: update configCacheKey()");
-static_assert(sizeof(FillPolicyParams) == sizeof(std::string) + 32,
+static_assert(sizeof(FillPolicyParams) == sizeof(std::string) + 24,
               "FillPolicyParams changed: update configCacheKey()");
 static_assert(sizeof(FillUnitConfig) ==
                   sizeof(FillPolicyParams) + 32,
@@ -146,11 +146,13 @@ configCacheKey(const SimConfig &cfg)
        << o.placement << o.deadCodeElim << ','
        << o.reassocOptions.crossBlockOnly
        << o.reassocOptions.foldMemDisplacement;
-    // Pass-selection policy.
+    // Pass-selection policy. The fifth slot held a knob of a retired
+    // policy; result stores on disk are keyed with its default, so
+    // the text keeps it as a constant.
     const FillPolicyParams &p = f.policy;
     os << "|policy=" << static_cast<unsigned>(p.kind) << ','
        << p.maxPhases << ',' << p.windowInsts << ',' << p.newPhaseDist
-       << ',' << p.hysteresis << ',' << p.oracleMap;
+       << ",0.02," << p.oracleMap;
     // Trace cache.
     os << "|tcache=" << cfg.tcache.entries << ',' << cfg.tcache.ways
        << ',' << cfg.tcache.moveBits << cfg.tcache.scaledBits

@@ -104,7 +104,7 @@ TEST(PerfGate, PolicySeamOverheadUnder5Percent)
 {
     SimConfig st = gateConfig();
     st.fill.policy.windowInsts = 10'000;
-    // A uniform map runs the whole adaptive machinery (signals, BBV
+    // A uniform map runs the whole oracle machinery (retire feed, BBV
     // tracker, window closes) without ever changing the mask.
     SimConfig oracle = st;
     oracle.fill.policy.kind = FillPolicyKind::Oracle;

@@ -181,7 +181,7 @@ TEST(SimRunner, ConfigKeyCoversEveryKnob)
         // FillPolicyParams.
         {"policy.kind",
          [](SimConfig &c) {
-             c.fill.policy.kind = FillPolicyKind::Phase;
+             c.fill.policy.kind = FillPolicyKind::Oracle;
          }},
         {"policy.maxPhases",
          [](SimConfig &c) { c.fill.policy.maxPhases = 4; }},
@@ -189,8 +189,6 @@ TEST(SimRunner, ConfigKeyCoversEveryKnob)
          [](SimConfig &c) { c.fill.policy.windowInsts = 5000; }},
         {"policy.newPhaseDist",
          [](SimConfig &c) { c.fill.policy.newPhaseDist = 0.5; }},
-        {"policy.hysteresis",
-         [](SimConfig &c) { c.fill.policy.hysteresis = 0.5; }},
         {"policy.oracleMap",
          [](SimConfig &c) { c.fill.policy.oracleMap = "*=none"; }},
         // TraceCache::Params.

@@ -11,7 +11,7 @@ Usage:
         retired/cycles exactly, delta rows must match the counter
         column set, phase labels must be in range, the passMask
         column is all-or-nothing), the fill `policy` decision record
-        (non-static --fill-policy runs: per-phase window accounting
+        (--fill-policy oracle runs: per-phase window accounting
         must sum, masks in range), the sampled-run host.sample
         accounting, the self-profiler's host.profile, and the
         top-level `service` provenance section tcfill_client sweeps
@@ -116,7 +116,7 @@ RATE_FIELDS = [
     "fracBypassDelayed",
 ]
 
-# Optional per-result `policy` section (non-static --fill-policy runs).
+# Optional per-result `policy` section (--fill-policy oracle runs).
 # These are DECISION counters, not diagnostics: policy choices feed
 # back into segment construction and therefore into timing, so the
 # section deliberately stays in the deterministic document body where
@@ -134,7 +134,7 @@ POLICY_FIELDS = {
     "deadElided": int,
 }
 
-POLICY_KINDS = ("static", "phase", "feedback", "oracle")
+POLICY_KINDS = ("static", "oracle")
 
 # Every pass bit that exists (fill/passes.hh kPassMaskEvery).
 POLICY_MASK_MAX = 31
@@ -245,8 +245,7 @@ class Checker:
             elif ps["ipc"] != 0:
                 self.error(w, "ipc nonzero with zero cycles")
             windows += ps["windows"]
-        # Every closed window is attributed to exactly one phase (the
-        # feedback policy tracks no phases and uses one -1 bucket).
+        # Every closed window is attributed to exactly one phase.
         if phases and windows != p["windows"]:
             self.error(where, f"phase windows sum to {windows}, "
                               f"section reports {p['windows']}")
@@ -279,7 +278,7 @@ class Checker:
             self.error(where, f"interval {tl['interval']} <= 0")
         phases = tl["phases"]
         # A mask probe is all-or-nothing: every interval carries
-        # passMask (adaptive fill policy attached) or none does
+        # passMask (oracle fill policy attached) or none does
         # (static/legacy runs — whose bytes must not change).
         masked = sum(1 for iv in ivs
                      if isinstance(iv, dict) and "passMask" in iv)

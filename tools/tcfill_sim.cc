@@ -148,8 +148,7 @@ usage()
         "  --no-inactive-issue | --no-promotion | --tc-entries N\n"
         "  --scheduler wakeup|scan\n"
         "  --fill-policy KIND | --list-policies | --policy-window N\n"
-        "  --policy-phases K | --policy-threshold F\n"
-        "  --policy-hysteresis F | --policy-map SPEC\n"
+        "  --policy-phases K | --policy-threshold F | --policy-map SPEC\n"
         "  --stats | --stats-dump | --stats-json FILE | --stats-host\n"
         "  --stats-interval N | --stats-phases K | --trace-events FILE\n"
         "  --pipe-trace FILE | --progress\n"
@@ -189,17 +188,15 @@ help()
         "                         identical timing)\n"
         "\n"
         "Fill pass-selection policy (DESIGN.md §16):\n"
-        "  --fill-policy KIND     static (default) | phase | feedback\n"
-        "                         | oracle — how the fill unit picks\n"
-        "                         the pass set per finalized segment\n"
+        "  --fill-policy KIND     static (default) | oracle — how the\n"
+        "                         fill unit picks the pass set per\n"
+        "                         finalized segment\n"
         "  --list-policies        describe the policies and exit\n"
         "  --policy-window N      decision window in retired insts\n"
         "                         (default 10000)\n"
         "  --policy-phases K      online phase cap (default 8)\n"
         "  --policy-threshold F   new-phase BBV distance^2 threshold\n"
         "                         (default 0.05)\n"
-        "  --policy-hysteresis F  feedback: min relative IPC gain to\n"
-        "                         adopt a trial mask (default 0.02)\n"
         "  --policy-map SPEC      oracle per-phase mask map, e.g.\n"
         "                         \"*=all\" or \"0=none,1=all\"\n"
         "\n"
@@ -361,8 +358,6 @@ main(int argc, char **argv)
                 std::strtoul(next(), nullptr, 10));
         } else if (arg == "--policy-threshold") {
             cfg.fill.policy.newPhaseDist = std::atof(next());
-        } else if (arg == "--policy-hysteresis") {
-            cfg.fill.policy.hysteresis = std::atof(next());
         } else if (arg == "--policy-map") {
             cfg.fill.policy.oracleMap = next();
         } else if (arg == "--fill-latency") {
