@@ -336,10 +336,16 @@ TraceReader::next(ExecRecord &rec)
     rec = ExecRecord{};
     rec.seq = count_;
     rec.inst.op = static_cast<Op>(op_raw);
-    rec.inst.dest = static_cast<RegIndex>(frame_[frame_pos_++]);
-    rec.inst.src1 = static_cast<RegIndex>(frame_[frame_pos_++]);
-    rec.inst.src2 = static_cast<RegIndex>(frame_[frame_pos_++]);
-    rec.inst.src3 = static_cast<RegIndex>(frame_[frame_pos_++]);
+    // The CRC catches accidents, not forgeries: a register index past
+    // the architectural file would index the model's tables out of
+    // bounds.
+    for (RegIndex *r : {&rec.inst.dest, &rec.inst.src1, &rec.inst.src2,
+                        &rec.inst.src3}) {
+        *r = static_cast<RegIndex>(frame_[frame_pos_++]);
+        if (*r != Instruction::kNoReg && *r >= kNumArchRegs)
+            return fail(ReadStatus::Malformed,
+                        "record has invalid register");
+    }
     rec.inst.shamt = static_cast<std::uint8_t>(frame_[frame_pos_++]);
 
     std::int64_t imm = 0, pc_d = 0, next_d = 0;

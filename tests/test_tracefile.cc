@@ -300,17 +300,17 @@ struct TraceImage
     std::size_t headerEnd;  ///< offset just past the header CRC
 };
 
+/** @p prog's committed stream (at most @p cap records when non-zero). */
 TraceImage
-smallImage()
+traceImage(const Program &prog, InstSeqNum cap = 0)
 {
-    const Program prog = countdownProgram(10);
     std::ostringstream os;
     TraceMeta meta;
     meta.workload = prog.name;
     meta.entryPc = prog.entry;
     Executor exec(prog);
     TraceWriter writer(os, meta);
-    while (!exec.halted())
+    for (InstSeqNum n = 0; !exec.halted() && (cap == 0 || n < cap); ++n)
         writer.append(exec.step());
     writer.finish();
     TraceImage img;
@@ -327,6 +327,45 @@ smallImage()
             static_cast<std::uint8_t>(img.bytes[15])) << 24;
     img.headerEnd = 16 + len + 4;
     return img;
+}
+
+TraceImage
+smallImage()
+{
+    return traceImage(countdownProgram(10));
+}
+
+/** Where one record frame's payload sits inside a trace image. */
+struct FrameSpan
+{
+    std::size_t payload;
+    std::size_t len;
+};
+
+/** The record frames of @p img, in stream order. */
+std::vector<FrameSpan>
+recordFrames(const TraceImage &img)
+{
+    std::vector<FrameSpan> frames;
+    std::size_t pos = img.headerEnd;
+    while (static_cast<std::uint8_t>(img.bytes[pos]) == kFrameRecords) {
+        std::uint64_t n = 0, len = 0;
+        ++pos;
+        EXPECT_TRUE(getVarint(img.bytes, pos, n) &&
+                    getVarint(img.bytes, pos, len));
+        frames.push_back({pos, static_cast<std::size_t>(len)});
+        pos += len + 4;
+    }
+    return frames;
+}
+
+/** Recompute @p f's CRC after its payload changed: forge the frame. */
+void
+reseal(std::string &bytes, const FrameSpan &f)
+{
+    const std::uint32_t crc = crc32(bytes.data() + f.payload, f.len);
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[f.payload + f.len + i] = static_cast<char>(crc >> (8 * i));
 }
 
 ReadStatus
@@ -412,6 +451,24 @@ TEST(TraceErrors, UnknownFrameTag)
     EXPECT_EQ(drain(img.bytes), ReadStatus::Malformed);
 }
 
+TEST(TraceErrors, ForgedRegisterIsMalformed)
+{
+    // Each of a record's four register bytes, forged past the
+    // architectural file behind a valid CRC, stops the stream before
+    // the record reaches the model.
+    for (std::size_t reg = 0; reg < 4; ++reg) {
+        TraceImage img = smallImage();
+        const FrameSpan f = recordFrames(img).front();
+        // Record 0 starts the frame: flags, op, then the registers.
+        img.bytes[f.payload + 2 + reg] = 100;
+        reseal(img.bytes, f);
+        std::string detail;
+        EXPECT_EQ(drain(img.bytes, &detail), ReadStatus::Malformed)
+            << "register " << reg;
+        EXPECT_EQ(detail, "record has invalid register");
+    }
+}
+
 TEST(TraceErrors, StatusNamesAreStable)
 {
     EXPECT_STREQ(readStatusName(ReadStatus::Ok), "ok");
@@ -436,6 +493,72 @@ TEST(TraceErrorsDeathTest, ReplayExecutorFatalsOnCorruptTrace)
                 rx.step();
         },
         ::testing::ExitedWithCode(1), "crc mismatch");
+}
+
+/** A decoded register is absent or inside the architectural file. */
+bool
+validReg(RegIndex r)
+{
+    return r == Instruction::kNoReg || r < kNumArchRegs;
+}
+
+// Seeded mutations of real traces: bytes inside a record frame
+// overwritten and the frame's CRC recomputed (a forgery, not an
+// accident), or the stream cut short. Every stream must end in Eof or
+// in an error with a detail, and every record it yields must be one
+// the model can index: a valid opcode and registers.
+TEST(TraceFuzz, MutatedFramesRejectOrDecodeValidRecords)
+{
+    const TraceImage images[] = {
+        smallImage(),
+        traceImage(workloads::build("compress", 1), 6'000),
+    };
+    Random rng(0x7eace);
+    unsigned eof = 0, malformed = 0, truncated = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+        const TraceImage &img = images[iter % 2];
+        std::string bytes = img.bytes;
+        if (iter % 5 == 4) {
+            bytes.resize(img.headerEnd +
+                         rng.below(bytes.size() - img.headerEnd));
+        } else {
+            const std::vector<FrameSpan> frames = recordFrames(img);
+            const FrameSpan f = frames[rng.below(frames.size())];
+            const std::size_t n = 1 + rng.below(4);
+            for (std::size_t k = 0; k < n; ++k) {
+                bytes[f.payload + rng.below(f.len)] =
+                    static_cast<char>(rng.below(256));
+            }
+            reseal(bytes, f);
+        }
+
+        std::istringstream is(bytes);
+        TraceReader reader(is);
+        ExecRecord rec;
+        ReadStatus s = reader.error();
+        while (s == ReadStatus::Ok) {
+            s = reader.next(rec);
+            if (s != ReadStatus::Ok)
+                break;
+            ASSERT_LT(static_cast<unsigned>(rec.inst.op),
+                      static_cast<unsigned>(Op::NumOps)) << iter;
+            ASSERT_TRUE(validReg(rec.inst.dest) &&
+                        validReg(rec.inst.src1) &&
+                        validReg(rec.inst.src2) &&
+                        validReg(rec.inst.src3)) << iter;
+        }
+        if (s == ReadStatus::Eof) {
+            ++eof;
+            continue;
+        }
+        EXPECT_FALSE(reader.errorDetail().empty()) << iter;
+        malformed += s == ReadStatus::Malformed;
+        truncated += s == ReadStatus::Truncated;
+    }
+    // The generator must reach the decoding, refusing and cut paths.
+    EXPECT_GT(eof, 50u);
+    EXPECT_GT(malformed, 100u);
+    EXPECT_GT(truncated, 100u);
 }
 
 // --------------------------------------------------------------------
