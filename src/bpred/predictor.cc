@@ -1,10 +1,23 @@
 #include "bpred/predictor.hh"
 
+#include <utility>
+
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 
 namespace tcfill
 {
+
+namespace
+{
+
+/**
+ * Largest predictor or bias table a configuration may ask for: 16x
+ * the paper's 64K-entry PHT, so a hostile size cannot exhaust memory.
+ */
+constexpr std::size_t kMaxTableEntries = std::size_t{1} << 20;
+
+} // namespace
 
 PatternHistoryTable::PatternHistoryTable(std::size_t entries)
     : counters_(entries, 1)     // weakly not-taken
@@ -40,12 +53,18 @@ PatternHistoryTable::counter(std::size_t index) const
 std::string
 MultiBranchPredictor::Params::check() const
 {
-    if (!isPowerOf2(pht0Entries))
-        return "pht0Entries must be a power of two";
-    if (!isPowerOf2(pht1Entries))
-        return "pht1Entries must be a power of two";
-    if (!isPowerOf2(pht2Entries))
-        return "pht2Entries must be a power of two";
+    const std::pair<const char *, std::size_t> phts[] = {
+        {"pht0Entries", pht0Entries},
+        {"pht1Entries", pht1Entries},
+        {"pht2Entries", pht2Entries},
+    };
+    for (const auto &[knob, entries] : phts) {
+        if (!isPowerOf2(entries))
+            return std::string(knob) + " must be a power of two";
+        if (entries > kMaxTableEntries)
+            return std::string(knob) + " must be at most " +
+                std::to_string(kMaxTableEntries);
+    }
     return {};
 }
 
@@ -135,6 +154,8 @@ BiasTable::Params::check() const
 {
     if (!isPowerOf2(entries))
         return "entries must be a power of two";
+    if (entries > kMaxTableEntries)
+        return "entries must be at most " + std::to_string(kMaxTableEntries);
     if (promoteThreshold == 0 || promoteThreshold > 127)
         return "promoteThreshold must be in [1,127]";
     return {};

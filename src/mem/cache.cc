@@ -11,6 +11,9 @@ namespace tcfill
 std::string
 CacheParams::check() const
 {
+    // Bounds the allocation: 64x the paper's 1 MB L2.
+    if (sizeBytes > (std::size_t{1} << 26))
+        return "sizeBytes must be at most 67108864 (64 MB)";
     if (!isPowerOf2(lineBytes))
         return "lineBytes must be a power of two";
     if (ways == 0)

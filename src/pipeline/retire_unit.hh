@@ -49,6 +49,9 @@ using CommitHook = std::function<void(const ExecRecord &, Cycle)>;
 class RetireUnit : public Stage
 {
   public:
+    /** Cycles of no retirement after which we declare a model deadlock. */
+    static constexpr Cycle kDeadlockWindow = 200000;
+
     explicit RetireUnit(const RetireEnv &env);
 
     /** One retire cycle: commit up to retireWidth instructions. */

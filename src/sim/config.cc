@@ -4,8 +4,30 @@
 #include <cstdint>
 #include <utility>
 
+#include "pipeline/retire_unit.hh"
+
 namespace tcfill
 {
+
+namespace
+{
+
+/**
+ * Budgets for the longest wait the window's head can see: a load
+ * that misses both cache levels behind a window of queued memory-bus
+ * transfers, whose result then crosses clusters,
+ *   l2Latency + memLatency + windowCap * memBusOccupancy
+ *     + crossClusterDelay.
+ * The head may first have waited as long for its own instruction
+ * fetch, so twice the budgets must stay inside the retire unit's
+ * deadlock window; a longer wait would panic a machine that works.
+ */
+constexpr Cycle kMaxLatency = 10'000;
+constexpr Cycle kMaxBusBacklog = 50'000;
+static_assert(2 * (3 * kMaxLatency + kMaxBusBacklog) <
+              pipeline::RetireUnit::kDeadlockWindow);
+
+} // namespace
 
 std::string
 SimConfig::check() const
@@ -21,6 +43,9 @@ SimConfig::check() const
         if (value == 0)
             return std::string("config: ") + knob + " must be positive";
     }
+    // Bounds the allocation: 128x the default stack.
+    if (rasDepth > 4096)
+        return "config: rasDepth must be at most 4096";
 
     const std::pair<const char *, std::string> parts[] = {
         {"config.fill", fill.check()},
@@ -37,6 +62,21 @@ SimConfig::check() const
         if (!err.empty())
             return std::string(path) + ": " + err;
     }
+
+    const std::pair<const char *, Cycle> latencies[] = {
+        {"config.mem: l2Latency", mem.l2Latency},
+        {"config.mem: memLatency", mem.memLatency},
+        {"config.core: crossClusterDelay", core.crossClusterDelay},
+    };
+    for (const auto &[knob, cycles] : latencies) {
+        if (cycles > kMaxLatency)
+            return std::string(knob) + " must be at most " +
+                std::to_string(kMaxLatency) + " cycles";
+    }
+    if (mem.memBusOccupancy > kMaxBusBacklog / windowCap)
+        return "config.mem: memBusOccupancy must be at most " +
+            std::to_string(kMaxBusBacklog) + " / windowCap (" +
+            std::to_string(kMaxBusBacklog / windowCap) + " cycles)";
 
     // Dispatch moves a whole fetch line into the window at once, so
     // the window must hold the longest line: a trace segment, or an

@@ -15,6 +15,9 @@ TraceCache::Params::check() const
 {
     if (ways == 0)
         return "ways must be positive";
+    // Bounds the allocation: 32x the paper's 2K-entry trace cache.
+    if (entries > 65536)
+        return "entries must be at most 65536";
     if (entries % ways != 0 || !isPowerOf2(entries / ways))
         return "entries / ways, the set count, must be a power of two";
     return {};

@@ -21,8 +21,9 @@ ExecCoreParams::check() const
     if (fus == 0 || fus > 32)
         return "numClusters * fusPerCluster must be in [1,32] (one "
                "ready-mask bit per functional unit)";
-    if (rsEntries == 0)
-        return "rsEntries must be positive";
+    // Bounds the per-unit reservations: 128x the paper's 32 entries.
+    if (rsEntries == 0 || rsEntries > 4096)
+        return "rsEntries must be in [1,4096]";
     return {};
 }
 
