@@ -267,7 +267,7 @@ Executor::stepImpl(ExecRecord *rec, const FetchView &fv, Addr &pc_io)
     pc_io = next_pc;
     if constexpr (kRecord)
         rec->nextPc = next_pc;
-    return in.isControl() || in.isSerializing();
+    return in.endsBlock();
 }
 
 ExecRecord

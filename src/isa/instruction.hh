@@ -97,6 +97,9 @@ struct Instruction
     bool isSerializing() const { return tcfill::isSerializing(op); }
     bool isControl() const { return tcfill::isControl(op); }
 
+    /** Ends a basic block: a control transfer or serializing. */
+    bool endsBlock() const { return isControl() || isSerializing(); }
+
     /** A return is JR through the link register by convention. */
     bool isReturn() const { return op == Op::JR && src1 == kRegRA; }
 

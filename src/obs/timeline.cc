@@ -1,6 +1,5 @@
 #include "obs/timeline.hh"
 
-#include "common/kmeans.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 
@@ -63,29 +62,6 @@ Timeline::Timeline(const stats::Group &stats, InstSeqNum interval,
 }
 
 void
-Timeline::trackBlock(Addr pc, bool ends_block)
-{
-    if (!in_block_) {
-        block_start_ = pc;
-        in_block_ = true;
-    }
-    ++block_len_;
-    if (ends_block) {
-        flushBlock();
-        in_block_ = false;
-    }
-}
-
-void
-Timeline::flushBlock()
-{
-    if (block_len_ == 0)
-        return;
-    cur_blocks_[block_start_] += block_len_;
-    block_len_ = 0;
-}
-
-void
 Timeline::closeInterval(Cycle boundary_cycle)
 {
     TimelineInterval iv;
@@ -103,14 +79,8 @@ Timeline::closeInterval(Cycle boundary_cycle)
         iv.deltas[i] = scratch_[i] - prev_[i];
     prev_ = scratch_;
 
-    if (phases_ > 0) {
-        // A block straddling the boundary contributes its halves to
-        // both intervals under the same start-PC key (BbvProfiler
-        // semantics).
-        flushBlock();
-        interval_blocks_.push_back(std::move(cur_blocks_));
-        cur_blocks_.clear();
-    }
+    if (phases_ > 0)
+        interval_blocks_.push_back(blocks_.cut());
 
     data_->intervals.push_back(std::move(iv));
     data_cut_inst_ = insts_;

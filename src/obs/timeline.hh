@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kmeans.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -101,16 +102,15 @@ class Timeline
 
     /**
      * Account one committed instruction. @p pc is its PC,
-     * @p ends_block mirrors the BbvProfiler block-end predicate
-     * (control transfer or serializing; only consulted when phase
-     * tagging is on) and @p now is the commit cycle. Inline: this is
-     * the per-commit hot path.
+     * @p ends_block is Instruction::endsBlock() (only consulted when
+     * phase tagging is on) and @p now is the commit cycle. Inline:
+     * this is the per-commit hot path.
      */
     void
     onRetire(Addr pc, bool ends_block, Cycle now)
     {
         if (phases_ > 0)
-            trackBlock(pc, ends_block);
+            blocks_.note(pc, ends_block);
         ++insts_;
         if (insts_ - data_cut_inst_ >= data_->interval)
             cut(now);
@@ -141,8 +141,6 @@ class Timeline
   private:
     void cut(Cycle now);
     void closeInterval(Cycle boundary_cycle);
-    void trackBlock(Addr pc, bool ends_block);
-    void flushBlock();
     void assignPhases();
 
     const stats::Group &stats_;
@@ -160,10 +158,7 @@ class Timeline
     std::vector<std::uint64_t> scratch_;
 
     // ---- per-interval BBV tracking (phases_ > 0 only) ---------------
-    Addr block_start_ = 0;
-    bool in_block_ = false;
-    std::uint64_t block_len_ = 0;
-    std::map<Addr, std::uint64_t> cur_blocks_;
+    BbvCounter blocks_;
     /** One BBV per completed interval, parallel to data_->intervals. */
     std::vector<std::map<Addr, std::uint64_t>> interval_blocks_;
 };

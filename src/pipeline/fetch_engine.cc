@@ -274,7 +274,7 @@ FetchEngine::buildICacheLine(Cycle ready)
         else if (rec.inst.isReturn())
             ras_pred = ras_.pop();
 
-        if (rec.inst.isControl() || rec.inst.isSerializing()) {
+        if (rec.inst.endsBlock()) {
             // One block per cycle: stop at the first control-flow or
             // serializing instruction.
             break;

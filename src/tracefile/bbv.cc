@@ -14,21 +14,12 @@ BbvProfiler::BbvProfiler(InstSeqNum interval) : interval_(interval)
 }
 
 void
-BbvProfiler::flushBlock()
-{
-    if (block_len_ == 0)
-        return;
-    cur_.blocks[block_start_] += block_len_;
-    block_len_ = 0;
-}
-
-void
 BbvProfiler::consume(const ExecRecord &rec)
 {
     // A block ends at any control transfer (taken or not — SimPoint
     // keys blocks on static extent, and a not-taken branch still ends
     // the static block) or serializing instruction.
-    consume(rec.pc, rec.inst.isControl() || rec.inst.isSerializing());
+    consume(rec.pc, rec.inst.endsBlock());
 }
 
 void
@@ -37,9 +28,8 @@ BbvProfiler::cutInterval()
     // Cut exactly at the interval length; a block straddling the
     // boundary contributes its halves to both intervals under the
     // same start-PC key.
-    flushBlock();
-    intervals_.push_back(std::move(cur_));
-    cur_ = BbvInterval{};
+    intervals_.push_back({cur_insts_, blocks_.cut()});
+    cur_insts_ = 0;
 }
 
 void
@@ -47,11 +37,8 @@ BbvProfiler::finish()
 {
     if (finished_)
         return;
-    flushBlock();
-    if (cur_.insts > 0) {
-        intervals_.push_back(std::move(cur_));
-        cur_ = BbvInterval{};
-    }
+    if (cur_insts_ > 0)
+        cutInterval();
     finished_ = true;
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "arch/executor.hh"
+#include "common/kmeans.hh"
 #include "common/logging.hh"
 
 namespace tcfill::tracefile
@@ -65,20 +66,9 @@ class BbvProfiler
     consume(Addr pc, bool ends_block)
     {
         panic_if(finished_, "BbvProfiler::consume() after finish()");
-        if (!in_block_) {
-            block_start_ = pc;
-            in_block_ = true;
-        }
-        ++block_len_;
-        ++cur_.insts;
+        blocks_.note(pc, ends_block);
         ++total_;
-
-        if (ends_block) {
-            flushBlock();
-            in_block_ = false;
-        }
-
-        if (cur_.insts >= interval_)
+        if (++cur_insts_ >= interval_)
             cutInterval();
     }
 
@@ -97,17 +87,13 @@ class BbvProfiler
     InstSeqNum intervalLength() const { return interval_; }
 
   private:
-    void flushBlock();
     void cutInterval();
 
     InstSeqNum interval_;
     InstSeqNum total_ = 0;
 
-    Addr block_start_ = 0;
-    bool in_block_ = false;
-    std::uint64_t block_len_ = 0;
-
-    BbvInterval cur_;
+    InstSeqNum cur_insts_ = 0;
+    BbvCounter blocks_;
     std::vector<BbvInterval> intervals_;
     bool finished_ = false;
 };
