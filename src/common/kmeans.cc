@@ -19,6 +19,15 @@ bbvProjWeight(Addr pc, std::size_t dim)
            1.0;
 }
 
+void
+BbvCounter::flush()
+{
+    if (block_len_ == 0)
+        return;
+    blocks_[block_start_] += block_len_;
+    block_len_ = 0;
+}
+
 BbvPoint
 projectBbv(const std::map<Addr, std::uint64_t> &blocks,
            std::uint64_t insts)
