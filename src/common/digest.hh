@@ -2,7 +2,7 @@
  * @file
  * The one hashing/digest module every content-addressed identity in
  * the tree derives from: CRC-32 (IEEE) for on-disk framing checksums
- * (tcfill-trace-v1 frames, tcfill-store-v1 records, tcfill-svc-v2
+ * (tcfill-trace-v1 frames, tcfill-store-v1 records, tcfill-svc-v3
  * wire frames) and FNV-1a 64 for compact content keys (workload
  * digests, trace identities, persistent-store shard routing).
  *

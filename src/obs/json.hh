@@ -302,6 +302,14 @@ class JsonWriter
 };
 
 /**
+ * Deepest nesting of arrays and objects the parser accepts. The
+ * deepest document this tree writes nests 7 levels; the cap keeps a
+ * hostile document (a frame of nothing but '[') from recursing the
+ * parser off its stack.
+ */
+inline constexpr unsigned kMaxJsonDepth = 64;
+
+/**
  * Parsed JSON document node. Objects preserve insertion order (so a
  * parse-and-reserialize of our own output is stable).
  */
@@ -362,7 +370,10 @@ struct JsonValue
         return static_cast<std::uint64_t>(number);
     }
 
-    /** Parse @p text; nullopt on malformed input. */
+    /**
+     * Parse @p text; nullopt on malformed input, on nesting deeper
+     * than kMaxJsonDepth and on a number outside the double range.
+     */
     static std::optional<JsonValue> tryParse(std::string_view text);
 
     /** Parse @p text; fatals on malformed input. */
@@ -549,7 +560,10 @@ class ObjectReader
 namespace detail
 {
 
-/** Recursive-descent JSON parser over a string_view cursor. */
+/**
+ * Recursive-descent JSON parser over a string_view cursor; recursion
+ * stops at kMaxJsonDepth.
+ */
 class JsonParser
 {
   public:
@@ -686,7 +700,60 @@ class JsonParser
         char *end = nullptr;
         out.kind = JsonValue::Kind::Number;
         out.number = std::strtod(tok, &end);
-        return end == tok + len;
+        // JSON has no infinity: an overflowing literal is refused
+        // rather than read as one no writer could echo back.
+        return end == tok + len && std::isfinite(out.number);
+    }
+
+    /** The members of an object whose '{' is at pos_. */
+    bool
+    parseObject(JsonValue &out)
+    {
+        ++pos_;
+        out.kind = JsonValue::Kind::Object;
+        skipWs();
+        if (consume('}'))
+            return true;
+        for (;;) {
+            skipWs();
+            std::string name;
+            if (!parseString(name))
+                return false;
+            skipWs();
+            if (!consume(':'))
+                return false;
+            JsonValue member;
+            if (!parseValue(member))
+                return false;
+            out.obj.emplace_back(std::move(name), std::move(member));
+            skipWs();
+            if (consume('}'))
+                return true;
+            if (!consume(','))
+                return false;
+        }
+    }
+
+    /** The elements of an array whose '[' is at pos_. */
+    bool
+    parseArray(JsonValue &out)
+    {
+        ++pos_;
+        out.kind = JsonValue::Kind::Array;
+        skipWs();
+        if (consume(']'))
+            return true;
+        for (;;) {
+            JsonValue elem;
+            if (!parseValue(elem))
+                return false;
+            out.arr.push_back(std::move(elem));
+            skipWs();
+            if (consume(']'))
+                return true;
+            if (!consume(','))
+                return false;
+        }
     }
 
     bool
@@ -696,48 +763,13 @@ class JsonParser
         if (pos_ >= s_.size())
             return false;
         char c = s_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (consume('}'))
-                return true;
-            for (;;) {
-                skipWs();
-                std::string name;
-                if (!parseString(name))
-                    return false;
-                skipWs();
-                if (!consume(':'))
-                    return false;
-                JsonValue member;
-                if (!parseValue(member))
-                    return false;
-                out.obj.emplace_back(std::move(name), std::move(member));
-                skipWs();
-                if (consume('}'))
-                    return true;
-                if (!consume(','))
-                    return false;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (consume(']'))
-                return true;
-            for (;;) {
-                JsonValue elem;
-                if (!parseValue(elem))
-                    return false;
-                out.arr.push_back(std::move(elem));
-                skipWs();
-                if (consume(']'))
-                    return true;
-                if (!consume(','))
-                    return false;
-            }
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxJsonDepth)
+                return false;
+            ++depth_;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
         }
         if (c == '"') {
             out.kind = JsonValue::Kind::String;
@@ -762,6 +794,7 @@ class JsonParser
 
     std::string_view s_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;        ///< arrays and objects open at pos_
 };
 
 } // namespace detail

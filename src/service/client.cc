@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <numeric>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -12,6 +13,7 @@
 #include "service/protocol.hh"
 #include "sim/config_io.hh"
 #include "sim/result_io.hh"
+#include "sim/runner.hh"
 
 namespace tcfill::service
 {
@@ -201,17 +203,45 @@ ServiceClient::sweep(const std::vector<Point> &points,
         err = "sweep has no points";
         return false;
     }
+    out.resize(points.size());
 
-    std::uint64_t id = nextId_++;
+    // Keys first: the daemon answers every stored point from its
+    // store, and no config is built for it on either side.
     std::string header;
     {
         obs::JsonWriter w(header);
         w.beginObject();
+        w.field("type", "lookup");
+        w.field("id", nextId_++);
+        w.field("progress", static_cast<bool>(progress));
+        w.beginArray("keys");
+        for (const Point &p : points)
+            w.value(simPointKey(p.workload, p.scale, p.config));
+        w.endArray();
+        w.endObject();
+    }
+    std::vector<std::size_t> slots(points.size());
+    std::iota(slots.begin(), slots.end(), std::size_t{0});
+    std::vector<std::size_t> missed;
+    SweepSummary looked;
+    if (!exchange(header, points, slots, out, &missed, SweepSummary{},
+                  looked, progress, err))
+        return false;
+    summary.storeHits = looked.storeHits;
+    summary.points = points.size() - missed.size();
+    if (missed.empty())
+        return true;
+
+    header.clear();
+    {
+        obs::JsonWriter w(header);
+        w.beginObject();
         w.field("type", "sweep");
-        w.field("id", id);
+        w.field("id", nextId_++);
         w.field("progress", static_cast<bool>(progress));
         w.beginArray("points");
-        for (const Point &p : points) {
+        for (std::size_t i : missed) {
+            const Point &p = points[i];
             w.beginObject();
             w.field("workload", p.workload);
             w.field("scale", p.scale);
@@ -222,6 +252,26 @@ ServiceClient::sweep(const std::vector<Point> &points,
         w.endArray();
         w.endObject();
     }
+    SweepSummary swept;
+    if (!exchange(header, points, missed, out, nullptr, summary, swept,
+                  progress, err))
+        return false;
+    summary.points += swept.points;
+    summary.storeHits += swept.storeHits;
+    summary.memoryHits = swept.memoryHits;
+    summary.computed = swept.computed;
+    return true;
+}
+
+bool
+ServiceClient::exchange(std::string_view header,
+                        const std::vector<Point> &points,
+                        const std::vector<std::size_t> &slots,
+                        std::vector<SimResult> &out,
+                        std::vector<std::size_t> *missed,
+                        const SweepSummary &before, SweepSummary &done,
+                        const obs::ProgressFn &progress, std::string &err)
+{
     std::string frame;
     appendMessage(frame, header);
     if (!writeAll(fd_, frame)) {
@@ -229,7 +279,8 @@ ServiceClient::sweep(const std::vector<Point> &points,
         return false;
     }
 
-    out.resize(points.size());
+    std::vector<bool> answered(slots.size(), false);
+    std::size_t unanswered = slots.size();
     for (;;) {
         std::string_view replyHeader, body;
         if (!readMessage(replyHeader, body, err))
@@ -246,23 +297,30 @@ ServiceClient::sweep(const std::vector<Point> &points,
             err = errorText(*v);
             return false;
         }
-        if (t == "result") {
+        if (t == "result" || (t == "miss" && missed)) {
             const obs::JsonValue *idx = v->find("index");
-            const obs::JsonValue *hit = v->find("cacheHit");
             if (!idx || !idx->isNumber()) {
-                err = "malformed result frame";
+                err = "malformed " + t + " frame";
                 return false;
             }
-            std::size_t i = static_cast<std::size_t>(idx->u64());
-            if (i >= out.size()) {
-                err = "result index out of range";
+            const std::uint64_t k = idx->u64();
+            if (k >= slots.size() || answered[k]) {
+                err = t + " index out of range or repeated";
                 return false;
+            }
+            answered[k] = true;
+            --unanswered;
+            const std::size_t i = slots[k];
+            if (t == "miss") {
+                missed->push_back(i);
+                continue;
             }
             SimResult &res = out[i];
             if (!resultFromRecordText(body, res, err))
                 return false;
             // Provenance and the cosmetic config label are
             // client-side facts: the record itself is normalized.
+            const obs::JsonValue *hit = v->find("cacheHit");
             res.cacheHit = hit && hit->isString() ? hit->str
                                                   : "computed";
             res.config = points[i].config.name;
@@ -271,35 +329,40 @@ ServiceClient::sweep(const std::vector<Point> &points,
         if (t == "progress") {
             if (progress) {
                 obs::SweepProgress p;
+                p.points = out.size();
+                p.done = before.points;
+                p.cacheHits = before.storeHits + before.memoryHits;
+                p.liveRuns = before.computed;
                 const obs::JsonValue *m = nullptr;
-                if ((m = v->find("points")) && m->isNumber())
-                    p.points = m->u64();
                 if ((m = v->find("done")) && m->isNumber())
-                    p.done = m->u64();
-                std::uint64_t stored = 0, memory = 0, computed = 0;
+                    p.done += m->u64();
                 if ((m = v->find("storeHits")) && m->isNumber())
-                    stored = m->u64();
+                    p.cacheHits += m->u64();
                 if ((m = v->find("memoryHits")) && m->isNumber())
-                    memory = m->u64();
+                    p.cacheHits += m->u64();
                 if ((m = v->find("computed")) && m->isNumber())
-                    computed = m->u64();
-                p.cacheHits = stored + memory;
-                p.liveRuns = computed;
-                p.liveDone = computed;
+                    p.liveRuns += m->u64();
+                p.liveDone = p.liveRuns;
                 progress(p);
             }
             continue;
         }
         if (t == "done") {
+            if (unanswered != 0) {
+                err = "server left " + std::to_string(unanswered) +
+                    " of " + std::to_string(slots.size()) +
+                    " points unanswered";
+                return false;
+            }
             const obs::JsonValue *m = nullptr;
             if ((m = v->find("points")) && m->isNumber())
-                summary.points = m->u64();
+                done.points = m->u64();
             if ((m = v->find("storeHits")) && m->isNumber())
-                summary.storeHits = m->u64();
+                done.storeHits = m->u64();
             if ((m = v->find("memoryHits")) && m->isNumber())
-                summary.memoryHits = m->u64();
+                done.memoryHits = m->u64();
             if ((m = v->find("computed")) && m->isNumber())
-                summary.computed = m->u64();
+                done.computed = m->u64();
             return true;
         }
         err = "unexpected server frame '" + t + "'";

@@ -1,14 +1,18 @@
 /**
  * @file
- * ServiceClient: the tcfill-svc-v2 client side. Connects to a tcfilld
+ * ServiceClient: the tcfill-svc-v3 client side. Connects to a tcfilld
  * Unix-domain socket, performs the hello schema handshake, and runs
- * batched sweeps: points go out in one frame, results stream back in
- * request order as parsed SimResults whose cacheHit records where the
- * daemon found each one (store / memory / computed). Each result
- * frame carries the record's own bytes, parsed once. A sweep asks
- * for progress frames only when its caller passes an obs::ProgressFn,
- * so the CLI's throttled console reporter works unchanged against a
- * remote daemon and other callers pay for no progress traffic.
+ * batched sweeps in two steps: one lookup names every point by its
+ * simPointKey text and the daemon answers the stored ones from its
+ * store; then one sweep carries the configs of the points that
+ * missed, if any. Results come back as parsed SimResults whose
+ * cacheHit records where the daemon found each one (store / memory /
+ * computed); each result frame carries the record's own bytes, parsed
+ * once. A stored point therefore costs its key and no config. A sweep
+ * asks for progress frames only when its caller passes an
+ * obs::ProgressFn, so the CLI's throttled console reporter works
+ * unchanged against a remote daemon and other callers pay for no
+ * progress traffic.
  */
 
 #ifndef TCFILL_SERVICE_CLIENT_HH
@@ -39,7 +43,7 @@ class ServiceClient
         SimConfig config;
     };
 
-    /** Provenance totals of one sweep, from the daemon's done frame. */
+    /** Provenance totals of one sweep, from the daemon's done frames. */
     struct SweepSummary
     {
         std::uint64_t points = 0;
@@ -61,10 +65,12 @@ class ServiceClient
     void close();
 
     /**
-     * Run one batched sweep. On success @p out holds one SimResult
-     * per point, in order, and @p summary the daemon's provenance
-     * totals. @p progress (optional) is invoked per completed point;
-     * without it the daemon sends no progress frames.
+     * Run one batched sweep: a lookup of every point's key, then a
+     * sweep of the points that missed (none when all hit). On success
+     * @p out holds one SimResult per point, in order, and @p summary
+     * the daemon's provenance totals over both requests. @p progress
+     * (optional) is invoked per completed point, with counts over the
+     * whole sweep; without it the daemon sends no progress frames.
      */
     bool sweep(const std::vector<Point> &points,
                std::vector<SimResult> &out, SweepSummary &summary,
@@ -85,6 +91,20 @@ class ServiceClient
     /** Read the next message (views valid until the next read). */
     bool readMessage(std::string_view &header, std::string_view &body,
                      std::string &err);
+    /**
+     * Send the lookup or sweep @p header whose k-th key or point is
+     * points[slots[k]], and read its reply: results fill out[slots[k]],
+     * misses go to @p missed (lookups only), progress frames reach
+     * @p progress counted on top of @p before, and the done frame's
+     * totals land in @p done.
+     */
+    bool exchange(std::string_view header,
+                  const std::vector<Point> &points,
+                  const std::vector<std::size_t> &slots,
+                  std::vector<SimResult> &out,
+                  std::vector<std::size_t> *missed,
+                  const SweepSummary &before, SweepSummary &done,
+                  const obs::ProgressFn &progress, std::string &err);
 
     int fd_ = -1;
     std::optional<FrameReader> reader_;

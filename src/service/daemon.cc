@@ -58,6 +58,57 @@ appendTyped(std::string &out, const char *type)
     appendMessage(out, header);
 }
 
+/** Append a result frame carrying @p record to @p out. */
+void
+appendResult(std::string &out, std::uint64_t id, std::uint64_t index,
+             const std::string &provenance, const std::string &record)
+{
+    std::string header;
+    obs::JsonWriter w(header);
+    w.beginObject();
+    w.field("type", "result");
+    w.field("id", id);
+    w.field("index", index);
+    w.field("cacheHit", provenance);
+    w.endObject();
+    appendMessage(out, header, record);
+}
+
+/** Append a progress frame: @p done of @p points answered so far. */
+void
+appendProgress(std::string &out, std::uint64_t id, std::uint64_t done,
+               std::uint64_t points, std::uint64_t storeHits,
+               std::uint64_t memoryHits, std::uint64_t computed)
+{
+    std::string header;
+    obs::JsonWriter w(header);
+    w.beginObject();
+    w.field("type", "progress");
+    w.field("id", id);
+    w.field("done", done);
+    w.field("points", points);
+    w.field("storeHits", storeHits);
+    w.field("memoryHits", memoryHits);
+    w.field("computed", computed);
+    w.endObject();
+    appendMessage(out, header);
+}
+
+/**
+ * Write @p reply out once it holds kReplyFlushBytes, so no request
+ * grows it further. False when the write fails.
+ */
+bool
+flushIfFull(int fd, std::string &reply)
+{
+    if (reply.size() < kReplyFlushBytes)
+        return true;
+    if (!writeAll(fd, reply))
+        return false;
+    reply.clear();
+    return true;
+}
+
 bool
 knownWorkload(const std::string &name)
 {
@@ -189,9 +240,11 @@ Daemon::Daemon(DaemonOptions opts)
         opts_.shards = 1;
     stats_.addCounter("connections", connCount_,
                       "client connections accepted");
+    stats_.addCounter("lookups", lookupCount_,
+                      "lookup requests served");
     stats_.addCounter("sweeps", sweepCount_, "sweep requests served");
     stats_.addCounter("points", pointCount_,
-                      "simulation points requested");
+                      "points answered with a result");
     stats_.addCounter("storeHits", storeHitCount_,
                       "points served from the persistent store");
     stats_.addCounter("memoryHits", memoryHitCount_,
@@ -551,6 +604,7 @@ Daemon::statsPayload()
         std::lock_guard<std::mutex> lk(mu_);
         w.beginObject("service");
         w.field("connections", connCount_.value());
+        w.field("lookups", lookupCount_.value());
         w.field("sweeps", sweepCount_.value());
         w.field("points", pointCount_.value());
         w.field("storeHits", storeHitCount_.value());
@@ -641,6 +695,8 @@ Daemon::connectionLoop(int fd)
             writeAll(fd, reply);
             requestShutdown();
             return;
+        } else if (t == "lookup") {
+            handleLookup(fd, *v, reply);
         } else if (t == "sweep") {
             handleSweep(fd, *v, reply);
         } else {
@@ -654,6 +710,73 @@ Daemon::connectionLoop(int fd)
         if (quit)
             return;
     }
+}
+
+void
+Daemon::handleLookup(int fd, const obs::JsonValue &v, std::string &reply)
+{
+    const obs::JsonValue *idv = v.find("id");
+    std::uint64_t id = idv && idv->isNumber() ? idv->u64() : 0;
+    const obs::JsonValue *pv = v.find("progress");
+    const bool wantProgress = pv && pv->isBool() && pv->boolean;
+    const obs::JsonValue *keys = v.find("keys");
+    std::string perr;
+    if (!keys || !keys->isArray() || keys->arr.empty())
+        perr = "lookup has no keys";
+    for (std::size_t i = 0; perr.empty() && i < keys->arr.size(); ++i) {
+        if (!keys->arr[i].isString())
+            perr = "lookup.keys[" + std::to_string(i) +
+                "] is not a string";
+    }
+    if (!perr.empty()) {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++errorCount_;
+        appendError(reply, perr, id, true);
+        return;
+    }
+
+    // The store alone answers: a key needs no config, and a miss is
+    // the client's to sweep, so nothing here coalesces or simulates.
+    const std::uint64_t points = keys->arr.size();
+    std::uint64_t hits = 0;
+    std::string record, header;
+    for (std::uint64_t i = 0; i < points; ++i) {
+        if (store_ && store_->get(keys->arr[i].str, record)) {
+            ++hits;
+            appendResult(reply, id, i, "store", record);
+            if (wantProgress)
+                appendProgress(reply, id, hits, points, hits, 0, 0);
+        } else {
+            header.clear();
+            obs::JsonWriter w(header);
+            w.beginObject();
+            w.field("type", "miss");
+            w.field("id", id);
+            w.field("index", i);
+            w.endObject();
+            appendMessage(reply, header);
+        }
+        if (!flushIfFull(fd, reply))
+            return;
+    }
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++lookupCount_;
+        pointCount_ += hits;
+        storeHitCount_ += hits;
+        if (wantProgress)
+            progressFrameCount_ += hits;
+    }
+
+    header.clear();
+    obs::JsonWriter w(header);
+    w.beginObject();
+    w.field("type", "done");
+    w.field("id", id);
+    w.field("points", points);
+    w.field("storeHits", hits);
+    w.endObject();
+    appendMessage(reply, header);
 }
 
 void
@@ -718,7 +841,6 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v, std::string &reply)
         res.push_back(resolvePoint(p.workload, p.scale, p.cfg));
 
     std::uint64_t storeHits = 0, memoryHits = 0, computed = 0;
-    std::string header;
     for (std::size_t i = 0; i < res.size(); ++i) {
         const Resolution &r = res[i];
         if (r.future.valid() && !reply.empty() &&
@@ -756,36 +878,15 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v, std::string &reply)
         else
             ++computed;
 
-        header.clear();
-        {
-            obs::JsonWriter w(header);
-            w.beginObject();
-            w.field("type", "result");
-            w.field("id", id);
-            w.field("index", static_cast<std::uint64_t>(i));
-            w.field("cacheHit", prov);
-            w.endObject();
-        }
-        appendMessage(reply, header, out.record);
-
-        if (wantProgress) {
-            header.clear();
-            obs::JsonWriter pw(header);
-            pw.beginObject();
-            pw.field("type", "progress");
-            pw.field("id", id);
-            pw.field("done", static_cast<std::uint64_t>(i + 1));
-            pw.field("points",
-                     static_cast<std::uint64_t>(points.size()));
-            pw.field("storeHits", storeHits);
-            pw.field("memoryHits", memoryHits);
-            pw.field("computed", computed);
-            pw.endObject();
-            appendMessage(reply, header);
-        }
+        appendResult(reply, id, i, prov, out.record);
+        if (wantProgress)
+            appendProgress(reply, id, i + 1, points.size(), storeHits,
+                           memoryHits, computed);
+        if (!flushIfFull(fd, reply))
+            return;
     }
 
-    header.clear();
+    std::string header;
     obs::JsonWriter w(header);
     w.beginObject();
     w.field("type", "done");

@@ -5,12 +5,18 @@
  * and the request-coalescing flight table; simulation itself runs in
  * a set of forked *shard* worker processes, each holding its own
  * SimRunner pool and in-memory result cache, connected to the parent
- * by a socketpair speaking tcfill-svc-v2 job frames.
+ * by a socketpair speaking tcfill-svc-v3 job frames.
+ *
+ * A lookup names points by their simPointKey text and is answered
+ * from the store alone: a result frame ("store") per stored key and a
+ * miss frame per other key. It parses no config and builds no key,
+ * so a repeated point costs a store read and nothing else.
  *
  * A sweep request is refused whole, with an error frame, when any
  * point names an unknown workload or a config the model cannot run
  * (configFromJson applies SimConfig::check), so no shard ever sees
- * such a point. Otherwise it resolves each point in order:
+ * such a point. Otherwise it resolves each point in order, keyed by
+ * the simPointKey of its parsed config:
  *
  *   1. persistent store hit        → "store"   (answered inline: no
  *      shard, no future)
@@ -21,13 +27,16 @@
  *      answers "memory" (its pool cache) or "computed", and the
  *      parent persists the returned record before replying.
  *
+ * Only a sweep stores records, and under the key its own config
+ * produces, so a client can never file a record under a wrong key.
  * The shard hash is stable, so a recurring point always lands on the
  * same shard and its program/result caches stay hot. Results stream
  * back to the client in request order, each carrying the record's
  * bytes as the store holds them, with progress frames interleaved
- * when the sweep asked for them (the client-side obs::ProgressFn
- * seam). A reply's frames collect in one buffer that is written once,
- * or just before the daemon blocks on a point still being simulated.
+ * when the request asked for them (the client-side obs::ProgressFn
+ * seam). A reply's frames collect in one buffer that is written when
+ * the reply ends, once it passes kReplyFlushBytes, or just before the
+ * daemon blocks on a point still being simulated.
  *
  * Fork-before-threads: start() forks every shard before the parent
  * creates its reader/accept threads, so shard children never inherit
@@ -155,6 +164,8 @@ class Daemon
                             const SimConfig &cfg);
     void shardReaderLoop(Shard &shard);
     void connectionLoop(int fd);
+    /** Answer one lookup: frames go to @p reply, flushed to @p fd. */
+    void handleLookup(int fd, const obs::JsonValue &v, std::string &reply);
     /** Answer one sweep: frames go to @p reply, flushed to @p fd. */
     void handleSweep(int fd, const obs::JsonValue &v, std::string &reply);
     std::string statsPayload();
@@ -176,6 +187,7 @@ class Daemon
     // `service.` stats group: counters mutate only under mu_.
     stats::Group stats_;
     stats::Counter connCount_;
+    stats::Counter lookupCount_;
     stats::Counter sweepCount_;
     stats::Counter pointCount_;
     stats::Counter storeHitCount_;

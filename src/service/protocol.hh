@@ -1,10 +1,10 @@
 /**
  * @file
- * tcfill-svc-v2: the framing layer of the simulation service. Every
+ * tcfill-svc-v3: the framing layer of the simulation service. Every
  * message — client↔daemon and daemon↔shard-worker alike — travels in
  * one length-prefixed, CRC-checked frame:
  *
- *   magic    u32 LE   kFrameMagic ("tsv2")
+ *   magic    u32 LE   kFrameMagic ("tsv2", kept from v2)
  *   len      u32 LE   payload byte length (<= kMaxFramePayload)
  *   payload  bytes    one message (below)
  *   crc      u32 LE   CRC-32 (IEEE) of payload — common/digest
@@ -22,22 +22,36 @@
  * never escaped into a JSON string and parsed back out. Messages (by
  * header "type"):
  *
- *   client → daemon:  hello{schema}, ping, stats, sweep{id, progress,
+ *   client → daemon:  hello{schema}, ping, stats, lookup{id, progress,
+ *                     keys:[simPointKey text]}, sweep{id, progress,
  *                     points:[{workload, scale, config}]}, shutdown
  *   daemon → client:  hello{schema, shards}, pong, stats{service,
  *                     store, shards}, result{id, index, cacheHit} +
- *                     record, progress{id, done, points, storeHits,
- *                     memoryHits, computed}, done{id, points,
- *                     storeHits, memoryHits, computed}, error{message
- *                     [, id]}, ok
+ *                     record, miss{id, index}, progress{id, done,
+ *                     points, storeHits, memoryHits, computed},
+ *                     done{id, points, storeHits[, memoryHits,
+ *                     computed]}, error{message[, id]}, ok
  *   daemon → shard:   job{id, workload, scale, config}
  *   shard → daemon:   result{id, cacheHit} + record, error{id, message}
  *
+ * A lookup is answered from the store alone: per key, in order, a
+ * result with cacheHit "store" or a miss, then done{id, points,
+ * storeHits}. It never parses a config, rebuilds a key, coalesces or
+ * simulates. A sweep resolves each point from its config (store,
+ * then an identical point in flight, then a shard) and is answered
+ * with one result per point, then done. ServiceClient::sweep looks up
+ * every point's key and sweeps only the misses, so a stored point
+ * costs no config on either side.
+ *
  * The daemon refuses a hello whose schema is not kSvcSchema. Progress
- * frames go only to sweeps that set "progress": true. Every endpoint
- * reads a socket through one FrameReader and sends each reply with a
- * single write, so a store hit costs one read and one write per side.
- * `config` objects are sim/config_io serializations.
+ * frames go only to lookups and sweeps that set "progress": true: one
+ * per hit of a lookup, one per point of a sweep. Every endpoint reads
+ * a socket through one FrameReader; a reply's frames collect in one
+ * buffer, written when the reply ends, when it passes
+ * kReplyFlushBytes, or before the daemon waits on a simulation. So a
+ * store hit costs one read and one write per side, and no key count
+ * can grow the buffer past one flush. `config` objects are
+ * sim/config_io serializations.
  */
 
 #ifndef TCFILL_SERVICE_PROTOCOL_HH
@@ -53,9 +67,9 @@ namespace tcfill::service
 {
 
 /** Protocol schema tag exchanged in the hello handshake. */
-inline constexpr const char *kSvcSchema = "tcfill-svc-v2";
+inline constexpr const char *kSvcSchema = "tcfill-svc-v3";
 
-/** Frame magic: "tsv2", little-endian. */
+/** Frame magic: "tsv2", little-endian (unchanged since v2). */
 inline constexpr std::uint32_t kFrameMagic = 0x32767374u;
 
 /** Upper bound on one frame's payload (sanity cap, not a target). */
@@ -63,6 +77,13 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 /** Bytes of framing around a payload (magic + len + crc). */
 inline constexpr std::size_t kFrameOverhead = 12;
+
+/**
+ * A reply buffer is written out once it holds this many bytes, so a
+ * request that asks for many small frames (a lookup of many keys)
+ * never grows the daemon's buffer much past this.
+ */
+inline constexpr std::size_t kReplyFlushBytes = 64 * 1024;
 
 /** Wrap @p payload in one complete frame. */
 std::string encodeFrame(std::string_view payload);
@@ -90,7 +111,7 @@ FrameStatus decodeFrame(std::string_view buf, std::string &payload,
 /**
  * Append one complete frame carrying the message @p header + @p body
  * to @p out. Replies are built by appending their frames to one
- * buffer and sent with one writeAll().
+ * buffer and sent with writeAll() (see kReplyFlushBytes).
  */
 void appendMessage(std::string &out, std::string_view header,
                    std::string_view body = {});

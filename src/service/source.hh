@@ -1,7 +1,7 @@
 /**
  * @file
  * The provenance-free record text of a SimResult: the bytes the
- * persistent store keeps and tcfill-svc-v2 result frames carry,
+ * persistent store keeps and tcfill-svc-v3 result frames carry,
  * whichever cache layer served the result.
  */
 
@@ -17,7 +17,7 @@ namespace tcfill::service
 
 /**
  * Normalize @p r to the provenance-free record text the store (and
- * the tcfill-svc-v2 wire) carries: cacheHit forced to "computed" so
+ * the tcfill-svc-v3 wire) carries: cacheHit forced to "computed" so
  * byte-identity of records never depends on which cache layer served
  * a particular run.
  */

@@ -176,41 +176,50 @@ ResultStore::replayLog(const std::string &log, std::string &err)
     index_.clear();
     lru_.clear();
     stats_.liveBytes = 0;
+    // A record whose op is known and whose lengths fit the log is
+    // framed: a CRC mismatch there is rot inside that one record, so
+    // it is skipped and replay goes on. Only an unknown op or a length
+    // that overruns the log is a torn tail (a crash mid-append).
     std::size_t pos = kHeaderBytes;
     std::size_t lastGood = pos;
+    std::uint64_t skipped = 0;
     bool torn = false;
     while (pos < log.size()) {
         std::uint8_t op = static_cast<std::uint8_t>(log[pos++]);
         std::uint64_t keyLen = 0;
-        if (!tracefile::getVarint(log, pos, keyLen) ||
+        if ((op != kOpPut && op != kOpTouch && op != kOpErase) ||
+            !tracefile::getVarint(log, pos, keyLen) ||
             log.size() - pos < keyLen) {
             torn = true;
             break;
         }
         std::string key = log.substr(pos, keyLen);
         pos += keyLen;
+        std::uint64_t valLen = 0;
+        std::size_t valOff = pos;
         if (op == kOpPut) {
-            std::uint64_t valLen = 0;
             if (!tracefile::getVarint(log, pos, valLen) ||
                 log.size() - pos < valLen) {
                 torn = true;
                 break;
             }
-            std::size_t valOff = pos;
+            valOff = pos;
             pos += valLen;
-            std::uint32_t want = 0;
-            if (!getU32(log, pos, want)) {
-                torn = true;
-                break;
-            }
-            std::uint32_t crc =
-                digest::crc32(key.data(), key.size());
-            crc = digest::crc32(log.data() + valOff, valLen, crc);
-            if (crc != want) {
-                torn = true;
-                break;
-            }
-            auto it = index_.find(key);
+        }
+        std::uint32_t want = 0;
+        if (!getU32(log, pos, want)) {
+            torn = true;
+            break;
+        }
+        lastGood = pos;
+        std::uint32_t crc = digest::crc32(key.data(), key.size());
+        crc = digest::crc32(log.data() + valOff, valLen, crc);
+        if (crc != want) {
+            ++skipped;
+            continue;
+        }
+        auto it = index_.find(key);
+        if (op == kOpPut) {
             if (it != index_.end())
                 dropLocked(key, /*logErase=*/false);
             Entry e;
@@ -219,40 +228,29 @@ ResultStore::replayLog(const std::string &log, std::string &err)
             e.crc = want;
             stats_.liveBytes += key.size() + valLen;
             insertLocked(std::move(key), e);
-        } else if (op == kOpTouch || op == kOpErase) {
-            std::uint32_t want = 0;
-            if (!getU32(log, pos, want)) {
-                torn = true;
-                break;
-            }
-            if (digest::crc32(key.data(), key.size()) != want) {
-                torn = true;
-                break;
-            }
-            auto it = index_.find(key);
-            if (it != index_.end()) {
-                if (op == kOpTouch) {
-                    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-                } else {
-                    dropLocked(key, /*logErase=*/false);
-                }
-            }
-        } else {
-            torn = true;
-            break;
+        } else if (it != index_.end()) {
+            if (op == kOpTouch)
+                lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+            else
+                dropLocked(key, /*logErase=*/false);
         }
-        lastGood = pos;
     }
 
+    if (skipped != 0) {
+        stats_.corruptDrops += skipped;
+        warn("result store '%s': skipped %llu records that fail their "
+             "CRC", path_.c_str(),
+             static_cast<unsigned long long>(skipped));
+    }
     logBytes_ = lastGood;
-    if (torn || lastGood < log.size()) {
-        // Crash-torn or corrupt tail: drop it so future appends land
-        // on a clean boundary.
+    if (torn) {
+        // Crash-torn tail: drop it so future appends land on a clean
+        // boundary.
         stats_.recoveredDrops++;
-        warn("result store '%s': dropping %zu corrupt trailing bytes",
+        warn("result store '%s': dropping %zu torn trailing bytes",
              path_.c_str(), log.size() - lastGood);
         if (::ftruncate(fd_, static_cast<off_t>(lastGood)) != 0) {
-            err = "cannot truncate corrupt tail of '" + path_ + "'";
+            err = "cannot truncate torn tail of '" + path_ + "'";
             return false;
         }
     }

@@ -13,12 +13,15 @@
  *     TOUCH  u8 0x02, varint keyLen, key, u32 LE CRC-32(key)
  *     ERASE  u8 0x03, varint keyLen, key, u32 LE CRC-32(key)
  *
- * load() replays the log into an in-memory index; the first torn or
- * CRC-corrupt record truncates the log back to the last good byte (a
- * crash mid-append costs at most the record being written). Every
- * get() re-reads its value bytes from disk and re-verifies the CRC,
- * so silent on-disk corruption of one record degrades to a miss for
- * that key, never a wrong result. TOUCH records persist recency, so
+ * load() replays the log into an in-memory index. A record whose op
+ * is known and whose lengths fit the log but whose CRC fails has
+ * rotted in place: it is skipped (counted in corruptDrops) and replay
+ * goes on, so it costs only itself. An unknown op or a length that
+ * overruns the log is a torn tail: the log is truncated back to the
+ * last whole record (a crash mid-append costs at most the record
+ * being written). Every get() re-reads its value bytes from disk and
+ * re-verifies the CRC, so silent on-disk corruption of one record
+ * degrades to a miss for that key, never a wrong result. TOUCH records persist recency, so
  * the LRU order survives restarts; when maxBytes is set, put() evicts
  * least-recently-used entries (appending ERASE) until live key+value
  * bytes fit. compact() rewrites the log with one PUT per live entry
@@ -47,8 +50,9 @@ struct StoreStats
     std::uint64_t hits = 0;         ///< get() calls returning a value
     std::uint64_t misses = 0;       ///< get() calls without one
     std::uint64_t evictions = 0;    ///< entries dropped for the cap
-    std::uint64_t recoveredDrops = 0; ///< bytes-truncating loads' losses
-    std::uint64_t corruptDrops = 0; ///< entries invalidated by get() CRC
+    std::uint64_t recoveredDrops = 0; ///< loads that truncated a torn tail
+    std::uint64_t corruptDrops = 0; ///< records failing their CRC (load
+                                    ///< skips, get() invalidations)
     std::uint64_t liveRecords = 0;  ///< keys currently resident
     std::uint64_t liveBytes = 0;    ///< live key+value payload bytes
     std::uint64_t logBytes = 0;     ///< on-disk log size incl. header

@@ -1,6 +1,6 @@
 /**
  * @file
- * JSON (de)serialization of SimConfig for the tcfill-svc-v2 service
+ * JSON (de)serialization of SimConfig for the tcfill-svc-v3 service
  * protocol: every behavior-affecting knob configCacheKey() covers,
  * plus the cosmetic name. The round-trip invariant — parsing a
  * serialized config reproduces the exact configCacheKey() — is what

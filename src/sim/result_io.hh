@@ -4,7 +4,7 @@
  * *record* is the deterministic body of one result — exactly
  * SimResult::toJson(include_host=false) — rendered as a standalone
  * JSON object. Records are what the persistent result store holds and
- * what the tcfill-svc-v2 protocol ships, byte for byte, as a result
+ * what the tcfill-svc-v3 protocol ships, byte for byte, as a result
  * frame's body; resultFromJson() inverts them so a client can re-emit
  * a tcfill-stats-v1 document
  * byte-identical to one written from the freshly computed results

@@ -86,7 +86,7 @@ keyCache(KeyText &os, const CacheParams &c)
 // wire serialization in sim/config_io.cc (configToJson +
 // configFromJson; round-trip-tested against this key in
 // tests/test_service.cc) — the persistent result store and the
-// tcfill-svc-v2 protocol both key off this serialization, so a field
+// tcfill-svc-v3 protocol both key off this serialization, so a field
 // the key misses would silently alias distinct configs on disk. Then
 // update the expected size. Sizes assume the LP64 Itanium ABI both CI
 // and the dev containers use; other ABIs skip the check (the unit

@@ -248,6 +248,29 @@ def check_trace_events():
     valid(path("sample-host.json"), path("host.json"))
 
 
+def check_bad_args():
+    """Each tool names the option it refuses before its usage text."""
+    for tool, args, want in (
+            ("tools/tcfill", ["--policy-hysteresis", "0.1", "compress"],
+             "unknown option '--policy-hysteresis'"),
+            ("tools/tcfill", ["--scale"], "option '--scale' needs a value"),
+            ("tools/tcfilld", ["--bogus"], "unknown option '--bogus'"),
+            ("tools/tcfilld", ["--socket"],
+             "option '--socket' needs a value"),
+            ("tools/tcfill_client", ["--bogus"],
+             "unknown option '--bogus'"),
+            ("tools/tcfill_client", ["--socket", path("s"), "--opts"],
+             "option '--opts' needs a value")):
+        res = subprocess.run([os.path.join(BUILD, tool), *args],
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
+        first = res.stderr.splitlines()[0] if res.stderr else ""
+        if res.returncode != 2 or first != want or "usage:" not in \
+                res.stderr:
+            fail(f"{tool} {' '.join(args)}: exit {res.returncode}, "
+                 f"stderr {res.stderr!r}; want {want!r} then usage")
+
+
 def start_daemon(sock, *args):
     proc = subprocess.Popen(
         [os.path.join(BUILD, "tools/tcfilld"), "--socket", sock,
@@ -278,7 +301,7 @@ def stop_daemon(proc, sock):
 
 
 def svc_message(sock, header):
-    """Send one tcfill-svc-v2 message; return the reply's header."""
+    """Send one tcfill-svc-v3 message; return the reply's header."""
     hdr = json.dumps(header).encode()
     payload = struct.pack("<I", len(hdr)) + hdr
     sock.sendall(struct.pack("<II", 0x32767374, len(payload)) + payload +
@@ -330,14 +353,17 @@ def check_service():
             fail("a --progress sweep of 16 points got "
                  f"{progress_frames(sock)} progress frames")
         # A client naming another protocol is refused, by name.
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
-            raw.connect(sock)
-            reply = svc_message(raw, {"type": "hello",
-                                      "schema": "tcfill-svc-v1"})
-        want = ("unsupported protocol 'tcfill-svc-v1': this daemon "
-                "speaks tcfill-svc-v2")
-        if reply.get("type") != "error" or reply.get("message") != want:
-            fail(f"old-protocol hello not refused clearly: {reply}")
+        for old in ("tcfill-svc-v1", "tcfill-svc-v2"):
+            with socket.socket(socket.AF_UNIX,
+                               socket.SOCK_STREAM) as raw:
+                raw.connect(sock)
+                reply = svc_message(raw, {"type": "hello",
+                                          "schema": old})
+            want = (f"unsupported protocol '{old}': this daemon "
+                    "speaks tcfill-svc-v3")
+            if reply.get("type") != "error" or \
+                    reply.get("message") != want:
+                fail(f"old-protocol hello not refused clearly: {reply}")
     finally:
         stop_daemon(daemon, sock)
     same_replay(path("cold.json"), path("warm.json"))

@@ -17,13 +17,16 @@
 #include <string_view>
 
 #include "asm/builder.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "obs/host_prof.hh"
 #include "obs/json.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/timeline.hh"
 #include "obs/trace_events.hh"
+#include "sim/config_io.hh"
 #include "sim/processor.hh"
+#include "sim/result_io.hh"
 #include "sim/runner.hh"
 #include "sim/stats_io.hh"
 #include "tracefile/replay.hh"
@@ -270,6 +273,171 @@ TEST(Json, ParserHandlesEscapeRunsAndLongNumbers)
     EXPECT_FALSE(JsonValue::tryParse("[" + digits + "e]").has_value());
     EXPECT_FALSE(JsonValue::tryParse("[--1]").has_value());
     EXPECT_FALSE(JsonValue::tryParse("\"esc at end\\").has_value());
+}
+
+// A frame of nothing but '[' must not recurse the parser off its
+// stack: nesting past kMaxJsonDepth is refused however deep it goes,
+// and the cap's own depth still parses.
+TEST(Json, DeepNestingIsRefused)
+{
+    auto objects = [](std::size_t depth) {
+        std::string doc;
+        for (std::size_t i = 0; i < depth; ++i)
+            doc += "{\"a\": ";
+        return doc + "1" + std::string(depth, '}');
+    };
+    const std::size_t cap = obs::kMaxJsonDepth;
+    for (std::size_t depth : {cap + 1, std::size_t(100'000)}) {
+        EXPECT_FALSE(JsonValue::tryParse(std::string(depth, '[') +
+                                         std::string(depth, ']')))
+            << depth;
+        EXPECT_FALSE(JsonValue::tryParse(objects(depth))) << depth;
+        EXPECT_FALSE(JsonValue::tryParse(std::string(depth, '[')))
+            << depth;
+    }
+
+    auto arrays = JsonValue::tryParse(std::string(cap, '[') +
+                                      std::string(cap, ']'));
+    ASSERT_TRUE(arrays.has_value());
+    const JsonValue *v = &*arrays;
+    for (std::size_t i = 1; i < cap; ++i) {
+        ASSERT_EQ(v->arr.size(), 1u) << i;
+        v = &v->arr[0];
+    }
+    EXPECT_TRUE(v->isArray() && v->arr.empty());
+    auto nested = JsonValue::tryParse(objects(cap));
+    ASSERT_TRUE(nested.has_value());
+    v = &*nested;
+    for (std::size_t i = 0; i < cap; ++i)
+        v = &v->at("a");
+    EXPECT_EQ(v->u64(), 1u);
+}
+
+/** @p v as compact JSON text (every kind, null included). */
+void
+writeCompact(std::string &out, const JsonValue &v)
+{
+    switch (v.kind) {
+      case JsonValue::Kind::Null:
+        out += "null";
+        break;
+      case JsonValue::Kind::Bool:
+        out += v.boolean ? "true" : "false";
+        break;
+      case JsonValue::Kind::Number:
+        obs::appendJsonNumber(out, v.number);
+        break;
+      case JsonValue::Kind::String:
+        obs::jsonQuote(out, v.str);
+        break;
+      case JsonValue::Kind::Array:
+        out += '[';
+        for (std::size_t i = 0; i < v.arr.size(); ++i) {
+            if (i)
+                out += ',';
+            writeCompact(out, v.arr[i]);
+        }
+        out += ']';
+        break;
+      case JsonValue::Kind::Object:
+        out += '{';
+        for (std::size_t i = 0; i < v.obj.size(); ++i) {
+            if (i)
+                out += ',';
+            obs::jsonQuote(out, v.obj[i].first);
+            out += ':';
+            writeCompact(out, v.obj[i].second);
+        }
+        out += '}';
+        break;
+    }
+}
+
+// Seeded mutation fuzz of the parser over the documents that cross a
+// trust boundary: a result record, a config and a sweep header. Every
+// mutant must parse to nothing, or to a value that re-serializes and
+// re-parses to the same value; never crash, hang or overflow the
+// stack (bracket bombs nest far past kMaxJsonDepth).
+TEST(JsonFuzz, MutatedDocumentsRejectOrRoundTrip)
+{
+    SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
+    cfg.name = "fuzz";
+    cfg.maxInsts = 2'000;
+    SimRunner runner(1);
+    std::string header;
+    {
+        JsonWriter w(header);
+        w.beginObject();
+        w.field("type", "sweep");
+        w.field("id", std::uint64_t(7));
+        w.field("progress", true);
+        w.beginArray("points");
+        w.beginObject();
+        w.field("workload", "compress");
+        w.field("scale", 1u);
+        w.key("config");
+        configToJson(w, cfg);
+        w.endObject();
+        w.endArray();
+        w.endObject();
+    }
+    std::string config;
+    {
+        JsonWriter w(config);
+        configToJson(w, cfg);
+    }
+    const std::string docs[] = {
+        resultRecordText(runner.run("compress", cfg, 1)), config, header};
+
+    Random rng(0x15f00d);
+    for (int iter = 0; iter < 3000; ++iter) {
+        const std::string &doc = docs[iter % 3];
+        std::string m = doc;
+        const std::size_t at = rng.below(m.size());
+        switch ((iter / 3) % 6) {
+          case 0:   // one byte replaced
+            m[at] = static_cast<char>(rng.next());
+            break;
+          case 1:   // a range deleted
+            m.erase(at, 1 + rng.below(64));
+            break;
+          case 2:   // a range duplicated in place
+            m.insert(at, m.substr(at, 1 + rng.below(64)));
+            break;
+          case 3: { // a bracket bomb, closed or not
+            const std::size_t n = 1 + rng.below(rng.below(2) ? 100 : 200'000);
+            const char open = rng.below(2) ? '[' : '{';
+            std::string bomb(n, open);
+            if (open == '[' && rng.below(2))
+                bomb += std::string(n, ']');
+            m.insert(at, bomb);
+            break;
+          }
+          case 4: { // a number literal out of the double range
+            static const char *const kHuge[] = {"1e999", "-1e400",
+                                                "1e-400", "-0"};
+            const std::size_t digit = m.find_first_of("0123456789", at);
+            if (digit != std::string::npos)
+                m.replace(digit, 1, kHuge[rng.below(4)]);
+            break;
+          }
+          default:  // truncation
+            m.resize(at);
+            break;
+        }
+
+        const auto v = JsonValue::tryParse(m);
+        if (!v)
+            continue;
+        std::string text;
+        writeCompact(text, *v);
+        const auto again = JsonValue::tryParse(text);
+        ASSERT_TRUE(again.has_value()) << "iteration " << iter << ": "
+                                       << text.substr(0, 200);
+        std::string echo;
+        writeCompact(echo, *again);
+        ASSERT_EQ(echo, text) << "iteration " << iter;
+    }
 }
 
 // --------------------------------------------------------------------

@@ -3,16 +3,18 @@
  * Simulation-service tests: the digest primitives every
  * content-addressed identity derives from (pinned to published test
  * vectors and a bytewise reference so an accidental algorithm change
- * orphans no store), the store-key text, the config codec (configs
- * the model cannot run are refused, with a seeded mutation fuzz), the
- * tcfill-svc-v2 frame codec, message layout and buffered reader (with
- * a seeded mutation fuzz of frame streams and of result frames), the
- * persistent ResultStore (round trips, reopen, LRU eviction,
- * compaction, corruption recovery), provenance-free record text, and
- * the daemon end to end: the schema handshake, pipelined requests,
+ * orphans no store), the store-key text (the client's key is the
+ * daemon's), the config codec (configs the model cannot run are
+ * refused, with a seeded mutation fuzz), the tcfill-svc-v3 frame
+ * codec, message layout and buffered reader (with a seeded mutation
+ * fuzz of frame streams, of lookup replies fed to a client and of
+ * lookups fed to a daemon), the persistent ResultStore (round trips,
+ * reopen, LRU eviction, compaction, corruption recovery and a
+ * crash-point sweep), provenance-free record text, and the daemon end
+ * to end: the schema handshake, pipelined requests, key-only lookups,
  * progress on request, request coalescing, provenance accounting,
- * refused configs, and byte-identical records across every provenance
- * path and shard count.
+ * refused configs and headers, and byte-identical records across
+ * every provenance path, shard count and concurrent client.
  */
 
 #include <gtest/gtest.h>
@@ -345,6 +347,34 @@ const BadKnob kBadKnobs[] = {
     {"config.mem: memBusOccupancy",
      [](SimConfig &c) { c.mem.memBusOccupancy = 65536; }},
 };
+
+// ServiceClient::sweep looks a point up by the key of its own config;
+// a sweep files the point under the key of the config the daemon
+// parsed off the wire. Over the paper's 32 pass masks x 3 fill
+// latencies the two are the same text, so a swept point is found by
+// the next lookup.
+TEST(PointKey, ClientKeyEqualsDaemonKey)
+{
+    for (unsigned mask = 0; mask <= kPassMaskEvery; ++mask) {
+        for (Cycle lat : {Cycle{1}, Cycle{5}, Cycle{10}}) {
+            ServiceClient::Point p;
+            p.workload = "li";
+            p.scale = 2;
+            p.config = SimConfig::withOpts(
+                optsFromPassMask(static_cast<PassMask>(mask)), lat);
+            p.config.name = "mask " + std::to_string(mask);
+            p.config.maxInsts = 20'000 + 8 * mask;
+            SimConfig wire;
+            std::string err;
+            ASSERT_TRUE(configFromJson(
+                obs::JsonValue::parse(configText(p.config)), wire, err))
+                << err;
+            EXPECT_EQ(simPointKey(p.workload, p.scale, p.config),
+                      simPointKey(p.workload, p.scale, wire))
+                << "mask " << mask << " latency " << lat;
+        }
+    }
+}
 
 TEST(ConfigWire, RejectsConfigsTheModelCannotRun)
 {
@@ -869,7 +899,8 @@ TEST(WireFuzz, MutatedFrameStreamsRejectOrRoundTrip)
 
 /**
  * A stand-in daemon on a Unix socket: answers one client's hello and
- * replies to its sweep with canned bytes, then hangs up.
+ * replies to its next request (a sweep's lookup) with canned bytes,
+ * then hangs up.
  */
 class ScriptedServer
 {
@@ -925,9 +956,10 @@ class ScriptedServer
     std::thread thread_;
 };
 
-// Result frames carry a record's raw bytes after a JSON header. The
-// client must turn every mutation of one — header, body, header
-// length — into a clean error or the intact record, never a crash.
+// Result frames carry a record's raw bytes after a JSON header. Here
+// one answers the lookup a sweep starts with, and the client must turn
+// every mutation of it — header, body, header length — into a clean
+// error or the intact record, never a crash.
 TEST(WireFuzz, MutatedResultFramesRejectOrRoundTrip)
 {
     const std::string dir = scratchDir("fuzzresult");
@@ -1259,6 +1291,165 @@ TEST(Store, OnDiskBitFlipDegradesToMiss)
     EXPECT_EQ(v, value);
 }
 
+/** The whole log file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::string out;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    std::fclose(f);
+    return out;
+}
+
+/** A store directory holding exactly @p log as its log file. */
+std::string
+storeWithLog(const std::string &tag, const std::string &log)
+{
+    const std::string dir = scratchDir(tag);
+    std::FILE *f = std::fopen((dir + "/results.tcfstore").c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f) {
+        EXPECT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+        std::fclose(f);
+    }
+    return dir;
+}
+
+// One rotted byte early in the log used to read as a torn tail: the
+// reload truncated the log there and lost every later record.
+TEST(Store, RottedRecordCostsOnlyItselfOnReload)
+{
+    const std::string dir = scratchDir("rot");
+    auto value = [](int k) {
+        return "value " + std::to_string(k) + std::string(12, 'v');
+    };
+    std::string path;
+    {
+        ResultStore store(dir);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        for (int k = 0; k <= 1000; ++k)
+            ASSERT_TRUE(store.put("key " + std::to_string(k), value(k)));
+        path = store.path();
+    }
+    std::string log = readFile(path);
+    const std::size_t at = log.find(value(0));
+    ASSERT_NE(at, std::string::npos);
+    log[at] ^= 0x20;
+    const std::string rotted = storeWithLog("rot2", log);
+
+    ResultStore store(rotted);
+    std::string err;
+    ASSERT_TRUE(store.load(err)) << err;
+    const StoreStats s = store.stats();
+    EXPECT_EQ(s.liveRecords, 1000u);
+    EXPECT_EQ(s.corruptDrops, 1u);
+    EXPECT_EQ(s.recoveredDrops, 0u);
+    EXPECT_EQ(s.logBytes, log.size()) << "nothing may be truncated";
+    std::string v;
+    EXPECT_FALSE(store.get("key 0", v));
+    for (int k = 1; k <= 1000; ++k) {
+        ASSERT_TRUE(store.get("key " + std::to_string(k), v)) << k;
+        ASSERT_EQ(v, value(k));
+    }
+}
+
+// The crash-point sweep: a log cut at every record boundary, or inside
+// any record, reloads exactly the records before the cut; one rotted
+// byte in any record's key or value costs that record alone. No
+// reload ever serves a wrong value.
+TEST(StoreFuzz, TruncateOrRotAtEveryRecord)
+{
+    const std::string dir = scratchDir("crashpoints");
+    constexpr int kPuts = 24;
+    auto key = [](int k) { return "point " + std::to_string(k) + "@1"; };
+    auto value = [](int k) {
+        // Past 127 bytes from k = 6 on: two-byte length varints too.
+        return "{record " + std::to_string(k) + "}" +
+            std::string(20 * static_cast<std::size_t>(k), 'r');
+    };
+    // PUTs interleaved with gets (TOUCH records); ends[i] is the log
+    // size after the i-th PUT's record and putAt[i] where it starts.
+    std::vector<std::size_t> putAt, ends;
+    std::string path;
+    {
+        ResultStore store(dir);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        std::string v;
+        for (int k = 0; k < kPuts; ++k) {
+            putAt.push_back(store.stats().logBytes);
+            ASSERT_TRUE(store.put(key(k), value(k)));
+            ends.push_back(store.stats().logBytes);
+            if (k % 3 == 2) {
+                ASSERT_TRUE(store.get(key(k / 2), v));
+            }
+        }
+        path = store.path();
+    }
+    const std::string log = readFile(path);
+
+    // Load @p bytes; every key must miss or return its own value.
+    // Returns the keys served.
+    auto reload = [&](const std::string &bytes, StoreStats &stats) {
+        const std::string d = storeWithLog("crashpoint", bytes);
+        ResultStore store(d);
+        std::string err;
+        EXPECT_TRUE(store.load(err)) << err;
+        std::vector<int> served;
+        std::string v;
+        for (int k = 0; k < kPuts; ++k) {
+            if (store.get(key(k), v)) {
+                EXPECT_EQ(v, value(k)) << "key " << k;
+                served.push_back(k);
+            }
+        }
+        stats = store.stats();
+        return served;
+    };
+    auto firstN = [](int n) {
+        std::vector<int> out;
+        for (int k = 0; k < n; ++k)
+            out.push_back(k);
+        return out;
+    };
+
+    for (int i = 0; i < kPuts; ++i) {
+        StoreStats st;
+        // Cut exactly at the record's start and end (a TOUCH record
+        // may follow it), and inside it.
+        EXPECT_EQ(reload(log.substr(0, putAt[i]), st), firstN(i)) << i;
+        EXPECT_EQ(reload(log.substr(0, ends[i]), st), firstN(i + 1)) << i;
+        EXPECT_EQ(st.recoveredDrops, 0u) << i;
+        const std::size_t inside =
+            putAt[i] + 1 + (ends[i] - putAt[i] - 1) * (i % 4) / 4;
+        EXPECT_EQ(reload(log.substr(0, inside), st), firstN(i)) << i;
+        EXPECT_EQ(st.recoveredDrops, 1u) << i;
+
+        // One rotted byte in the key, then in the value.
+        std::vector<int> others = firstN(kPuts);
+        others.erase(others.begin() + i);
+        for (const std::string &part : {key(i), value(i)}) {
+            std::string rotted = log;
+            const std::size_t at = rotted.find(part, putAt[i]);
+            ASSERT_LT(at, ends[i]) << i;
+            rotted[at + part.size() / 2] ^= 0x01;
+            EXPECT_EQ(reload(rotted, st), others) << i;
+            EXPECT_EQ(st.recoveredDrops, 0u) << i;
+            EXPECT_GE(st.corruptDrops, 1u) << i;
+        }
+    }
+    StoreStats st;
+    EXPECT_EQ(reload(log, st), firstN(kPuts));
+    EXPECT_EQ(st.corruptDrops, 0u);
+}
+
 // ---- record text --------------------------------------------------------
 
 TEST(Source, NormalizedRecordStripsProvenance)
@@ -1309,6 +1500,8 @@ class DaemonHarness
     }
 
     bool started() const { return started_; }
+
+    ResultStore *store() { return daemon_->store(); }
 
   private:
     std::string dir_;
@@ -1461,6 +1654,7 @@ TEST(Daemon, RefusesAnotherProtocolSchema)
 
     for (const char *hello :
          {"{\"type\": \"hello\", \"schema\": \"tcfill-svc-v1\"}",
+          "{\"type\": \"hello\", \"schema\": \"tcfill-svc-v2\"}",
           "{\"type\": \"hello\"}"}) {
         int fd = rawConnect(harness.socketPath());
         std::string frame;
@@ -1601,6 +1795,316 @@ TEST(Daemon, RejectsUnknownWorkloadWithoutKillingTheSweep)
     };
     ASSERT_TRUE(client.sweep(good, out, summary, err)) << err;
     EXPECT_EQ(summary.computed, 1u);
+}
+
+/** Send the message @p header on @p fd. */
+void
+sendMessage(int fd, std::string_view header)
+{
+    std::string frame;
+    appendMessage(frame, header);
+    ASSERT_TRUE(writeAll(fd, frame));
+}
+
+/** The header of a lookup of @p keys. */
+std::string
+lookupHeader(std::uint64_t id, const std::vector<std::string> &keys,
+             bool progress = false)
+{
+    std::string header;
+    obs::JsonWriter w(header);
+    w.beginObject();
+    w.field("type", "lookup");
+    w.field("id", id);
+    w.field("progress", progress);
+    w.beginArray("keys");
+    for (const std::string &k : keys)
+        w.value(k);
+    w.endArray();
+    w.endObject();
+    return header;
+}
+
+/** Sweep @p p once through a fresh client: it is computed and stored. */
+void
+storePoint(DaemonHarness &harness, const ServiceClient::Point &p)
+{
+    ServiceClient client;
+    std::string err;
+    ASSERT_TRUE(client.connect(harness.socketPath(), err)) << err;
+    std::vector<SimResult> out;
+    ServiceClient::SweepSummary summary;
+    ASSERT_TRUE(client.sweep({p}, out, summary, err)) << err;
+    ASSERT_EQ(summary.computed, 1u);
+}
+
+// A lookup carries keys and nothing else. A stored key comes back as
+// the stored record's own bytes; an unknown or empty key as a miss.
+// Nothing is simulated for it.
+TEST(Daemon, LookupServesStoredRecordsByKeyAlone)
+{
+    DaemonHarness harness("lookup", 1);
+    ASSERT_TRUE(harness.started());
+    const ServiceClient::Point stored = point("compress", tinyConfig());
+    storePoint(harness, stored);
+    const std::string key =
+        simPointKey(stored.workload, stored.scale, stored.config);
+    std::string record;
+    ASSERT_TRUE(harness.store()->get(key, record));
+
+    int fd = rawConnect(harness.socketPath());
+    sendMessage(fd, lookupHeader(9, {"li@1#not-a-config", key, ""}));
+    FrameReader reader(fd);
+    std::string_view payload, header, body;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(reader.next(payload), WireStatus::Ok);
+        ASSERT_TRUE(splitMessage(payload, header, body));
+        const obs::JsonValue v = obs::JsonValue::parse(header);
+        EXPECT_EQ(v.at("id").u64(), 9u);
+        EXPECT_EQ(v.at("index").u64(), i);
+        if (i == 1) {
+            EXPECT_EQ(v.at("type").str, "result");
+            EXPECT_EQ(v.at("cacheHit").str, "store");
+            EXPECT_TRUE(body == record) << "the stored bytes, unchanged";
+        } else {
+            EXPECT_EQ(v.at("type").str, "miss");
+            EXPECT_TRUE(body.empty());
+        }
+    }
+    auto done = nextHeader(reader);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->at("type").str, "done");
+    EXPECT_EQ(done->at("points").u64(), 3u);
+    EXPECT_EQ(done->at("storeHits").u64(), 1u);
+    ::close(fd);
+
+    ServiceClient client;
+    std::string err, stats;
+    ASSERT_TRUE(client.connect(harness.socketPath(), err)) << err;
+    ASSERT_TRUE(client.serverStats(stats, err)) << err;
+    const obs::JsonValue svc = obs::JsonValue::parse(stats).at("service");
+    EXPECT_EQ(svc.at("lookups").u64(), 2u);    // the client's, then ours
+    EXPECT_EQ(svc.at("sweeps").u64(), 1u);
+    EXPECT_EQ(svc.at("storeHits").u64(), 1u);
+    EXPECT_EQ(svc.at("dispatched").u64(), 1u);
+}
+
+// The parser used to recurse once per '[' with no limit: one frame of
+// 200,000 of them overflowed a connection thread's stack and killed
+// the daemon.
+TEST(Daemon, DeeplyNestedHeaderIsRefusedAndDaemonSurvives)
+{
+    DaemonHarness harness("deep", 1, /*with_store=*/false);
+    ASSERT_TRUE(harness.started());
+
+    int fd = rawConnect(harness.socketPath());
+    sendMessage(fd, std::string(200'000, '[') + std::string(200'000, ']'));
+    sendMessage(fd, "{\"type\": \"ping\"}");
+    FrameReader reader(fd);
+    auto refused = nextHeader(reader);
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->at("type").str, "error");
+    EXPECT_EQ(refused->at("message").str, "malformed message");
+    auto pong = nextHeader(reader);
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->at("type").str, "pong");
+    ::close(fd);
+}
+
+// Lookups are the one request whose reply outgrows it: an empty key is
+// 3 bytes of request and ~60 of miss frame. Malformed ones are refused
+// whole; 100,000 empty keys get 100,000 misses, which the daemon sends
+// in kReplyFlushBytes pieces; and the connection keeps working.
+TEST(WireFuzz, HostileLookupsAreRefusedOrAnswered)
+{
+    DaemonHarness harness("hostilelookup", 1);
+    ASSERT_TRUE(harness.started());
+    int fd = rawConnect(harness.socketPath());
+    FrameReader reader(fd);
+    auto expectPong = [&] {
+        sendMessage(fd, "{\"type\": \"ping\"}");
+        auto v = nextHeader(reader);
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ(v->at("type").str, "pong");
+    };
+
+    for (const char *keys : {"", ", \"keys\": []", ", \"keys\": \"k\"",
+                             ", \"keys\": {\"k\": 1}",
+                             ", \"keys\": [\"k\", 7]", ", \"keys\": [null]",
+                             ", \"keys\": [[\"k\"]]", ", \"keys\": [true]"}) {
+        sendMessage(fd, std::string("{\"type\": \"lookup\", \"id\": 4") +
+                            keys + "}");
+        auto v = nextHeader(reader);
+        ASSERT_TRUE(v.has_value()) << keys;
+        EXPECT_EQ(v->at("type").str, "error") << keys;
+        EXPECT_EQ(v->at("id").u64(), 4u) << keys;
+        expectPong();
+    }
+
+    constexpr std::uint64_t kKeys = 100'000;
+    std::string many = "{\"type\": \"lookup\", \"id\": 5, \"keys\": [\"\"";
+    for (std::uint64_t i = 1; i < kKeys; ++i)
+        many += ",\"\"";
+    sendMessage(fd, many + "]}");
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+        auto v = nextHeader(reader);
+        ASSERT_TRUE(v.has_value()) << i;
+        ASSERT_EQ(v->at("type").str, "miss") << i;
+        ASSERT_EQ(v->at("index").u64(), i);
+    }
+    auto done = nextHeader(reader);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->at("type").str, "done");
+    EXPECT_EQ(done->at("points").u64(), kKeys);
+    EXPECT_EQ(done->at("storeHits").u64(), 0u);
+    expectPong();
+    ::close(fd);
+}
+
+// Seeded mutations of a lookup header sent to a live daemon holding
+// one stored point: each is refused with an error frame or answered
+// key by key with nothing but that point's record, and the daemon
+// keeps serving the connection.
+TEST(WireFuzz, MutatedLookupFramesAreAnsweredOrRefused)
+{
+    DaemonHarness harness("fuzzlookup", 1);
+    ASSERT_TRUE(harness.started());
+    const ServiceClient::Point stored = point("compress", tinyConfig());
+    storePoint(harness, stored);
+    const std::string key =
+        simPointKey(stored.workload, stored.scale, stored.config);
+    std::string record;
+    ASSERT_TRUE(harness.store()->get(key, record));
+    const std::string original =
+        lookupHeader(3, {key, "li@1#other", ""}, true);
+
+    int fd = rawConnect(harness.socketPath());
+    FrameReader reader(fd);
+    Random rng(0x100c);
+    static const char *const kNotStrings[] = {"7", "null", "[]", "{}",
+                                              "true", "-1e999"};
+    for (int iter = 0; iter < 400; ++iter) {
+        std::string m = original;
+        const std::size_t at = rng.below(m.size());
+        switch (iter % 6) {
+          case 0:   // one byte replaced
+            m[at] = static_cast<char>(rng.next());
+            break;
+          case 1:   // a range deleted
+            m.erase(at, 1 + rng.below(32));
+            break;
+          case 2:   // a range duplicated (keys repeat, arrays grow)
+            m.insert(at, m.substr(at, 1 + rng.below(300)));
+            break;
+          case 3: { // one key replaced by a value of another type
+            const std::size_t q = m.find('"', m.find('[') + 1);
+            m.replace(q, m.find('"', q + 1) - q + 1,
+                      kNotStrings[rng.below(6)]);
+            break;
+          }
+          case 4:   // the keys emptied
+            m.replace(m.find('['), m.rfind(']') - m.find('[') + 1,
+                      rng.below(2) ? "[]" : "[\"\"]");
+            break;
+          default:  // truncated
+            m.resize(at);
+            break;
+        }
+        sendMessage(fd, m);
+        for (;;) {
+            std::string_view payload, header, body;
+            ASSERT_EQ(reader.next(payload), WireStatus::Ok) << iter;
+            ASSERT_TRUE(splitMessage(payload, header, body)) << iter;
+            auto v = obs::JsonValue::tryParse(header);
+            ASSERT_TRUE(v.has_value()) << iter;
+            const std::string type = v->at("type").str;
+            if (type == "result") {
+                EXPECT_EQ(v->at("cacheHit").str, "store") << iter;
+                EXPECT_TRUE(body == record) << iter;
+                continue;
+            }
+            if (type == "miss" || type == "progress")
+                continue;
+            ASSERT_TRUE(type == "done" || type == "error")
+                << iter << ": " << type;
+            break;
+        }
+    }
+    sendMessage(fd, "{\"type\": \"ping\"}");
+    auto pong = nextHeader(reader);
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->at("type").str, "pong");
+    ::close(fd);
+}
+
+// Two clients look up and sweep overlapping points while the shards
+// compute and the daemon stores them. However a point is served —
+// store, coalesced, a shard's cache or simulated — its record is the
+// in-process SimRunner result. Runs under TSan in CI.
+TEST(Daemon, ConcurrentLookupsAndSweepsAgree)
+{
+    DaemonHarness harness("concurrent", 2);
+    ASSERT_TRUE(harness.started());
+
+    std::vector<ServiceClient::Point> pts;
+    for (const char *w : {"compress", "li"}) {
+        for (PassMask mask : {kPassMaskNone, kPassMarkMoves, kPassMaskAll}) {
+            SimConfig cfg = SimConfig::withOpts(optsFromPassMask(mask));
+            cfg.name = passMaskName(mask);
+            cfg.maxInsts = 2'000;
+            pts.push_back(point(w, cfg));
+        }
+    }
+    std::vector<std::string> want;
+    {
+        SimRunner runner(1);
+        for (const ServiceClient::Point &p : pts) {
+            SimResult r = runner.run(p.workload, p.config, p.scale);
+            r.config = p.config.name;
+            want.push_back(normalizedRecordText(r));
+        }
+    }
+
+    auto client = [&](std::uint64_t seed) {
+        ServiceClient c;
+        std::string err;
+        ASSERT_TRUE(c.connect(harness.socketPath(), err)) << err;
+        Random rng(seed);
+        for (int round = 0; round < 6; ++round) {
+            // A seeded, overlapping subset in a seeded order.
+            std::vector<std::size_t> pick;
+            for (std::size_t i = 0; i < pts.size(); ++i) {
+                if (rng.below(3) != 0)
+                    pick.insert(pick.begin() + static_cast<std::ptrdiff_t>(
+                                                  rng.below(pick.size() + 1)),
+                                i);
+            }
+            if (pick.empty())
+                pick.push_back(rng.below(pts.size()));
+            std::vector<ServiceClient::Point> sub;
+            for (std::size_t i : pick)
+                sub.push_back(pts[i]);
+            std::vector<SimResult> out;
+            ServiceClient::SweepSummary summary;
+            ASSERT_TRUE(c.sweep(sub, out, summary, err)) << err;
+            ASSERT_EQ(out.size(), sub.size());
+            EXPECT_EQ(summary.points, sub.size());
+            EXPECT_EQ(summary.storeHits + summary.memoryHits +
+                          summary.computed,
+                      sub.size());
+            for (std::size_t k = 0; k < out.size(); ++k) {
+                const std::string &prov = out[k].cacheHit;
+                EXPECT_TRUE(prov == "store" || prov == "memory" ||
+                            prov == "computed")
+                    << prov;
+                EXPECT_EQ(normalizedRecordText(out[k]), want[pick[k]])
+                    << sub[k].workload << " " << sub[k].config.name;
+            }
+        }
+    };
+    std::thread a(client, 1), b(client, 2);
+    a.join();
+    b.join();
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 /**
  * @file
  * tcfill_client: batched sweep client for a running tcfilld daemon.
- * Builds a (workload × opts × fill-latency) cross product, ships it
- * as one tcfill-svc-v2 sweep request, and prints each result with its
- * provenance — "store" (persistent store hit), "memory" (daemon-side
- * coalescing or a shard's pool cache) or "computed".
+ * Builds a (workload × opts × fill-latency) cross product, asks the
+ * daemon for it through ServiceClient::sweep (one tcfill-svc-v3
+ * lookup of every point's key, then one sweep of the points that
+ * missed), and prints each result with its provenance — "store"
+ * (persistent store hit), "memory" (daemon-side coalescing or a
+ * shard's pool cache) or "computed".
  *
  * Usage:
  *   tcfill_client --socket PATH [options] [workload[,...] | all]
@@ -52,9 +54,12 @@ using namespace tcfill;
 namespace
 {
 
+/** Print @p why (when given), then the usage text; exit 2. */
 [[noreturn]] void
-usage()
+usage(const std::string &why = {})
 {
+    if (!why.empty())
+        std::cerr << why << "\n";
     std::cerr <<
         "usage: tcfill_client --socket PATH [options]\n"
         "                     [workload[,workload...] | all]\n"
@@ -164,7 +169,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage();
+                usage("option '" + arg + "' needs a value");
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
@@ -238,14 +243,14 @@ main(int argc, char **argv)
         } else if (arg == "--shutdown") {
             do_shutdown = true;
         } else if (arg.rfind("--", 0) == 0) {
-            usage();
+            usage("unknown option '" + arg + "'");
         } else {
             workload = arg;
         }
     }
 
     if (socket_path.empty())
-        usage();
+        usage("option '--socket' is required");
 
     service::ServiceClient client;
     std::string err;

@@ -137,9 +137,12 @@ parseOpts(const std::string &spec)
     return opts;
 }
 
+/** Print @p why (when given), then the usage text; exit 2. */
 [[noreturn]] void
-usage()
+usage(const std::string &why = {})
 {
+    if (!why.empty())
+        std::cerr << why << "\n";
     std::cerr <<
         "usage: tcfill_sim [options] [workload[,workload...] | all]\n"
         "  --list | --list-workloads | --threads N | -j N | --scale N\n"
@@ -311,7 +314,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage();
+                usage("option '" + arg + "' needs a value");
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
@@ -438,7 +441,7 @@ main(int argc, char **argv)
         } else if (arg == "--progress") {
             show_progress = true;
         } else if (arg.rfind("--", 0) == 0) {
-            usage();
+            usage("unknown option '" + arg + "'");
         } else {
             workload = arg;
             workload_given = true;

@@ -1,7 +1,7 @@
 /**
  * @file
  * tcfilld: the simulation-as-a-service daemon. Listens on a
- * Unix-domain socket for tcfill-svc-v2 sweep requests (see
+ * Unix-domain socket for tcfill-svc-v3 lookups and sweeps (see
  * tools/tcfill_client.cc and DESIGN.md §17), dedupes every requested
  * point against a persistent content-addressed result store, and
  * schedules misses onto a set of forked shard worker processes, each
@@ -54,9 +54,12 @@ onSignal(int)
         g_daemon->requestShutdown();
 }
 
+/** Print @p why (when given), then the usage text; exit 2. */
 [[noreturn]] void
-usage()
+usage(const std::string &why = {})
 {
+    if (!why.empty())
+        std::cerr << why << "\n";
     std::cerr <<
         "usage: tcfilld --socket PATH [--store-dir DIR]\n"
         "               [--max-store-bytes N] [--shards N]\n"
@@ -116,7 +119,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage();
+                usage("option '" + arg + "' needs a value");
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
@@ -136,15 +139,17 @@ main(int argc, char **argv)
                 std::strtoul(next(), nullptr, 10));
         } else if (arg == "--compact") {
             compact = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            usage("unknown option '" + arg + "'");
         } else {
-            usage();
+            usage("unexpected argument '" + arg + "'");
         }
     }
 
     if (compact)
         return compactStore(opts);
     if (opts.socketPath.empty())
-        usage();
+        usage("option '--socket' is required");
 
     service::Daemon daemon(opts);
     std::string err;
