@@ -3,15 +3,18 @@
  * Minimal, dependency-free JSON support for the observability layer:
  * a deterministic streaming writer (stable key order is the caller's,
  * number formatting is round-trip shortest and locale-independent) and
- * a small recursive-descent parser used by tests and tools to validate
- * round-trips. Header-only so lower layers (common/stats) can emit
- * JSON without a link dependency on tcfill_obs.
+ * one validating scanner that reads a document into a flat node array
+ * (JsonDocument). Schema'd readers (ObjectReader) and ad hoc lookups
+ * (JsonNode) read that array in place; JsonValue is a tree
+ * materialized from it for callers that navigate freely. Header-only
+ * so lower layers (common/stats) can emit JSON without a link
+ * dependency on tcfill_obs.
  */
 
 #ifndef TCFILL_OBS_JSON_HH
 #define TCFILL_OBS_JSON_HH
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -302,23 +305,41 @@ class JsonWriter
 };
 
 /**
- * Deepest nesting of arrays and objects the parser accepts. The
- * deepest document this tree writes nests 7 levels; the cap keeps a
- * hostile document (a frame of nothing but '[') from recursing the
- * parser off its stack.
+ * Deepest nesting of arrays and objects the scanner accepts. The
+ * deepest document this tree writes nests 7 levels; the cap bounds the
+ * scanner's stack of open containers and the tree's recursion, so a
+ * hostile document (a frame of nothing but '[') is refused at once.
  */
 inline constexpr unsigned kMaxJsonDepth = 64;
 
+enum class JsonKind : std::uint8_t
+{
+    Null, Bool, Number, String, Array, Object,
+};
+
 /**
- * Parsed JSON document node. Objects preserve insertion order (so a
- * parse-and-reserialize of our own output is stable).
+ * @p d as an unsigned 64-bit integer; 0 when negative, NaN or >= 2^64,
+ * where the raw cast would be undefined behavior (untrusted wire
+ * payloads reach this).
+ */
+inline std::uint64_t
+jsonU64(double d)
+{
+    if (!(d >= 0.0) || d >= 18446744073709551616.0)
+        return 0;
+    return static_cast<std::uint64_t>(d);
+}
+
+/**
+ * A JSON document as a tree, materialized from a JsonDocument for
+ * callers that navigate ad hoc (tools, benchmarks, tests). Objects
+ * preserve insertion order (so a parse-and-reserialize of our own
+ * output is stable). Readers on a hot path read the JsonDocument
+ * instead and build no tree.
  */
 struct JsonValue
 {
-    enum class Kind : std::uint8_t
-    {
-        Null, Bool, Number, String, Array, Object,
-    };
+    using Kind = JsonKind;
 
     Kind kind = Kind::Null;
     bool boolean = false;
@@ -357,23 +378,10 @@ struct JsonValue
 
     double num() const { return number; }
 
-    /**
-     * Number as an unsigned 64-bit integer; 0 when negative, NaN or
-     * >= 2^64, where the raw cast would be undefined behavior
-     * (untrusted wire payloads reach this accessor).
-     */
-    std::uint64_t
-    u64() const
-    {
-        if (!(number >= 0.0) || number >= 18446744073709551616.0)
-            return 0;
-        return static_cast<std::uint64_t>(number);
-    }
+    /** Number as an unsigned 64-bit integer (see jsonU64()). */
+    std::uint64_t u64() const { return jsonU64(number); }
 
-    /**
-     * Parse @p text; nullopt on malformed input, on nesting deeper
-     * than kMaxJsonDepth and on a number outside the double range.
-     */
+    /** Parse @p text; nullopt where JsonDocument::parse() refuses it. */
     static std::optional<JsonValue> tryParse(std::string_view text);
 
     /** Parse @p text; fatals on malformed input. */
@@ -387,113 +395,714 @@ struct JsonValue
     }
 };
 
+class JsonDocument;
+
 /**
- * Strict member-by-member reader over one parsed JSON object: every
- * accessor marks its member consumed, reports missing/mistyped
+ * One value of a JsonDocument, read in place: valid while the
+ * document (and the text it was scanned from) is. A default-built
+ * node is absent: every is*() is false and every accessor returns its
+ * type's zero.
+ */
+class JsonNode
+{
+  public:
+    JsonNode() = default;
+
+    explicit operator bool() const { return doc_ != nullptr; }
+
+    /** The value's kind; the node must not be absent. */
+    JsonKind kind() const;
+    bool isBool() const { return doc_ && kind() == JsonKind::Bool; }
+    bool isNumber() const { return doc_ && kind() == JsonKind::Number; }
+    bool isString() const { return doc_ && kind() == JsonKind::String; }
+    bool isArray() const { return doc_ && kind() == JsonKind::Array; }
+    bool isObject() const { return doc_ && kind() == JsonKind::Object; }
+
+    bool boolean() const;
+    double num() const;
+    /** Number as an unsigned 64-bit integer (see jsonU64()). */
+    std::uint64_t u64() const { return jsonU64(num()); }
+    /** A string's decoded bytes: a view of the text or the document. */
+    std::string_view str() const;
+    /** Elements of an array, members of an object. */
+    std::size_t size() const;
+
+    /** The first member named @p name; absent when none (or no object). */
+    JsonNode find(std::string_view name) const;
+
+    /** Iterates an array's elements or (Members) an object's members. */
+    template <bool Members>
+    class Children;
+    Children<false> elements() const;
+    Children<true> members() const;
+
+    /** This value as a tree. */
+    JsonValue tree() const;
+
+  private:
+    friend class JsonDocument;
+    friend class ObjectReader;
+
+    JsonNode(const JsonDocument *doc, std::size_t i) : doc_(doc), i_(i) {}
+
+    const JsonDocument *doc_ = nullptr;
+    std::size_t i_ = 0;         ///< index into the document's nodes
+};
+
+/** One member of an object. */
+struct JsonMember
+{
+    std::string_view name;
+    JsonNode value;
+};
+
+/**
+ * A scanned JSON document: one array of nodes, one per value in
+ * document order, in which a member's name node precedes its value
+ * and an array or object records its child count and the index past
+ * its last descendant. Names and escape-free strings are views of the
+ * scanned text; strings with escapes are decoded once into one side
+ * buffer. Numbers are read at scan time (std::from_chars, with
+ * strtod() deciding whatever from_chars does not accept outright). So
+ * a document costs one allocation, none when the document is reused:
+ * nothing is allocated per member.
+ *
+ * The grammar is the one the recursive-descent parser this replaced
+ * accepted, pinned by Json.EdgeCasesMatchPinnedTable: whitespace is
+ * space, tab, CR and LF; strings take the eight
+ * short escapes and \uXXXX (each code unit encoded as UTF-8 on its
+ * own, no surrogate pairing) and raw bytes of any value; a number is
+ * the longest run of [0-9.eE+-] that strtod() reads whole to a finite
+ * double, so ".5", "1.", "00012" and "+1" are numbers, "1e400" is
+ * refused and "1e-400" reads 0; nesting stops at kMaxJsonDepth.
+ */
+class JsonDocument
+{
+  public:
+    /**
+     * Scan @p text into this document, replacing what it held; false
+     * (and an empty document) on malformed input, on nesting deeper
+     * than kMaxJsonDepth and on a number outside the double range.
+     * The text must outlive every read of the document.
+     */
+    bool parse(std::string_view text);
+
+    /** The top-level value; absent unless the last parse succeeded. */
+    JsonNode
+    root() const
+    {
+        return nodes_.empty() ? JsonNode() : JsonNode(this, 0);
+    }
+
+  private:
+    friend class JsonNode;
+    template <bool Members>
+    friend class JsonNode::Children;
+    friend class ObjectReader;
+
+    struct Node
+    {
+        JsonKind kind;
+        bool flag;          ///< Bool: its value; String: bytes in decoded_
+        std::uint64_t a;    ///< String: first byte; Array/Object: children
+        std::uint64_t b;    ///< String: length; Array/Object: index past
+                            ///< its last descendant; Number: its bits
+    };
+
+    /**
+     * The most nodes reserved up front, so a huge text reserves little,
+     * and the most a reused document keeps from an earlier parse.
+     */
+    static constexpr std::size_t kReserveNodes = std::size_t{1} << 16;
+
+    /** Index of the first node after node @p i and its descendants. */
+    std::size_t
+    skip(std::size_t i) const
+    {
+        const Node &n = nodes_[i];
+        return n.kind == JsonKind::Array || n.kind == JsonKind::Object
+            ? n.b : i + 1;
+    }
+
+    std::string_view
+    string(std::size_t i) const
+    {
+        const Node &n = nodes_[i];
+        return {(n.flag ? decoded_.data() : text_.data()) + n.a, n.b};
+    }
+
+    double
+    number(std::size_t i) const
+    {
+        double d;
+        std::memcpy(&d, &nodes_[i].b, sizeof(d));
+        return d;
+    }
+
+    void
+    push(JsonKind kind, bool flag, std::uint64_t a, std::uint64_t b)
+    {
+        nodes_.push_back(Node{kind, flag, a, b});
+    }
+
+    static void
+    skipWs(const char *&p, const char *end)
+    {
+        while (p != end &&
+               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+            ++p;
+    }
+
+    static bool
+    literal(const char *&p, const char *end, std::string_view lit)
+    {
+        if (static_cast<std::size_t>(end - p) < lit.size() ||
+            std::memcmp(p, lit.data(), lit.size()) != 0)
+            return false;
+        p += lit.size();
+        return true;
+    }
+
+    bool scan();
+    bool scanString(const char *&p, const char *end);
+    bool scanName(const char *&p, const char *end);
+    bool scanNumber(const char *&p, const char *end);
+
+    std::string_view text_;
+    std::vector<Node> nodes_;
+    std::string decoded_;       ///< strings that held escapes, unescaped
+};
+
+template <bool Members>
+class JsonNode::Children
+{
+  public:
+    class iterator
+    {
+      public:
+        iterator(const JsonDocument *doc, std::size_t i) : doc_(doc), i_(i) {}
+
+        auto
+        operator*() const
+        {
+            if constexpr (Members)
+                return JsonMember{doc_->string(i_), JsonNode(doc_, i_ + 1)};
+            else
+                return JsonNode(doc_, i_);
+        }
+
+        iterator &
+        operator++()
+        {
+            i_ = doc_->skip(Members ? i_ + 1 : i_);
+            return *this;
+        }
+
+        bool operator!=(const iterator &o) const { return i_ != o.i_; }
+
+      private:
+        const JsonDocument *doc_;
+        std::size_t i_;
+    };
+
+    Children(const JsonDocument *doc, std::size_t first, std::size_t last)
+        : doc_(doc), first_(first), last_(last)
+    {
+    }
+
+    iterator begin() const { return {doc_, first_}; }
+    iterator end() const { return {doc_, last_}; }
+
+  private:
+    const JsonDocument *doc_;
+    std::size_t first_, last_;
+};
+
+inline JsonKind
+JsonNode::kind() const
+{
+    return doc_->nodes_[i_].kind;
+}
+
+inline bool
+JsonNode::boolean() const
+{
+    return isBool() && doc_->nodes_[i_].flag;
+}
+
+inline double
+JsonNode::num() const
+{
+    return isNumber() ? doc_->number(i_) : 0.0;
+}
+
+inline std::string_view
+JsonNode::str() const
+{
+    return isString() ? doc_->string(i_) : std::string_view();
+}
+
+inline std::size_t
+JsonNode::size() const
+{
+    return isArray() || isObject() ? doc_->nodes_[i_].a : 0;
+}
+
+inline JsonNode::Children<false>
+JsonNode::elements() const
+{
+    if (!isArray())
+        return {doc_, 0, 0};
+    return {doc_, i_ + 1, doc_->nodes_[i_].b};
+}
+
+inline JsonNode::Children<true>
+JsonNode::members() const
+{
+    if (!isObject())
+        return {doc_, 0, 0};
+    return {doc_, i_ + 1, doc_->nodes_[i_].b};
+}
+
+inline JsonNode
+JsonNode::find(std::string_view name) const
+{
+    for (const JsonMember &m : members()) {
+        if (m.name == name)
+            return m.value;
+    }
+    return {};
+}
+
+inline JsonValue
+JsonNode::tree() const
+{
+    JsonValue v;
+    if (!doc_)
+        return v;
+    v.kind = kind();
+    switch (v.kind) {
+      case JsonKind::Null:
+        break;
+      case JsonKind::Bool:
+        v.boolean = boolean();
+        break;
+      case JsonKind::Number:
+        v.number = num();
+        break;
+      case JsonKind::String:
+        v.str = str();
+        break;
+      case JsonKind::Array:
+        v.arr.reserve(size());
+        for (JsonNode e : elements())
+            v.arr.push_back(e.tree());
+        break;
+      case JsonKind::Object:
+        v.obj.reserve(size());
+        for (const JsonMember &m : members())
+            v.obj.emplace_back(std::string(m.name), m.value.tree());
+        break;
+    }
+    return v;
+}
+
+namespace detail
+{
+
+/**
+ * Read the number token [@p tok, @p end) into @p out, exactly as
+ * strtod() reads it whole to a finite double. std::from_chars takes
+ * every token it reads whole and in range (the two round alike);
+ * strtod() decides the rest: a leading '+', which from_chars refuses,
+ * values that round to zero or overflow ("1e-400" reads 0, "1e400" is
+ * refused), and malformed tokens.
+ */
+inline bool
+readJsonNumber(const char *tok, const char *end, double &out)
+{
+#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
+    if (*tok != '+') {
+        const auto [ptr, ec] = std::from_chars(tok, end, out);
+        if (ec == std::errc() && ptr == end)
+            return true;
+    }
+#endif
+    // strtod needs a terminated token; numbers are short, so stage
+    // them on the stack and keep the heap for pathological ones.
+    const std::size_t len = static_cast<std::size_t>(end - tok);
+    char stack_tok[64];
+    std::string heap_tok;
+    char *buf = stack_tok;
+    if (len < sizeof(stack_tok)) {
+        std::memcpy(stack_tok, tok, len);
+        stack_tok[len] = '\0';
+    } else {
+        heap_tok.assign(tok, len);
+        buf = heap_tok.data();
+    }
+    char *stop = nullptr;
+    out = std::strtod(buf, &stop);
+    // JSON has no infinity: an overflowing literal is refused rather
+    // than read as one no writer could echo back.
+    return stop == buf + len && std::isfinite(out);
+}
+
+inline int
+hexDigit(char h)
+{
+    if (h >= '0' && h <= '9')
+        return h - '0';
+    if (h >= 'a' && h <= 'f')
+        return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F')
+        return h - 'A' + 10;
+    return -1;
+}
+
+} // namespace detail
+
+inline bool
+JsonDocument::parse(std::string_view text)
+{
+    text_ = text;
+    // A reused document keeps its buffers, but not a huge earlier
+    // document's: one hostile frame must not pin its memory for the
+    // rest of a connection.
+    if (nodes_.capacity() > kReserveNodes)
+        std::vector<Node>().swap(nodes_);
+    if (decoded_.capacity() > kReserveNodes)
+        std::string().swap(decoded_);
+    nodes_.clear();
+    decoded_.clear();
+    // Every value but the first takes two bytes or more (itself and a
+    // separator or its brackets), so a document of up to
+    // 2 * kReserveNodes bytes fits the first reservation.
+    nodes_.reserve(std::min(text.size() / 2 + 1, kReserveNodes));
+    if (scan())
+        return true;
+    nodes_.clear();
+    return false;
+}
+
+inline bool
+JsonDocument::scan()
+{
+    const char *p = text_.data();
+    const char *const end = p + text_.size();
+    std::size_t open[kMaxJsonDepth];    // node of each array/object open at p
+    unsigned depth = 0;
+    skipWs(p, end);
+    for (;;) {
+        // A value starts at p.
+        if (p == end)
+            return false;
+        const char c = *p;
+        if (c == '[' || c == '{') {
+            if (depth == kMaxJsonDepth)
+                return false;
+            const bool object = c == '{';
+            open[depth++] = nodes_.size();
+            push(object ? JsonKind::Object : JsonKind::Array, false, 0, 0);
+            ++p;
+            skipWs(p, end);
+            if (p == end || *p != (object ? '}' : ']')) {
+                if (object && !scanName(p, end))
+                    return false;
+                continue;
+            }
+            ++p;
+            --depth;
+            nodes_[open[depth]].b = nodes_.size();
+        } else if (c == '"') {
+            if (!scanString(p, end))
+                return false;
+        } else if (c == 't' || c == 'f' || c == 'n') {
+            if (literal(p, end, "true"))
+                push(JsonKind::Bool, true, 0, 0);
+            else if (literal(p, end, "false"))
+                push(JsonKind::Bool, false, 0, 0);
+            else if (literal(p, end, "null"))
+                push(JsonKind::Null, false, 0, 0);
+            else
+                return false;
+        } else if (!scanNumber(p, end)) {
+            return false;
+        }
+        // The value is complete: count it into its container, and
+        // close each container it completes, up to the next value.
+        for (;;) {
+            skipWs(p, end);
+            if (depth == 0)
+                return p == end;
+            Node &top = nodes_[open[depth - 1]];
+            ++top.a;
+            const bool object = top.kind == JsonKind::Object;
+            if (p != end && *p == ',') {
+                ++p;
+                skipWs(p, end);
+                if (object && !scanName(p, end))
+                    return false;
+                break;
+            }
+            if (p == end || *p != (object ? '}' : ']'))
+                return false;
+            ++p;
+            top.b = nodes_.size();
+            --depth;
+        }
+    }
+}
+
+/** A member's name, its ':' and the whitespace up to its value. */
+inline bool
+JsonDocument::scanName(const char *&p, const char *end)
+{
+    if (p == end || *p != '"' || !scanString(p, end))
+        return false;
+    skipWs(p, end);
+    if (p == end || *p != ':')
+        return false;
+    ++p;
+    skipWs(p, end);
+    return true;
+}
+
+/** The string whose opening quote is at p. */
+inline bool
+JsonDocument::scanString(const char *&p, const char *end)
+{
+    const char *const start = ++p;
+    const char *quote = static_cast<const char *>(
+        std::memchr(p, '"', static_cast<std::size_t>(end - p)));
+    const char *escape = static_cast<const char *>(std::memchr(
+        p, '\\', static_cast<std::size_t>((quote ? quote : end) - p)));
+    if (!escape) {
+        if (!quote)
+            return false;
+        push(JsonKind::String, false,
+             static_cast<std::uint64_t>(start - text_.data()),
+             static_cast<std::uint64_t>(quote - start));
+        p = quote + 1;
+        return true;
+    }
+    p = escape;
+    // Escapes: the whole string is decoded into decoded_.
+    const std::size_t first = decoded_.size();
+    decoded_.append(start, static_cast<std::size_t>(p - start));
+    for (;;) {
+        ++p;    // past the backslash
+        if (p == end)
+            return false;
+        switch (*p++) {
+          case '"': decoded_ += '"'; break;
+          case '\\': decoded_ += '\\'; break;
+          case '/': decoded_ += '/'; break;
+          case 'n': decoded_ += '\n'; break;
+          case 'r': decoded_ += '\r'; break;
+          case 't': decoded_ += '\t'; break;
+          case 'b': decoded_ += '\b'; break;
+          case 'f': decoded_ += '\f'; break;
+          case 'u': {
+            if (end - p < 4)
+                return false;
+            unsigned cp = 0;
+            for (int i = 0; i < 4; ++i) {
+                const int h = detail::hexDigit(*p++);
+                if (h < 0)
+                    return false;
+                cp = cp << 4 | static_cast<unsigned>(h);
+            }
+            // Only BMP escapes are produced by our writer; encode
+            // as UTF-8 without surrogate-pair handling.
+            if (cp < 0x80) {
+                decoded_ += static_cast<char>(cp);
+            } else if (cp < 0x800) {
+                decoded_ += static_cast<char>(0xc0 | (cp >> 6));
+                decoded_ += static_cast<char>(0x80 | (cp & 0x3f));
+            } else {
+                decoded_ += static_cast<char>(0xe0 | (cp >> 12));
+                decoded_ += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+                decoded_ += static_cast<char>(0x80 | (cp & 0x3f));
+            }
+            break;
+          }
+          default:
+            return false;
+        }
+        const char *const run = p;
+        while (p != end && *p != '"' && *p != '\\')
+            ++p;
+        decoded_.append(run, static_cast<std::size_t>(p - run));
+        if (p == end)
+            return false;
+        if (*p == '"') {
+            push(JsonKind::String, true, first, decoded_.size() - first);
+            ++p;
+            return true;
+        }
+    }
+}
+
+/** The number token at p: the longest run of [0-9.eE+-]. */
+inline bool
+JsonDocument::scanNumber(const char *&p, const char *end)
+{
+    const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+    const auto numeric = [&digit](char c) {
+        return digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+            c == '-';
+    };
+    const char *const tok = p;
+    const bool negative = p != end && *p == '-';
+    p += negative;
+    const char *const digits = p;
+    std::uint64_t whole = 0;
+    while (p != end && digit(*p))
+        whole = whole * 10 + static_cast<std::uint64_t>(*p++ - '0');
+    double d = 0.0;
+    if (p != digits && p - digits <= 15 && (p == end || !numeric(*p))) {
+        // A short integer, the common token: exact in a double.
+        d = static_cast<double>(whole);
+        if (negative)
+            d = -d;
+    } else {
+        while (p != end && numeric(*p))
+            ++p;
+        if (p == tok || !detail::readJsonNumber(tok, p, d))
+            return false;
+    }
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    push(JsonKind::Number, false, 0, bits);
+    return true;
+}
+
+inline std::optional<JsonValue>
+JsonValue::tryParse(std::string_view text)
+{
+    JsonDocument doc;
+    if (!doc.parse(text))
+        return std::nullopt;
+    return doc.root().tree();
+}
+
+/**
+ * Strict member-by-member reader over one object of a JsonDocument:
+ * every accessor marks its member consumed, reports missing/mistyped
  * members through a caller-owned error string (never by aborting),
  * and finish() rejects members no accessor touched. The deserializers
  * of wire payloads (sim/config_io, sim/result_io) are built from
  * nested ObjectReaders so a schema drift in either direction — a
  * field the reader does not know, or one the writer stopped emitting
- * — fails loudly instead of silently dropping data.
+ * — fails loudly instead of silently dropping data. A read allocates
+ * only its output and, on failure, the error text.
  */
 class ObjectReader
 {
   public:
-    ObjectReader(const JsonValue &v, const std::string &path,
-                 std::string &err)
+    /** @p path prefixes error texts and must outlive the reader. */
+    ObjectReader(JsonNode v, std::string_view path, std::string &err)
         : v_(v), path_(path), err_(err)
     {
         if (!v.isObject()) {
             fail("expected an object");
             return;
         }
-        seen_.assign(v.obj.size(), false);
+        count_ = v.size();
+        nextKey_ = v.i_ + 1;
+        if (count_ > kInlineMembers)
+            spill_.assign(count_, false);
     }
 
     bool ok() const { return ok_; }
 
-    /** Look up (and consume) a member; error + nullptr when absent. */
-    const JsonValue *
-    member(const char *name)
+    /** Look up (and consume) a member; error + absent when missing. */
+    JsonNode
+    member(std::string_view name)
     {
         if (!ok_)
-            return nullptr;
-        if (const JsonValue *m = consume(name))
+            return {};
+        if (const JsonNode m = consume(name))
             return m;
-        fail(std::string("missing member '") + name + "'");
-        return nullptr;
+        fail("missing member '" + std::string(name) + "'");
+        return {};
     }
 
     /** Consume a member without reading it (writer-derived fields). */
     void
-    skip(const char *name)
+    skip(std::string_view name)
     {
         member(name);
     }
 
     /** Like member(), but absence is not an error (optional fields). */
-    const JsonValue *
-    optional(const char *name)
+    JsonNode
+    optional(std::string_view name)
     {
-        return ok_ ? consume(name) : nullptr;
+        return ok_ ? consume(name) : JsonNode();
     }
 
     bool
-    boolean(const char *name, bool &out)
+    boolean(std::string_view name, bool &out)
     {
-        const JsonValue *m = member(name);
+        const JsonNode m = member(name);
         if (!m)
             return false;
-        if (!m->isBool())
-            return fail(std::string("member '") + name +
+        if (!m.isBool())
+            return fail("member '" + std::string(name) +
                         "' is not a boolean");
-        out = m->boolean;
+        out = m.boolean();
         return true;
     }
 
     template <typename T>
     bool
-    integer(const char *name, T &out)
+    integer(std::string_view name, T &out)
     {
-        const JsonValue *m = member(name);
+        const JsonNode m = member(name);
         if (!m)
             return false;
-        if (!m->isNumber())
-            return fail(std::string("member '") + name +
+        if (!m.isNumber())
+            return fail("member '" + std::string(name) +
                         "' is not a number");
-        const double d = m->number;
-        if (!(d >= 0.0) || d != std::floor(d) ||
-            d >= std::ldexp(1.0, std::numeric_limits<T>::digits))
-            return fail(std::string("member '") + name +
+        static_assert(std::numeric_limits<T>::digits <= 64);
+        // 2^digits, the first value T cannot hold.
+        constexpr double limit =
+            2.0 * static_cast<double>(std::uint64_t{1}
+                                      << (std::numeric_limits<T>::digits - 1));
+        const double d = m.num();
+        if (!(d >= 0.0) || !(d < limit) ||
+            static_cast<double>(static_cast<std::uint64_t>(d)) != d)
+            return fail("member '" + std::string(name) +
                         "' is not an unsigned integer in range");
         out = static_cast<T>(d);
         return true;
     }
 
     bool
-    real(const char *name, double &out)
+    real(std::string_view name, double &out)
     {
-        const JsonValue *m = member(name);
+        const JsonNode m = member(name);
         if (!m)
             return false;
-        if (!m->isNumber())
-            return fail(std::string("member '") + name +
+        if (!m.isNumber())
+            return fail("member '" + std::string(name) +
                         "' is not a number");
-        out = m->number;
+        out = m.num();
         return true;
     }
 
     bool
-    string(const char *name, std::string &out)
+    string(std::string_view name, std::string &out)
     {
-        const JsonValue *m = member(name);
+        const JsonNode m = member(name);
         if (!m)
             return false;
-        if (!m->isString())
-            return fail(std::string("member '") + name +
+        if (!m.isString())
+            return fail("member '" + std::string(name) +
                         "' is not a string");
-        out = m->str;
+        out = m.str();
         return true;
     }
 
@@ -510,33 +1119,61 @@ class ObjectReader
     {
         if (!ok_)
             return false;
-        for (std::size_t i = 0; i < v_.obj.size(); ++i) {
-            if (!seen_[i])
-                return fail("unknown member '" + v_.obj[i].first +
-                            "'");
+        const JsonDocument &d = *v_.doc_;
+        std::size_t key = v_.i_ + 1;
+        for (std::size_t i = 0; i < count_; ++i, key = d.skip(key + 1)) {
+            if (!seen(i))
+                return fail("unknown member '" +
+                            std::string(d.string(key)) + "'");
         }
         return true;
     }
 
   private:
+    /** Members tracked without an allocation; more spill to spill_. */
+    static constexpr std::size_t kInlineMembers = 128;
+
     /**
      * Find and mark @p name. Readers ask for members in the order the
      * writer emitted them, so the scan starts just past the last hit
      * and wraps: one comparison per member in the usual case.
      */
-    const JsonValue *
-    consume(const char *name)
+    JsonNode
+    consume(std::string_view name)
     {
-        const std::size_t n = v_.obj.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t i = next_ + k < n ? next_ + k : next_ + k - n;
-            if (v_.obj[i].first == name) {
-                seen_[i] = true;
+        const JsonDocument &d = *v_.doc_;
+        std::size_t i = next_, key = nextKey_;
+        for (std::size_t k = 0; k < count_;
+             ++k, ++i, key = d.skip(key + 1)) {
+            if (i == count_) {
+                i = 0;
+                key = v_.i_ + 1;
+            }
+            if (d.string(key) == name) {
+                mark(i);
                 next_ = i + 1;
-                return &v_.obj[i].second;
+                nextKey_ = d.skip(key + 1);
+                return JsonNode(&d, key + 1);
             }
         }
-        return nullptr;
+        return {};
+    }
+
+    void
+    mark(std::size_t i)
+    {
+        if (count_ > kInlineMembers)
+            spill_[i] = true;
+        else
+            seen_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+
+    bool
+    seen(std::size_t i) const
+    {
+        if (count_ > kInlineMembers)
+            return spill_[i];
+        return seen_[i / 64] >> (i % 64) & 1;
     }
 
     bool
@@ -544,270 +1181,21 @@ class ObjectReader
     {
         if (ok_) {
             ok_ = false;
-            err_ = path_ + ": " + what;
+            err_ = std::string(path_) + ": " + what;
         }
         return false;
     }
 
-    const JsonValue &v_;
-    std::string path_;
+    JsonNode v_;
+    std::string_view path_;
     std::string &err_;
-    std::vector<bool> seen_;
-    std::size_t next_ = 0;      ///< where consume() starts scanning
+    std::size_t count_ = 0;     ///< members of the object
+    std::size_t next_ = 0;      ///< member where consume() starts scanning
+    std::size_t nextKey_ = 0;   ///< that member's name node
+    std::uint64_t seen_[kInlineMembers / 64] = {};
+    std::vector<bool> spill_;   ///< seen marks past kInlineMembers members
     bool ok_ = true;
 };
-
-namespace detail
-{
-
-/**
- * Recursive-descent JSON parser over a string_view cursor; recursion
- * stops at kMaxJsonDepth.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : s_(text) {}
-
-    bool
-    parseDocument(JsonValue &out)
-    {
-        skipWs();
-        if (!parseValue(out))
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(std::string_view lit)
-    {
-        if (s_.substr(pos_, lit.size()) != lit)
-            return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < s_.size()) {
-            // Bulk-copy the run up to the next quote or escape.
-            const std::size_t run = pos_;
-            while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\')
-                ++pos_;
-            out.append(s_.data() + run, pos_ - run);
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_++] == '"')
-                return true;
-            if (pos_ >= s_.size())
-                return false;
-            char e = s_[pos_++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'u': {
-                if (pos_ + 4 > s_.size())
-                    return false;
-                unsigned cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = s_[pos_++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else return false;
-                }
-                // Only BMP escapes are produced by our writer; encode
-                // as UTF-8 without surrogate-pair handling.
-                if (cp < 0x80) {
-                    out += static_cast<char>(cp);
-                } else if (cp < 0x800) {
-                    out += static_cast<char>(0xc0 | (cp >> 6));
-                    out += static_cast<char>(0x80 | (cp & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (cp >> 12));
-                    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (cp & 0x3f));
-                }
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false;
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-')
-            ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-')) {
-            ++pos_;
-        }
-        if (pos_ == start)
-            return false;
-        // strtod needs a terminated token; numbers are short, so stage
-        // them on the stack and keep the heap for pathological ones.
-        const std::size_t len = pos_ - start;
-        char stack_tok[64];
-        std::string heap_tok;
-        char *tok = stack_tok;
-        if (len < sizeof(stack_tok)) {
-            std::memcpy(stack_tok, s_.data() + start, len);
-            stack_tok[len] = '\0';
-        } else {
-            heap_tok.assign(s_.data() + start, len);
-            tok = heap_tok.data();
-        }
-        char *end = nullptr;
-        out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(tok, &end);
-        // JSON has no infinity: an overflowing literal is refused
-        // rather than read as one no writer could echo back.
-        return end == tok + len && std::isfinite(out.number);
-    }
-
-    /** The members of an object whose '{' is at pos_. */
-    bool
-    parseObject(JsonValue &out)
-    {
-        ++pos_;
-        out.kind = JsonValue::Kind::Object;
-        skipWs();
-        if (consume('}'))
-            return true;
-        for (;;) {
-            skipWs();
-            std::string name;
-            if (!parseString(name))
-                return false;
-            skipWs();
-            if (!consume(':'))
-                return false;
-            JsonValue member;
-            if (!parseValue(member))
-                return false;
-            out.obj.emplace_back(std::move(name), std::move(member));
-            skipWs();
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    /** The elements of an array whose '[' is at pos_. */
-    bool
-    parseArray(JsonValue &out)
-    {
-        ++pos_;
-        out.kind = JsonValue::Kind::Array;
-        skipWs();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            JsonValue elem;
-            if (!parseValue(elem))
-                return false;
-            out.arr.push_back(std::move(elem));
-            skipWs();
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= s_.size())
-            return false;
-        char c = s_[pos_];
-        if (c == '{' || c == '[') {
-            if (depth_ == kMaxJsonDepth)
-                return false;
-            ++depth_;
-            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
-            --depth_;
-            return ok;
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.str);
-        }
-        if (literal("true")) {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return true;
-        }
-        if (literal("false")) {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return true;
-        }
-        if (literal("null")) {
-            out.kind = JsonValue::Kind::Null;
-            return true;
-        }
-        return parseNumber(out);
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-    unsigned depth_ = 0;        ///< arrays and objects open at pos_
-};
-
-} // namespace detail
-
-inline std::optional<JsonValue>
-JsonValue::tryParse(std::string_view text)
-{
-    JsonValue v;
-    detail::JsonParser p(text);
-    if (!p.parseDocument(v))
-        return std::nullopt;
-    return v;
-}
 
 } // namespace tcfill::obs
 

@@ -34,10 +34,21 @@ typedHeader(const char *type)
 
 /** The "message" of an error frame, or a generic fallback. */
 std::string
-errorText(const obs::JsonValue &v)
+errorText(obs::JsonNode v)
 {
-    const obs::JsonValue *msg = v.find("message");
-    return msg && msg->isString() ? msg->str : "server error";
+    const obs::JsonNode msg = v.find("message");
+    return msg.isString() ? std::string(msg.str()) : "server error";
+}
+
+/**
+ * Scan the reply header @p text into @p doc; its "type" string, or
+ * empty when the header is malformed or has none.
+ */
+std::string_view
+replyType(obs::JsonDocument &doc, std::string_view text)
+{
+    return doc.parse(text) ? doc.root().find("type").str()
+                           : std::string_view();
 }
 
 } // namespace
@@ -83,12 +94,11 @@ ServiceClient::connect(const std::string &socketPath, std::string &err)
         close();
         return false;
     }
-    auto v = obs::JsonValue::tryParse(reply);
-    const obs::JsonValue *schema = v ? v->find("schema") : nullptr;
-    if (!schema || !schema->isString() || schema->str != kSvcSchema) {
-        const obs::JsonValue *type = v ? v->find("type") : nullptr;
-        err = type && type->isString() && type->str == "error"
-            ? errorText(*v)
+    obs::JsonDocument doc;
+    const std::string_view type = replyType(doc, reply);
+    if (doc.root().find("schema").str() != kSvcSchema) {
+        err = type == "error"
+            ? errorText(doc.root())
             : "server does not speak " + std::string(kSvcSchema);
         close();
         return false;
@@ -150,10 +160,9 @@ ServiceClient::ping(std::string &err)
     std::string reply;
     if (!request(typedHeader("ping"), reply, err))
         return false;
-    auto v = obs::JsonValue::tryParse(reply);
-    const obs::JsonValue *type = v ? v->find("type") : nullptr;
-    if (!type || !type->isString() || type->str != "pong") {
-        err = v ? errorText(*v) : "malformed pong";
+    obs::JsonDocument doc;
+    if (replyType(doc, reply) != "pong") {
+        err = doc.root() ? errorText(doc.root()) : "malformed pong";
         return false;
     }
     return true;
@@ -164,10 +173,9 @@ ServiceClient::serverStats(std::string &payload, std::string &err)
 {
     if (!request(typedHeader("stats"), payload, err))
         return false;
-    auto v = obs::JsonValue::tryParse(payload);
-    const obs::JsonValue *type = v ? v->find("type") : nullptr;
-    if (!type || !type->isString() || type->str != "stats") {
-        err = v ? errorText(*v) : "malformed stats reply";
+    obs::JsonDocument doc;
+    if (replyType(doc, payload) != "stats") {
+        err = doc.root() ? errorText(doc.root()) : "malformed stats reply";
         return false;
     }
     return true;
@@ -179,10 +187,9 @@ ServiceClient::shutdownServer(std::string &err)
     std::string reply;
     if (!request(typedHeader("shutdown"), reply, err))
         return false;
-    auto v = obs::JsonValue::tryParse(reply);
-    const obs::JsonValue *type = v ? v->find("type") : nullptr;
-    if (!type || !type->isString() || type->str != "ok") {
-        err = v ? errorText(*v) : "malformed shutdown reply";
+    obs::JsonDocument doc;
+    if (replyType(doc, reply) != "ok") {
+        err = doc.root() ? errorText(doc.root()) : "malformed shutdown reply";
         return false;
     }
     return true;
@@ -281,31 +288,30 @@ ServiceClient::exchange(std::string_view header,
 
     std::vector<bool> answered(slots.size(), false);
     std::size_t unanswered = slots.size();
+    obs::JsonDocument doc;      // each reply header in turn
     for (;;) {
         std::string_view replyHeader, body;
         if (!readMessage(replyHeader, body, err))
             return false;
-        auto v = obs::JsonValue::tryParse(replyHeader);
-        if (!v || !v->isObject()) {
+        const std::string_view t = replyType(doc, replyHeader);
+        const obs::JsonNode v = doc.root();
+        if (!v.isObject()) {
             err = "malformed server frame";
             return false;
         }
-        const obs::JsonValue *type = v->find("type");
-        std::string t =
-            type && type->isString() ? type->str : "";
         if (t == "error") {
-            err = errorText(*v);
+            err = errorText(v);
             return false;
         }
         if (t == "result" || (t == "miss" && missed)) {
-            const obs::JsonValue *idx = v->find("index");
-            if (!idx || !idx->isNumber()) {
-                err = "malformed " + t + " frame";
+            const obs::JsonNode idx = v.find("index");
+            if (!idx.isNumber()) {
+                err = "malformed " + std::string(t) + " frame";
                 return false;
             }
-            const std::uint64_t k = idx->u64();
+            const std::uint64_t k = idx.u64();
             if (k >= slots.size() || answered[k]) {
-                err = t + " index out of range or repeated";
+                err = std::string(t) + " index out of range or repeated";
                 return false;
             }
             answered[k] = true;
@@ -320,9 +326,8 @@ ServiceClient::exchange(std::string_view header,
                 return false;
             // Provenance and the cosmetic config label are
             // client-side facts: the record itself is normalized.
-            const obs::JsonValue *hit = v->find("cacheHit");
-            res.cacheHit = hit && hit->isString() ? hit->str
-                                                  : "computed";
+            const obs::JsonNode hit = v.find("cacheHit");
+            res.cacheHit = hit.isString() ? hit.str() : "computed";
             res.config = points[i].config.name;
             continue;
         }
@@ -333,15 +338,10 @@ ServiceClient::exchange(std::string_view header,
                 p.done = before.points;
                 p.cacheHits = before.storeHits + before.memoryHits;
                 p.liveRuns = before.computed;
-                const obs::JsonValue *m = nullptr;
-                if ((m = v->find("done")) && m->isNumber())
-                    p.done += m->u64();
-                if ((m = v->find("storeHits")) && m->isNumber())
-                    p.cacheHits += m->u64();
-                if ((m = v->find("memoryHits")) && m->isNumber())
-                    p.cacheHits += m->u64();
-                if ((m = v->find("computed")) && m->isNumber())
-                    p.liveRuns += m->u64();
+                p.done += v.find("done").u64();
+                p.cacheHits += v.find("storeHits").u64() +
+                    v.find("memoryHits").u64();
+                p.liveRuns += v.find("computed").u64();
                 p.liveDone = p.liveRuns;
                 progress(p);
             }
@@ -354,18 +354,13 @@ ServiceClient::exchange(std::string_view header,
                     " points unanswered";
                 return false;
             }
-            const obs::JsonValue *m = nullptr;
-            if ((m = v->find("points")) && m->isNumber())
-                done.points = m->u64();
-            if ((m = v->find("storeHits")) && m->isNumber())
-                done.storeHits = m->u64();
-            if ((m = v->find("memoryHits")) && m->isNumber())
-                done.memoryHits = m->u64();
-            if ((m = v->find("computed")) && m->isNumber())
-                done.computed = m->u64();
+            done.points = v.find("points").u64();
+            done.storeHits = v.find("storeHits").u64();
+            done.memoryHits = v.find("memoryHits").u64();
+            done.computed = v.find("computed").u64();
             return true;
         }
-        err = "unexpected server frame '" + t + "'";
+        err = "unexpected server frame '" + std::string(t) + "'";
         return false;
     }
 }

@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <optional>
 #include <utility>
 
 #include <sys/socket.h>
@@ -182,28 +181,29 @@ shardWorkerMain(int fd, unsigned threads)
 
     FrameReader reader(fd);
     std::string_view payload, header, body;
+    obs::JsonDocument doc;
     for (;;) {
         WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok)
             break;
-        std::optional<obs::JsonValue> v;
-        if (splitMessage(payload, header, body))
-            v = obs::JsonValue::tryParse(header);
+        const obs::JsonNode v =
+            splitMessage(payload, header, body) && doc.parse(header)
+            ? doc.root() : obs::JsonNode();
         Pending p;
         std::string workload;
         unsigned scale = 1;
         SimConfig cfg;
         std::string perr;
         bool ok = false;
-        if (v && v->isObject()) {
-            obs::ObjectReader r(*v, "job", perr);
+        if (v.isObject()) {
+            obs::ObjectReader r(v, "job", perr);
             std::string type;
             r.string("type", type);
             r.integer("id", p.id);
             r.string("workload", workload);
             r.integer("scale", scale);
-            const obs::JsonValue *c = r.member("config");
-            ok = c && type == "job" && configFromJson(*c, cfg, perr) &&
+            const obs::JsonNode c = r.member("config");
+            ok = c && type == "job" && configFromJson(c, cfg, perr) &&
                 r.finish();
         } else {
             perr = "malformed job frame";
@@ -507,20 +507,19 @@ Daemon::shardReaderLoop(Shard &shard)
 {
     FrameReader reader(shard.fd);
     std::string_view payload, header, body;
+    obs::JsonDocument doc;
     for (;;) {
         WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok)
             break;
-        if (!splitMessage(payload, header, body))
+        if (!splitMessage(payload, header, body) || !doc.parse(header))
             continue;
-        auto v = obs::JsonValue::tryParse(header);
-        if (!v || !v->isObject())
+        const obs::JsonNode v = doc.root();
+        const obs::JsonNode type = v.find("type");
+        const obs::JsonNode idv = v.find("id");
+        if (!type.isString() || !idv.isNumber())
             continue;
-        const obs::JsonValue *type = v->find("type");
-        const obs::JsonValue *idv = v->find("id");
-        if (!type || !type->isString() || !idv || !idv->isNumber())
-            continue;
-        std::uint64_t id = idv->u64();
+        std::uint64_t id = idv.u64();
 
         std::shared_ptr<Flight> fl;
         std::string key;
@@ -535,21 +534,20 @@ Daemon::shardReaderLoop(Shard &shard)
             flights_.erase(key);
             ++completedCount_;
         }
-        if (type->str == "result") {
-            const obs::JsonValue *hit = v->find("cacheHit");
-            std::string prov =
-                hit && hit->isString() ? hit->str : "computed";
+        if (type.str() == "result") {
+            const obs::JsonNode hit = v.find("cacheHit");
+            std::string prov(hit.isString() ? hit.str() : "computed");
             std::string record(body);
             if (store_ && !record.empty())
                 store_->put(key, record);
             fl->promise.set_value(
                 Outcome{true, "", std::move(prov), std::move(record)});
         } else {
-            const obs::JsonValue *msg = v->find("message");
+            const obs::JsonNode msg = v.find("message");
             fl->promise.set_value(Outcome{
                 false,
-                msg && msg->isString() ? msg->str : "shard error", "",
-                ""});
+                std::string(msg.isString() ? msg.str() : "shard error"),
+                "", ""});
         }
     }
 
@@ -644,6 +642,7 @@ Daemon::connectionLoop(int fd)
     FrameReader reader(fd);
     std::string_view payload, header, body;
     std::string reply;
+    obs::JsonDocument doc;
     for (;;) {
         WireStatus st = reader.next(payload);
         if (st != WireStatus::Ok) {
@@ -652,21 +651,17 @@ Daemon::connectionLoop(int fd)
             return;
         }
         reply.clear();
-        std::optional<obs::JsonValue> v;
-        if (splitMessage(payload, header, body))
-            v = obs::JsonValue::tryParse(header);
-        const obs::JsonValue *type =
-            v && v->isObject() ? v->find("type") : nullptr;
-        std::string t = type && type->isString() ? type->str : "";
+        const obs::JsonNode v =
+            splitMessage(payload, header, body) && doc.parse(header)
+            ? doc.root() : obs::JsonNode();
+        const std::string_view t = v.find("type").str();
         bool quit = false;
-        if (!v || !v->isObject()) {
+        if (!v.isObject()) {
             std::lock_guard<std::mutex> lk(mu_);
             ++errorCount_;
             appendError(reply, "malformed message", 0, false);
         } else if (t == "hello") {
-            const obs::JsonValue *schema = v->find("schema");
-            std::string peer =
-                schema && schema->isString() ? schema->str : "";
+            const std::string_view peer = v.find("schema").str();
             if (peer == kSvcSchema) {
                 std::string hello;
                 obs::JsonWriter w(hello);
@@ -681,7 +676,8 @@ Daemon::connectionLoop(int fd)
                 ++errorCount_;
                 appendError(reply,
                             "unsupported protocol '" +
-                                (peer.empty() ? "(none)" : peer) +
+                                std::string(peer.empty() ? "(none)"
+                                                         : peer) +
                                 "': this daemon speaks " + kSvcSchema,
                             0, false);
                 quit = true;
@@ -696,14 +692,15 @@ Daemon::connectionLoop(int fd)
             requestShutdown();
             return;
         } else if (t == "lookup") {
-            handleLookup(fd, *v, reply);
+            handleLookup(fd, v, reply);
         } else if (t == "sweep") {
-            handleSweep(fd, *v, reply);
+            handleSweep(fd, v, reply);
         } else {
             std::lock_guard<std::mutex> lk(mu_);
             ++errorCount_;
-            appendError(reply, "unknown message type '" + t + "'", 0,
-                        false);
+            appendError(reply,
+                        "unknown message type '" + std::string(t) + "'",
+                        0, false);
         }
         if (!reply.empty() && !writeAll(fd, reply))
             return;
@@ -713,20 +710,22 @@ Daemon::connectionLoop(int fd)
 }
 
 void
-Daemon::handleLookup(int fd, const obs::JsonValue &v, std::string &reply)
+Daemon::handleLookup(int fd, obs::JsonNode v, std::string &reply)
 {
-    const obs::JsonValue *idv = v.find("id");
-    std::uint64_t id = idv && idv->isNumber() ? idv->u64() : 0;
-    const obs::JsonValue *pv = v.find("progress");
-    const bool wantProgress = pv && pv->isBool() && pv->boolean;
-    const obs::JsonValue *keys = v.find("keys");
+    const std::uint64_t id = v.find("id").u64();
+    const bool wantProgress = v.find("progress").boolean();
+    const obs::JsonNode keys = v.find("keys");
     std::string perr;
-    if (!keys || !keys->isArray() || keys->arr.empty())
+    if (!keys.isArray() || keys.size() == 0)
         perr = "lookup has no keys";
-    for (std::size_t i = 0; perr.empty() && i < keys->arr.size(); ++i) {
-        if (!keys->arr[i].isString())
+    std::uint64_t i = 0;
+    for (const obs::JsonNode k : keys.elements()) {
+        if (!k.isString()) {
             perr = "lookup.keys[" + std::to_string(i) +
                 "] is not a string";
+            break;
+        }
+        ++i;
     }
     if (!perr.empty()) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -737,11 +736,13 @@ Daemon::handleLookup(int fd, const obs::JsonValue &v, std::string &reply)
 
     // The store alone answers: a key needs no config, and a miss is
     // the client's to sweep, so nothing here coalesces or simulates.
-    const std::uint64_t points = keys->arr.size();
+    const std::uint64_t points = keys.size();
     std::uint64_t hits = 0;
-    std::string record, header;
-    for (std::uint64_t i = 0; i < points; ++i) {
-        if (store_ && store_->get(keys->arr[i].str, record)) {
+    std::string key, record, header;
+    i = 0;
+    for (const obs::JsonNode k : keys.elements()) {
+        key = k.str();
+        if (store_ && store_->get(key, record)) {
             ++hits;
             appendResult(reply, id, i, "store", record);
             if (wantProgress)
@@ -756,6 +757,7 @@ Daemon::handleLookup(int fd, const obs::JsonValue &v, std::string &reply)
             w.endObject();
             appendMessage(reply, header);
         }
+        ++i;
         if (!flushIfFull(fd, reply))
             return;
     }
@@ -780,14 +782,12 @@ Daemon::handleLookup(int fd, const obs::JsonValue &v, std::string &reply)
 }
 
 void
-Daemon::handleSweep(int fd, const obs::JsonValue &v, std::string &reply)
+Daemon::handleSweep(int fd, obs::JsonNode v, std::string &reply)
 {
-    const obs::JsonValue *idv = v.find("id");
-    std::uint64_t id = idv && idv->isNumber() ? idv->u64() : 0;
-    const obs::JsonValue *pv = v.find("progress");
-    const bool wantProgress = pv && pv->isBool() && pv->boolean;
-    const obs::JsonValue *pts = v.find("points");
-    if (!pts || !pts->isArray() || pts->arr.empty()) {
+    const std::uint64_t id = v.find("id").u64();
+    const bool wantProgress = v.find("progress").boolean();
+    const obs::JsonNode pts = v.find("points");
+    if (!pts.isArray() || pts.size() == 0) {
         std::lock_guard<std::mutex> lk(mu_);
         ++errorCount_;
         appendError(reply, "sweep has no points", id, true);
@@ -803,18 +803,19 @@ Daemon::handleSweep(int fd, const obs::JsonValue &v, std::string &reply)
         SimConfig cfg;
     };
     std::vector<Point> points;
-    points.reserve(pts->arr.size());
-    for (const obs::JsonValue &e : pts->arr) {
+    points.reserve(pts.size());
+    for (const obs::JsonNode e : pts.elements()) {
         Point p;
         std::string perr;
         obs::ObjectReader r(e, "sweep.points", perr);
         r.string("workload", p.workload);
         r.integer("scale", p.scale);
-        const obs::JsonValue *c = r.member("config");
-        bool ok = c && configFromJson(*c, p.cfg, perr) && r.finish();
-        if (ok && p.scale == 0) {
+        const obs::JsonNode c = r.member("config");
+        bool ok = c && configFromJson(c, p.cfg, perr) && r.finish();
+        if (ok && (p.scale == 0 || p.scale > kMaxSweepScale)) {
             ok = false;
-            perr = "sweep.points: scale must be >= 1";
+            perr = "sweep.points: scale must be between 1 and " +
+                std::to_string(kMaxSweepScale);
         }
         if (ok && !knownWorkload(p.workload)) {
             ok = false;

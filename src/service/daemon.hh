@@ -64,7 +64,7 @@
 
 namespace tcfill::obs
 {
-struct JsonValue;
+class JsonNode;
 } // namespace tcfill::obs
 
 namespace tcfill::service
@@ -165,9 +165,9 @@ class Daemon
     void shardReaderLoop(Shard &shard);
     void connectionLoop(int fd);
     /** Answer one lookup: frames go to @p reply, flushed to @p fd. */
-    void handleLookup(int fd, const obs::JsonValue &v, std::string &reply);
+    void handleLookup(int fd, obs::JsonNode v, std::string &reply);
     /** Answer one sweep: frames go to @p reply, flushed to @p fd. */
-    void handleSweep(int fd, const obs::JsonValue &v, std::string &reply);
+    void handleSweep(int fd, obs::JsonNode v, std::string &reply);
     std::string statsPayload();
 
     DaemonOptions opts_;

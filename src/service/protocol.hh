@@ -79,6 +79,13 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 inline constexpr std::size_t kFrameOverhead = 12;
 
 /**
+ * Largest workload scale a sweep point may ask for: 64x the largest
+ * any experiment runs. Run time grows with the scale, so past this a
+ * point could hold a shard for hours.
+ */
+inline constexpr unsigned kMaxSweepScale = 1024;
+
+/**
  * A reply buffer is written out once it holds this many bytes, so a
  * request that asks for many small frames (a lookup of many keys)
  * never grows the daemon's buffer much past this.

@@ -59,6 +59,46 @@ entryCrc(const std::string &key, const std::string &value)
     return digest::crc32(value.data(), value.size(), crc);
 }
 
+/** One log record, located by its framing. */
+struct Framed
+{
+    std::uint8_t op = 0;
+    std::size_t keyOff = 0, keyLen = 0;
+    std::size_t valOff = 0, valLen = 0;
+    std::uint32_t crc = 0;      ///< the CRC the record carries
+    std::size_t end = 0;        ///< one past the record
+};
+
+/**
+ * Frame the record at @p pos of @p log into @p r; true when its op is
+ * known, its lengths fit the log and its CRC verifies.
+ */
+bool
+wholeRecordAt(const std::string &log, std::size_t pos, Framed &r)
+{
+    r.op = static_cast<std::uint8_t>(log[pos++]);
+    std::uint64_t keyLen = 0, valLen = 0;
+    if ((r.op != kOpPut && r.op != kOpTouch && r.op != kOpErase) ||
+        !tracefile::getVarint(log, pos, keyLen) ||
+        log.size() - pos < keyLen)
+        return false;
+    r.keyOff = pos;
+    r.keyLen = keyLen;
+    pos += keyLen;
+    if (r.op == kOpPut &&
+        (!tracefile::getVarint(log, pos, valLen) ||
+         log.size() - pos < valLen))
+        return false;
+    r.valOff = pos;
+    r.valLen = valLen;
+    pos += valLen;
+    if (!getU32(log, pos, r.crc))
+        return false;
+    r.end = pos;
+    const std::uint32_t crc = digest::crc32(log.data() + r.keyOff, r.keyLen);
+    return digest::crc32(log.data() + r.valOff, r.valLen, crc) == r.crc;
+}
+
 std::string
 headerBytes()
 {
@@ -176,60 +216,42 @@ ResultStore::replayLog(const std::string &log, std::string &err)
     index_.clear();
     lru_.clear();
     stats_.liveBytes = 0;
-    // A record whose op is known and whose lengths fit the log is
-    // framed: a CRC mismatch there is rot inside that one record, so
-    // it is skipped and replay goes on. Only an unknown op or a length
-    // that overruns the log is a torn tail (a crash mid-append).
+    // Replay every whole record: one that frames and verifies. At a
+    // record that does not, neither its contents nor its lengths can
+    // be trusted (a rotted length byte misframes what follows), so
+    // replay resumes at the next offset where a whole record starts
+    // and the bytes in between cost only themselves. Only a tail that
+    // holds no whole record is torn (a crash mid-append): it is
+    // truncated.
     std::size_t pos = kHeaderBytes;
-    std::size_t lastGood = pos;
     std::uint64_t skipped = 0;
     bool torn = false;
+    Framed r;
     while (pos < log.size()) {
-        std::uint8_t op = static_cast<std::uint8_t>(log[pos++]);
-        std::uint64_t keyLen = 0;
-        if ((op != kOpPut && op != kOpTouch && op != kOpErase) ||
-            !tracefile::getVarint(log, pos, keyLen) ||
-            log.size() - pos < keyLen) {
-            torn = true;
-            break;
-        }
-        std::string key = log.substr(pos, keyLen);
-        pos += keyLen;
-        std::uint64_t valLen = 0;
-        std::size_t valOff = pos;
-        if (op == kOpPut) {
-            if (!tracefile::getVarint(log, pos, valLen) ||
-                log.size() - pos < valLen) {
+        if (!wholeRecordAt(log, pos, r)) {
+            std::size_t next = pos + 1;
+            while (next < log.size() && !wholeRecordAt(log, next, r))
+                ++next;
+            if (next == log.size()) {
                 torn = true;
                 break;
             }
-            valOff = pos;
-            pos += valLen;
-        }
-        std::uint32_t want = 0;
-        if (!getU32(log, pos, want)) {
-            torn = true;
-            break;
-        }
-        lastGood = pos;
-        std::uint32_t crc = digest::crc32(key.data(), key.size());
-        crc = digest::crc32(log.data() + valOff, valLen, crc);
-        if (crc != want) {
             ++skipped;
-            continue;
         }
+        pos = r.end;
+        std::string key = log.substr(r.keyOff, r.keyLen);
         auto it = index_.find(key);
-        if (op == kOpPut) {
+        if (r.op == kOpPut) {
             if (it != index_.end())
                 dropLocked(key, /*logErase=*/false);
             Entry e;
-            e.valueOffset = valOff;
-            e.valueLen = static_cast<std::uint32_t>(valLen);
-            e.crc = want;
-            stats_.liveBytes += key.size() + valLen;
+            e.valueOffset = r.valOff;
+            e.valueLen = static_cast<std::uint32_t>(r.valLen);
+            e.crc = r.crc;
+            stats_.liveBytes += key.size() + r.valLen;
             insertLocked(std::move(key), e);
         } else if (it != index_.end()) {
-            if (op == kOpTouch)
+            if (r.op == kOpTouch)
                 lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             else
                 dropLocked(key, /*logErase=*/false);
@@ -238,18 +260,18 @@ ResultStore::replayLog(const std::string &log, std::string &err)
 
     if (skipped != 0) {
         stats_.corruptDrops += skipped;
-        warn("result store '%s': skipped %llu records that fail their "
-             "CRC", path_.c_str(),
+        warn("result store '%s': skipped %llu damaged stretches of the "
+             "log", path_.c_str(),
              static_cast<unsigned long long>(skipped));
     }
-    logBytes_ = lastGood;
+    logBytes_ = pos;
     if (torn) {
         // Crash-torn tail: drop it so future appends land on a clean
         // boundary.
         stats_.recoveredDrops++;
         warn("result store '%s': dropping %zu torn trailing bytes",
-             path_.c_str(), log.size() - lastGood);
-        if (::ftruncate(fd_, static_cast<off_t>(lastGood)) != 0) {
+             path_.c_str(), log.size() - pos);
+        if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) {
             err = "cannot truncate torn tail of '" + path_ + "'";
             return false;
         }

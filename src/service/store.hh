@@ -13,13 +13,17 @@
  *     TOUCH  u8 0x02, varint keyLen, key, u32 LE CRC-32(key)
  *     ERASE  u8 0x03, varint keyLen, key, u32 LE CRC-32(key)
  *
- * load() replays the log into an in-memory index. A record whose op
- * is known and whose lengths fit the log but whose CRC fails has
- * rotted in place: it is skipped (counted in corruptDrops) and replay
- * goes on, so it costs only itself. An unknown op or a length that
- * overruns the log is a torn tail: the log is truncated back to the
- * last whole record (a crash mid-append costs at most the record
- * being written). Every get() re-reads its value bytes from disk and
+ * load() replays the log into an in-memory index, one whole record
+ * (known op, lengths that fit the log, a CRC that verifies) at a
+ * time. Where the bytes at the replay point are not a whole record —
+ * rot in a key or value, or in a length byte that misframes what
+ * follows — replay resumes at the next offset where a whole record
+ * starts, so the damage costs only the records it touched (each
+ * skipped stretch counts in corruptDrops). A tail that holds no whole
+ * record is torn: the log is truncated back to the last whole record
+ * (a crash mid-append costs at most the record being written). The
+ * log format itself has no resync marker: ops, lengths and the CRC
+ * are enough. Every get() re-reads its value bytes from disk and
  * re-verifies the CRC, so silent on-disk corruption of one record
  * degrades to a miss for that key, never a wrong result. TOUCH records persist recency, so
  * the LRU order survives restarts; when maxBytes is set, put() evicts
@@ -51,8 +55,8 @@ struct StoreStats
     std::uint64_t misses = 0;       ///< get() calls without one
     std::uint64_t evictions = 0;    ///< entries dropped for the cap
     std::uint64_t recoveredDrops = 0; ///< loads that truncated a torn tail
-    std::uint64_t corruptDrops = 0; ///< records failing their CRC (load
-                                    ///< skips, get() invalidations)
+    std::uint64_t corruptDrops = 0; ///< damaged stretches load skipped,
+                                    ///< get() CRC invalidations
     std::uint64_t liveRecords = 0;  ///< keys currently resident
     std::uint64_t liveBytes = 0;    ///< live key+value payload bytes
     std::uint64_t logBytes = 0;     ///< on-disk log size incl. header

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 
 #include "pipeline/retire_unit.hh"
@@ -27,6 +28,14 @@ constexpr Cycle kMaxBusBacklog = 50'000;
 static_assert(2 * (3 * kMaxLatency + kMaxBusBacklog) <
               pipeline::RetireUnit::kDeadlockWindow);
 
+/**
+ * The timeline keeps one row per statsInterval instructions: an
+ * interval is at least kMinStatsInterval long, and a capped run
+ * records at most kMaxStatsIntervals rows.
+ */
+constexpr InstSeqNum kMinStatsInterval = 100;
+constexpr InstSeqNum kMaxStatsIntervals = 1 << 16;
+
 } // namespace
 
 std::string
@@ -43,9 +52,25 @@ SimConfig::check() const
         if (value == 0)
             return std::string("config: ") + knob + " must be positive";
     }
-    // Bounds the allocation: 128x the default stack.
-    if (rasDepth > 4096)
-        return "config: rasDepth must be at most 4096";
+    // What a machine may hold: 128x the default return stack, 256x
+    // the default fetch queue and 128x the default window.
+    const std::tuple<const char *, unsigned, unsigned> bounded[] = {
+        {"rasDepth", rasDepth, 4096},
+        {"fetchQueueLines", fetchQueueLines, 1024},
+        {"windowCap", windowCap, 65536},
+    };
+    for (const auto &[knob, value, most] : bounded) {
+        if (value > most)
+            return std::string("config: ") + knob + " must be at most " +
+                std::to_string(most);
+    }
+    if (statsInterval != 0 && statsInterval < kMinStatsInterval)
+        return "config: statsInterval must be 0 or at least " +
+            std::to_string(kMinStatsInterval) + " instructions";
+    if (statsInterval != 0 && maxInsts / statsInterval > kMaxStatsIntervals)
+        return "config: statsInterval must be at least maxInsts / " +
+            std::to_string(kMaxStatsIntervals) + " (one timeline row "
+            "per interval)";
 
     const std::pair<const char *, std::string> parts[] = {
         {"config.fill", fill.check()},

@@ -25,8 +25,8 @@ cacheToJson(obs::JsonWriter &w, const char *key, const CacheParams &c)
 }
 
 bool
-cacheFromJson(const obs::JsonValue &v, const std::string &path,
-              CacheParams &out, std::string &err)
+cacheFromJson(obs::JsonNode v, const char *path, CacheParams &out,
+              std::string &err)
 {
     Scope s(v, path, err);
     s.integer("sizeBytes", out.sizeBytes);
@@ -129,8 +129,7 @@ configToJson(obs::JsonWriter &w, const SimConfig &cfg)
 }
 
 bool
-configFromJson(const obs::JsonValue &v, SimConfig &out,
-               std::string &err)
+configFromJson(obs::JsonNode v, SimConfig &out, std::string &err)
 {
     out = SimConfig{};
     Scope s(v, "config", err);
@@ -147,9 +146,9 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
     s.integer("statsInterval", out.statsInterval);
     s.integer("statsPhases", out.statsPhases);
 
-    if (const obs::JsonValue *fill = s.member("fill")) {
+    if (const obs::JsonNode fill = s.member("fill")) {
         FillUnitConfig &f = out.fill;
-        Scope fs(*fill, "config.fill", err);
+        Scope fs(fill, "config.fill", err);
         fs.integer("latency", f.latency);
         fs.boolean("packTraces", f.packTraces);
         fs.boolean("alignLoopHeads", f.alignLoopHeads);
@@ -157,15 +156,15 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
         fs.boolean("promoteBranches", f.promoteBranches);
         fs.integer("maxInsts", f.maxInsts);
         fs.integer("maxCondBranches", f.maxCondBranches);
-        if (const obs::JsonValue *opts = fs.member("opts")) {
-            Scope os(*opts, "config.fill.opts", err);
+        if (const obs::JsonNode opts = fs.member("opts")) {
+            Scope os(opts, "config.fill.opts", err);
             os.boolean("markMoves", f.opts.markMoves);
             os.boolean("reassociate", f.opts.reassociate);
             os.boolean("scaledAdds", f.opts.scaledAdds);
             os.boolean("placement", f.opts.placement);
             os.boolean("deadCodeElim", f.opts.deadCodeElim);
-            if (const obs::JsonValue *re = os.member("reassoc")) {
-                Scope rs(*re, "config.fill.opts.reassoc", err);
+            if (const obs::JsonNode re = os.member("reassoc")) {
+                Scope rs(re, "config.fill.opts.reassoc", err);
                 rs.boolean("crossBlockOnly",
                            f.opts.reassocOptions.crossBlockOnly);
                 rs.boolean("foldMemDisplacement",
@@ -176,8 +175,8 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             if (!os.finish())
                 return false;
         }
-        if (const obs::JsonValue *pol = fs.member("policy")) {
-            Scope ps(*pol, "config.fill.policy", err);
+        if (const obs::JsonNode pol = fs.member("policy")) {
+            Scope ps(pol, "config.fill.policy", err);
             std::string kind;
             if (ps.string("kind", kind)) {
                 bool known = false;
@@ -206,8 +205,8 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             return false;
     }
 
-    if (const obs::JsonValue *tc = s.member("tcache")) {
-        Scope ts(*tc, "config.tcache", err);
+    if (const obs::JsonNode tc = s.member("tcache")) {
+        Scope ts(tc, "config.tcache", err);
         ts.integer("entries", out.tcache.entries);
         ts.integer("ways", out.tcache.ways);
         ts.boolean("moveBits", out.tcache.moveBits);
@@ -217,18 +216,18 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             return false;
     }
 
-    if (const obs::JsonValue *mem = s.member("mem")) {
-        Scope ms(*mem, "config.mem", err);
-        if (const obs::JsonValue *c = ms.member("l1i")) {
-            if (!cacheFromJson(*c, "config.mem.l1i", out.mem.l1i, err))
+    if (const obs::JsonNode mem = s.member("mem")) {
+        Scope ms(mem, "config.mem", err);
+        if (const obs::JsonNode c = ms.member("l1i")) {
+            if (!cacheFromJson(c, "config.mem.l1i", out.mem.l1i, err))
                 return false;
         }
-        if (const obs::JsonValue *c = ms.member("l1d")) {
-            if (!cacheFromJson(*c, "config.mem.l1d", out.mem.l1d, err))
+        if (const obs::JsonNode c = ms.member("l1d")) {
+            if (!cacheFromJson(c, "config.mem.l1d", out.mem.l1d, err))
                 return false;
         }
-        if (const obs::JsonValue *c = ms.member("l2")) {
-            if (!cacheFromJson(*c, "config.mem.l2", out.mem.l2, err))
+        if (const obs::JsonNode c = ms.member("l2")) {
+            if (!cacheFromJson(c, "config.mem.l2", out.mem.l2, err))
                 return false;
         }
         ms.integer("l2Latency", out.mem.l2Latency);
@@ -238,8 +237,8 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             return false;
     }
 
-    if (const obs::JsonValue *bp = s.member("bpred")) {
-        Scope bs(*bp, "config.bpred", err);
+    if (const obs::JsonNode bp = s.member("bpred")) {
+        Scope bs(bp, "config.bpred", err);
         bs.integer("pht0Entries", out.bpred.pht0Entries);
         bs.integer("pht1Entries", out.bpred.pht1Entries);
         bs.integer("pht2Entries", out.bpred.pht2Entries);
@@ -248,16 +247,16 @@ configFromJson(const obs::JsonValue &v, SimConfig &out,
             return false;
     }
 
-    if (const obs::JsonValue *bias = s.member("bias")) {
-        Scope bs(*bias, "config.bias", err);
+    if (const obs::JsonNode bias = s.member("bias")) {
+        Scope bs(bias, "config.bias", err);
         bs.integer("entries", out.bias.entries);
         bs.integer("promoteThreshold", out.bias.promoteThreshold);
         if (!bs.finish())
             return false;
     }
 
-    if (const obs::JsonValue *core = s.member("core")) {
-        Scope cs(*core, "config.core", err);
+    if (const obs::JsonNode core = s.member("core")) {
+        Scope cs(core, "config.core", err);
         cs.integer("numClusters", out.core.numClusters);
         cs.integer("fusPerCluster", out.core.fusPerCluster);
         cs.integer("rsEntries", out.core.rsEntries);

@@ -25,21 +25,20 @@ namespace tcfill
 
 namespace obs
 {
+class JsonNode;
 class JsonWriter;
-struct JsonValue;
 } // namespace obs
 
 /** Emit @p cfg as one JSON object (all knobs, fixed key order). */
 void configToJson(obs::JsonWriter &w, const SimConfig &cfg);
 
 /**
- * Parse a configToJson() object into @p out (a default SimConfig plus
- * every serialized knob). Returns false with a description in @p err
- * on any unknown / missing / mistyped member or on a config
- * SimConfig::check() refuses; @p out is unspecified then.
+ * Read a configToJson() object of a scanned document into @p out (a
+ * default SimConfig plus every serialized knob). Returns false with a
+ * description in @p err on any unknown / missing / mistyped member or
+ * on a config SimConfig::check() refuses; @p out is unspecified then.
  */
-bool configFromJson(const obs::JsonValue &v, SimConfig &out,
-                    std::string &err);
+bool configFromJson(obs::JsonNode v, SimConfig &out, std::string &err);
 
 } // namespace tcfill
 

@@ -11,7 +11,7 @@ namespace
 {
 
 bool
-timelineFromJson(const obs::JsonValue &v, SimResult &out,
+timelineFromJson(obs::JsonNode v, SimResult &out,
                  std::string &err)
 {
     auto data = std::make_shared<obs::TimelineData>();
@@ -22,19 +22,19 @@ timelineFromJson(const obs::JsonValue &v, SimResult &out,
         return t.error("unexpected schema '" + schema + "'");
     t.integer("interval", data->interval);
     t.integer("phases", data->phases);
-    if (const obs::JsonValue *counters = t.member("counters")) {
-        if (!counters->isArray())
+    if (const obs::JsonNode counters = t.member("counters")) {
+        if (!counters.isArray())
             return t.error("'counters' is not an array");
-        for (const obs::JsonValue &c : counters->arr) {
+        for (const obs::JsonNode c : counters.elements()) {
             if (!c.isString())
                 return t.error("counter name is not a string");
-            data->counters.push_back(c.str);
+            data->counters.emplace_back(c.str());
         }
     }
-    if (const obs::JsonValue *ivs = t.member("intervals")) {
-        if (!ivs->isArray())
+    if (const obs::JsonNode ivs = t.member("intervals")) {
+        if (!ivs.isArray())
             return t.error("'intervals' is not an array");
-        for (const obs::JsonValue &e : ivs->arr) {
+        for (const obs::JsonNode e : ivs.elements()) {
             obs::TimelineInterval iv;
             obs::ObjectReader r(e, "result.timeline.intervals", err);
             r.integer("startInst", iv.startInst);
@@ -50,16 +50,17 @@ timelineFromJson(const obs::JsonValue &v, SimResult &out,
             // Present exactly when the producing run had a policy
             // mask probe attached; its presence is the maskTracked
             // flag's serialized form.
-            if (const obs::JsonValue *mask = r.optional("passMask")) {
-                if (!mask->isNumber())
+            if (const obs::JsonNode mask = r.optional("passMask")) {
+                if (!mask.isNumber())
                     return r.error("'passMask' is not a number");
-                iv.passMask = static_cast<int>(mask->number);
+                iv.passMask = static_cast<int>(mask.num());
                 data->maskTracked = true;
             }
-            if (const obs::JsonValue *deltas = r.member("deltas")) {
-                if (!deltas->isArray())
+            if (const obs::JsonNode deltas = r.member("deltas")) {
+                if (!deltas.isArray())
                     return r.error("'deltas' is not an array");
-                for (const obs::JsonValue &d : deltas->arr) {
+                iv.deltas.reserve(deltas.size());
+                for (const obs::JsonNode d : deltas.elements()) {
                     if (!d.isNumber())
                         return r.error("delta is not a number");
                     iv.deltas.push_back(d.u64());
@@ -77,7 +78,7 @@ timelineFromJson(const obs::JsonValue &v, SimResult &out,
 }
 
 bool
-policyFromJson(const obs::JsonValue &v, SimResult &out,
+policyFromJson(obs::JsonNode v, SimResult &out,
                std::string &err)
 {
     auto pol = std::make_shared<PolicySummary>();
@@ -91,10 +92,10 @@ policyFromJson(const obs::JsonValue &v, SimResult &out,
     p.integer("reassociations", pol->reassociations);
     p.integer("scaledAdds", pol->scaledAdds);
     p.integer("deadElided", pol->deadElided);
-    if (const obs::JsonValue *phases = p.member("phases")) {
-        if (!phases->isArray())
+    if (const obs::JsonNode phases = p.member("phases")) {
+        if (!phases.isArray())
             return p.error("'phases' is not an array");
-        for (const obs::JsonValue &e : phases->arr) {
+        for (const obs::JsonNode e : phases.elements()) {
             PolicyPhaseStat ps;
             obs::ObjectReader r(e, "result.policy.phases", err);
             // Signed (-1 = untracked aggregate).
@@ -132,7 +133,7 @@ resultRecordText(const SimResult &r)
 }
 
 bool
-resultFromJson(const obs::JsonValue &v, SimResult &out,
+resultFromJson(obs::JsonNode v, SimResult &out,
                std::string &err)
 {
     out = SimResult{};
@@ -169,12 +170,12 @@ resultFromJson(const obs::JsonValue &v, SimResult &out,
     r.skip("fracMoveIdioms");
     r.skip("fracElided");
     r.skip("fracBypassDelayed");
-    if (const obs::JsonValue *tl = r.optional("timeline")) {
-        if (!timelineFromJson(*tl, out, err))
+    if (const obs::JsonNode tl = r.optional("timeline")) {
+        if (!timelineFromJson(tl, out, err))
             return false;
     }
-    if (const obs::JsonValue *pol = r.optional("policy")) {
-        if (!policyFromJson(*pol, out, err))
+    if (const obs::JsonNode pol = r.optional("policy")) {
+        if (!policyFromJson(pol, out, err))
             return false;
     }
     // A full (non-record) result object may carry a wall-clock host
@@ -187,12 +188,12 @@ bool
 resultFromRecordText(std::string_view text, SimResult &out,
                      std::string &err)
 {
-    auto v = obs::JsonValue::tryParse(text);
-    if (!v) {
+    obs::JsonDocument doc;
+    if (!doc.parse(text)) {
         err = "malformed result record JSON";
         return false;
     }
-    return resultFromJson(*v, out, err);
+    return resultFromJson(doc.root(), out, err);
 }
 
 } // namespace tcfill

@@ -26,22 +26,25 @@ namespace tcfill
 
 namespace obs
 {
-struct JsonValue;
+class JsonNode;
 } // namespace obs
 
 /** Render the deterministic record text of @p r (no trailing \n). */
 std::string resultRecordText(const SimResult &r);
 
 /**
- * Parse a record (or a full result object with a host section, which
- * is consumed and dropped) back into @p out. Returns false with a
- * description in @p err on unknown / missing / mistyped members.
- * resultRecordText(out) reproduces the input bytes exactly.
+ * Read a record (or a full result object with a host section, which
+ * is consumed and dropped) of a scanned document back into @p out.
+ * Returns false with a description in @p err on unknown / missing /
+ * mistyped members. resultRecordText(out) reproduces the input bytes
+ * exactly.
  */
-bool resultFromJson(const obs::JsonValue &v, SimResult &out,
-                    std::string &err);
+bool resultFromJson(obs::JsonNode v, SimResult &out, std::string &err);
 
-/** Convenience: parse record text (resultFromJson over a parse). */
+/**
+ * Scan record text and read it (resultFromJson): the hit path's
+ * decode, which builds no tree.
+ */
 bool resultFromRecordText(std::string_view text, SimResult &out,
                           std::string &err);
 

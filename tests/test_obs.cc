@@ -10,11 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "asm/builder.hh"
 #include "common/random.hh"
@@ -30,12 +35,15 @@
 #include "sim/runner.hh"
 #include "sim/stats_io.hh"
 #include "tracefile/replay.hh"
+#include "workloads/suite.hh"
 
 namespace tcfill
 {
 namespace
 {
 
+using obs::JsonDocument;
+using obs::JsonNode;
 using obs::JsonValue;
 using obs::JsonWriter;
 using obs::ObjectReader;
@@ -118,22 +126,23 @@ TEST(Json, ParserRejectsMalformedInput)
 // or out-of-range doubles must parse-error, not cast (UB).
 TEST(Json, IntegerReaderRejectsHostileNumbers)
 {
-    for (const char *doc :
+    for (const char *text :
          {"{\"n\": -1}", "{\"n\": 1.5}", "{\"n\": 1e300}",
           "{\"n\": 4294967296}"}) {
-        auto v = JsonValue::tryParse(doc);
-        ASSERT_TRUE(v.has_value()) << doc;
+        JsonDocument doc;
+        ASSERT_TRUE(doc.parse(text)) << text;
         std::string err;
-        ObjectReader r(*v, "doc", err);
+        ObjectReader r(doc.root(), "doc", err);
         std::uint32_t n = 0;
-        EXPECT_FALSE(r.integer("n", n)) << doc;
+        EXPECT_FALSE(r.integer("n", n)) << text;
         EXPECT_NE(err.find("'n'"), std::string::npos) << err;
     }
     // In-range values still read back exactly, including u64's top end.
-    auto v = JsonValue::parse("{\"small\": 7, \"big\": 4294967295, "
-                              "\"zero\": 0}");
+    JsonDocument doc;
+    ASSERT_TRUE(doc.parse("{\"small\": 7, \"big\": 4294967295, "
+                          "\"zero\": 0}"));
     std::string err;
-    ObjectReader r(v, "doc", err);
+    ObjectReader r(doc.root(), "doc", err);
     std::uint32_t small = 0, big = 0;
     std::uint64_t zero = 9;
     EXPECT_TRUE(r.integer("small", small));
@@ -146,6 +155,36 @@ TEST(Json, IntegerReaderRejectsHostileNumbers)
     // Raw u64() degrades to 0 instead of UB on hostile values.
     EXPECT_EQ(JsonValue::parse("{\"n\": -3}").at("n").u64(), 0u);
     EXPECT_EQ(JsonValue::parse("{\"n\": 1e300}").at("n").u64(), 0u);
+}
+
+// Members past the reader's inline set are tracked too: an object of
+// 200 members reads whole, and an unread one past the 128th is named.
+TEST(Json, ObjectReaderTracksMembersPastTheInlineSet)
+{
+    std::string text;
+    {
+        JsonWriter w(text);
+        w.beginObject();
+        for (unsigned m = 0; m < 200; ++m)
+            w.field(("m" + std::to_string(m)).c_str(), std::uint64_t{m});
+        w.endObject();
+    }
+    JsonDocument doc;
+    ASSERT_TRUE(doc.parse(text));
+    for (const unsigned skipped : {200u, 150u}) {
+        std::string err;
+        ObjectReader r(doc.root(), "doc", err);
+        for (unsigned m = 0; m < 200; ++m) {
+            unsigned v = 0;
+            if (m != skipped) {
+                ASSERT_TRUE(r.integer("m" + std::to_string(m), v)) << err;
+            }
+        }
+        EXPECT_EQ(r.finish(), skipped == 200u) << err;
+        if (skipped != 200u) {
+            EXPECT_EQ(err, "doc: unknown member 'm150'");
+        }
+    }
 }
 
 TEST(Json, NumberFormattingRoundTrips)
@@ -311,6 +350,463 @@ TEST(Json, DeepNestingIsRefused)
     for (std::size_t i = 0; i < cap; ++i)
         v = &v->at("a");
     EXPECT_EQ(v->u64(), 1u);
+}
+
+/** @p s for the pinned table: printable ASCII, other bytes as %hh. */
+void
+pinString(std::string &out, std::string_view s)
+{
+    out += "s'";
+    for (const unsigned char c : s) {
+        if (c >= 0x20 && c < 0x7f && !std::strchr("'\\\"%", c)) {
+            out += static_cast<char>(c);
+        } else {
+            char hex[4];
+            std::snprintf(hex, sizeof(hex), "%%%02x", c);
+            out += hex;
+        }
+    }
+    out += '\'';
+}
+
+/** @p d for the pinned table: its bit pattern. */
+void
+pinNumber(std::string &out, double d)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    char hex[20];
+    std::snprintf(hex, sizeof(hex), "#%016llx",
+                  static_cast<unsigned long long>(bits));
+    out += hex;
+}
+
+/** A scanned value in the pinned table's notation. */
+void
+pinDump(std::string &out, JsonNode v)
+{
+    const char *sep = "";
+    switch (v.kind()) {
+      case obs::JsonKind::Null: out += "null"; break;
+      case obs::JsonKind::Bool: out += v.boolean() ? "true" : "false"; break;
+      case obs::JsonKind::Number: pinNumber(out, v.num()); break;
+      case obs::JsonKind::String: pinString(out, v.str()); break;
+      case obs::JsonKind::Array:
+        out += '[';
+        for (const JsonNode e : v.elements()) {
+            out += std::exchange(sep, ",");
+            pinDump(out, e);
+        }
+        out += ']';
+        break;
+      case obs::JsonKind::Object:
+        out += '{';
+        for (const obs::JsonMember &m : v.members()) {
+            out += std::exchange(sep, ",");
+            pinString(out, m.name);
+            out += ':';
+            pinDump(out, m.value);
+        }
+        out += '}';
+        break;
+    }
+}
+
+/** A materialized tree in the pinned table's notation. */
+void
+pinDump(std::string &out, const JsonValue &v)
+{
+    const char *sep = "";
+    switch (v.kind) {
+      case JsonValue::Kind::Null: out += "null"; break;
+      case JsonValue::Kind::Bool: out += v.boolean ? "true" : "false"; break;
+      case JsonValue::Kind::Number: pinNumber(out, v.number); break;
+      case JsonValue::Kind::String: pinString(out, v.str); break;
+      case JsonValue::Kind::Array:
+        out += '[';
+        for (const JsonValue &e : v.arr) {
+            out += std::exchange(sep, ",");
+            pinDump(out, e);
+        }
+        out += ']';
+        break;
+      case JsonValue::Kind::Object:
+        out += '{';
+        for (const auto &[name, m] : v.obj) {
+            out += std::exchange(sep, ",");
+            pinString(out, name);
+            out += ':';
+            pinDump(out, m);
+        }
+        out += '}';
+        break;
+    }
+}
+
+/** One input and the value it parsed to (nullptr: refused). */
+struct PinnedCase
+{
+    std::string_view text;
+    const char *value;
+};
+
+using namespace std::string_view_literals;
+
+// Recorded from the recursive-descent parser this scanner replaced
+// (commit 108f6d3): numbers as bit patterns, strings as bytes. Number
+// literals, every escape, raw control bytes, literal prefixes,
+// trailing garbage and structure.
+const PinnedCase kPinnedCases[] = {
+    {".5"sv, "#3fe0000000000000"},
+    {"1."sv, "#3ff0000000000000"},
+    {"00012"sv, "#4028000000000000"},
+    {"1e"sv, nullptr},
+    {"-"sv, nullptr},
+    {"+1"sv, "#3ff0000000000000"},
+    {"-0"sv, "#8000000000000000"},
+    {"0"sv, "#0000000000000000"},
+    {"-0.0"sv, "#8000000000000000"},
+    {"1e-400"sv, "#0000000000000000"},
+    {"-1e-400"sv, "#8000000000000000"},
+    {"2e-324"sv, "#0000000000000000"},
+    {"3e-324"sv, "#0000000000000001"},
+    {"4.9e-324"sv, "#0000000000000001"},
+    {"5e-324"sv, "#0000000000000001"},
+    {"1e400"sv, nullptr},
+    {"-1e400"sv, nullptr},
+    {"1.7976931348623157e308"sv, "#7fefffffffffffff"},
+    {"1.7976931348623158e308"sv, "#7fefffffffffffff"},
+    {"1.7976931348623159e308"sv, nullptr},
+    {"2.2250738585072011e-308"sv, "#000fffffffffffff"},
+    {"2.2250738585072014e-308"sv, "#0010000000000000"},
+    {"0.30000000000000004"sv, "#3fd3333333333334"},
+    {"1.2345678901234567"sv, "#3ff3c0ca428c59fb"},
+    {"12345678901234567"sv, "#4345ee2a2eb5a5c4"},
+    {"9007199254740993"sv, "#4340000000000000"},
+    {"-9007199254740993"sv, "#c340000000000000"},
+    {"8.9884656743115795e307"sv, "#7fe0000000000000"},
+    {"4.9406564584124654e-324"sv, "#0000000000000001"},
+    {"1.0000000000000002"sv, "#3ff0000000000001"},
+    {"0.1"sv, "#3fb999999999999a"},
+    {"1e23"sv, "#44b52d02c7e14af6"},
+    {"18446744073709551615"sv, "#43f0000000000000"},
+    {"18446744073709551616"sv, "#43f0000000000000"},
+    {"-9223372036854775808"sv, "#c3e0000000000000"},
+    {"123456789012345678901234567890"sv, "#45f8ee90ff6c373e"},
+    {"0.0000000000000000000000000000000000000000"
+     "000000000000000000000000000000000000000015"sv,
+     "#2f26c401b5900e2a"},
+    {"1E+2"sv, "#4059000000000000"},
+    {"1e+"sv, nullptr},
+    {"1e-"sv, nullptr},
+    {"--1"sv, nullptr},
+    {"-+1"sv, nullptr},
+    {"+-1"sv, nullptr},
+    {"++1"sv, nullptr},
+    {"+.5"sv, "#3fe0000000000000"},
+    {"1-2"sv, nullptr},
+    {"1.2.3"sv, nullptr},
+    {"0x10"sv, nullptr},
+    {"."sv, nullptr},
+    {"-."sv, nullptr},
+    {"-.5"sv, "#bfe0000000000000"},
+    {"-5."sv, "#c014000000000000"},
+    {"e5"sv, nullptr},
+    {"E5"sv, nullptr},
+    {"-e5"sv, nullptr},
+    {"1e5e5"sv, nullptr},
+    {"1.e3"sv, "#408f400000000000"},
+    {".e3"sv, nullptr},
+    {"1ee3"sv, nullptr},
+    {"-01"sv, "#bff0000000000000"},
+    {"1e0400"sv, nullptr},
+    {"1e-0400"sv, "#0000000000000000"},
+    {"[1,.5,-0,+2]"sv,
+     "[#3ff0000000000000,#3fe0000000000000,#8000000000000000,"
+     "#4000000000000000]"},
+    {"[1e]"sv, nullptr},
+    {"[-]"sv, nullptr},
+    {"\"\\\"\""sv, "s'%22'"},
+    {"\"\\\\\""sv, "s'%5c'"},
+    {"\"\\/\""sv, "s'/'"},
+    {"\"\\b\""sv, "s'%08'"},
+    {"\"\\f\""sv, "s'%0c'"},
+    {"\"\\n\""sv, "s'%0a'"},
+    {"\"\\r\""sv, "s'%0d'"},
+    {"\"\\t\""sv, "s'%09'"},
+    {"\"\\u0041\""sv, "s'A'"},
+    {"\"\\u00e9\""sv, "s'%c3%a9'"},
+    {"\"\\u00E9\""sv, "s'%c3%a9'"},
+    {"\"\\u007f\""sv, "s'%7f'"},
+    {"\"\\u0080\""sv, "s'%c2%80'"},
+    {"\"\\u07FF\""sv, "s'%df%bf'"},
+    {"\"\\u0800\""sv, "s'%e0%a0%80'"},
+    {"\"\\u20AC\""sv, "s'%e2%82%ac'"},
+    {"\"\\uFFFF\""sv, "s'%ef%bf%bf'"},
+    {"\"\\uD83D\\uDE00\""sv, "s'%ed%a0%bd%ed%b8%80'"},
+    {"\"\\uDC00\""sv, "s'%ed%b0%80'"},
+    {"\"\\u0000\""sv, "s'%00'"},
+    {"\"a\\u0000b\""sv, "s'a%00b'"},
+    {"\"x\\u00e9\\n\\\"y\""sv, "s'x%c3%a9%0a%22y'"},
+    {"\"\\u12G4\""sv, nullptr},
+    {"\"\\uZZZZ\""sv, nullptr},
+    {"\"\\u\""sv, nullptr},
+    {"\"\\u1\""sv, nullptr},
+    {"\"\\u12\""sv, nullptr},
+    {"\"\\u123\""sv, nullptr},
+    {"\"\\u12"sv, nullptr},
+    {"\"\\u123"sv, nullptr},
+    {"\"\\u1234"sv, nullptr},
+    {"\"\\x41\""sv, nullptr},
+    {"\"\\a\""sv, nullptr},
+    {"\"\\U0041\""sv, nullptr},
+    {"\"\\'\""sv, nullptr},
+    {"\"\\0\""sv, nullptr},
+    {"\"\\"sv, nullptr},
+    {"\"\\\""sv, nullptr},
+    {"\"abc"sv, nullptr},
+    {"\"\""sv, "s''"},
+    {"\""sv, nullptr},
+    {"\"a\001b\""sv, "s'a%01b'"},
+    {"\"\012\""sv, "s'%0a'"},
+    {"\"\011\""sv, "s'%09'"},
+    {"\"\000\""sv, "s'%00'"},
+    {"\"\037\""sv, "s'%1f'"},
+    {"\"\177\""sv, "s'%7f'"},
+    {"\"\377\376\""sv, "s'%ff%fe'"},
+    {"\"caf\303\251\""sv, "s'caf%c3%a9'"},
+    {"[\"\015\012\"]"sv, "[s'%0d%0a']"},
+    {"true"sv, "true"},
+    {"false"sv, "false"},
+    {"null"sv, "null"},
+    {"tru"sv, nullptr},
+    {"nul"sv, nullptr},
+    {"fals"sv, nullptr},
+    {"t"sv, nullptr},
+    {"n"sv, nullptr},
+    {"f"sv, nullptr},
+    {"True"sv, nullptr},
+    {"NULL"sv, nullptr},
+    {"truex"sv, nullptr},
+    {"nullnull"sv, nullptr},
+    {"true false"sv, nullptr},
+    {"[tru]"sv, nullptr},
+    {"[nul]"sv, nullptr},
+    {"[true,false,null]"sv, "[true,false,null]"},
+    {"{\"a\":tru}"sv, nullptr},
+    {"[true1]"sv, nullptr},
+    {"-true"sv, nullptr},
+    {"{} x"sv, nullptr},
+    {"1 2"sv, nullptr},
+    {"[1] ]"sv, nullptr},
+    {"\"a\"b"sv, nullptr},
+    {"{}{}"sv, nullptr},
+    {"[]]"sv, nullptr},
+    {"{}}"sv, nullptr},
+    {"1,"sv, nullptr},
+    {"  1  "sv, "#3ff0000000000000"},
+    {"\011\015\012 1 \012"sv, "#3ff0000000000000"},
+    {"\0141"sv, nullptr},
+    {"\0131"sv, nullptr},
+    {"1\014"sv, nullptr},
+    {"1\000"sv, nullptr},
+    {""sv, nullptr},
+    {" "sv, nullptr},
+    {"{"sv, nullptr},
+    {"}"sv, nullptr},
+    {"["sv, nullptr},
+    {"]"sv, nullptr},
+    {"[1,]"sv, nullptr},
+    {"[,1]"sv, nullptr},
+    {"[1 2]"sv, nullptr},
+    {"{\"a\":1,}"sv, nullptr},
+    {"{\"a\" 1}"sv, nullptr},
+    {"{\"a\":}"sv, nullptr},
+    {"{1:2}"sv, nullptr},
+    {"{\"a\":1 \"b\":2}"sv, nullptr},
+    {"{\"a\":1,\"a\":2}"sv, "{s'a':#3ff0000000000000,s'a':#4000000000000000}"},
+    {"{ \"k\" : [ 1 , { } , [ ] ] }"sv, "{s'k':[#3ff0000000000000,{},[]]}"},
+    {"{\"a\\u0062\":1}"sv, "{s'ab':#3ff0000000000000}"},
+    {"{\"\":0}"sv, "{s'':#0000000000000000}"},
+    {"{\"a\":{\"b\":[{}]}}"sv, "{s'a':{s'b':[{}]}}"},
+    {"[[],[[]]]"sv, "[[],[[]]]"},
+    {"{,}"sv, nullptr},
+    {"{\"a\"}"sv, nullptr},
+    {"[\"a\":1]"sv, nullptr},
+};
+
+// The scanner accepts and refuses exactly what its predecessor did,
+// and reads every value to the same bits; the materialized tree
+// agrees with the document.
+TEST(Json, EdgeCasesMatchPinnedTable)
+{
+    std::vector<PinnedCase> cases(std::begin(kPinnedCases),
+                                  std::end(kPinnedCases));
+    // Depth 64 against 65, as arrays, objects and both, and an
+    // unclosed stack at the cap.
+    auto objects = [](std::size_t depth, bool pin) {
+        std::string doc;
+        for (std::size_t i = 0; i < depth; ++i)
+            doc += pin ? "{s'a':" : "{\"a\":";
+        return doc + (pin ? "#3ff0000000000000" : "1") +
+            std::string(depth, '}');
+    };
+    const std::string arrays64 = std::string(64, '[') + std::string(64, ']');
+    const std::string arrays65 = std::string(65, '[') + std::string(65, ']');
+    const std::string objects64 = objects(64, false);
+    const std::string objects64Pin = objects(64, true);
+    const std::string objects65 = objects(65, false);
+    const std::string nested64 = "[" + objects(63, false) + "]";
+    const std::string nested64Pin = "[" + objects(63, true) + "]";
+    const std::string nested65 = "[" + objects(64, false) + "]";
+    const std::string open64 = std::string(64, '[') + std::string(64, ' ');
+    cases.push_back({arrays64, arrays64.c_str()});
+    cases.push_back({arrays65, nullptr});
+    cases.push_back({objects64, objects64Pin.c_str()});
+    cases.push_back({objects65, nullptr});
+    cases.push_back({nested64, nested64Pin.c_str()});
+    cases.push_back({nested65, nullptr});
+    cases.push_back({open64, nullptr});
+
+    JsonDocument doc;
+    for (const PinnedCase &c : cases) {
+        const std::string shown(c.text.substr(0, 80));
+        const bool parsed = doc.parse(c.text);
+        const auto tree = JsonValue::tryParse(c.text);
+        ASSERT_EQ(parsed, c.value != nullptr) << shown;
+        ASSERT_EQ(tree.has_value(), parsed) << shown;
+        if (!parsed)
+            continue;
+        std::string scanned, materialized;
+        pinDump(scanned, doc.root());
+        pinDump(materialized, *tree);
+        EXPECT_EQ(scanned, c.value) << shown;
+        EXPECT_EQ(materialized, c.value) << shown;
+    }
+}
+
+/**
+ * Re-encode a scanned value with the writer. An integral number takes
+ * the writer's integer form, as every counter does.
+ */
+void
+reencode(JsonWriter &w, JsonNode v)
+{
+    switch (v.kind()) {
+      case obs::JsonKind::Null:
+        ADD_FAILURE() << "the writer emits no null";
+        break;
+      case obs::JsonKind::Bool:
+        w.value(v.boolean());
+        break;
+      case obs::JsonKind::Number: {
+        const double d = v.num();
+        if (d != std::floor(d) || !(std::fabs(d) < 0x1p63) ||
+            (d == 0 && std::signbit(d)))
+            w.value(d);
+        else if (d >= 0)
+            w.value(static_cast<std::uint64_t>(d));
+        else
+            w.value(static_cast<std::int64_t>(d));
+        break;
+      }
+      case obs::JsonKind::String:
+        w.value(v.str());
+        break;
+      case obs::JsonKind::Array:
+        w.beginArray();
+        for (const JsonNode e : v.elements())
+            reencode(w, e);
+        w.endArray();
+        break;
+      case obs::JsonKind::Object:
+        w.beginObject();
+        for (const obs::JsonMember &m : v.members()) {
+            w.key(m.name);
+            reencode(w, m.value);
+        }
+        w.endObject();
+        break;
+    }
+}
+
+/** @p text scanned and re-encoded (a trailing newline kept). */
+std::string
+scanAndReencode(const std::string &text)
+{
+    JsonDocument doc;
+    EXPECT_TRUE(doc.parse(text)) << text.substr(0, 200);
+    std::string out;
+    JsonWriter w(out);
+    reencode(w, doc.root());
+    if (!text.empty() && text.back() == '\n')
+        w.finish();
+    return out;
+}
+
+// Everything the writer produces reads back to the same bytes: every
+// pinned stats document, each kernel's result record (plain, and with
+// a timeline and an oracle policy) and a config for every pass mask,
+// through the document and through the typed readers.
+TEST(Json, WriterDocumentsRoundTripByteForByte)
+{
+    unsigned golden = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(TCFILL_GOLDEN_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::ifstream is(entry.path());
+        std::stringstream ss;
+        ss << is.rdbuf();
+        EXPECT_EQ(scanAndReencode(ss.str()), ss.str()) << entry.path();
+        ++golden;
+    }
+    EXPECT_GE(golden, 6u);
+
+    SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
+    cfg.name = "roundtrip";
+    cfg.maxInsts = 3'000;
+    SimConfig traced = cfg;
+    traced.statsInterval = 500;
+    traced.fill.policy.kind = FillPolicyKind::Oracle;
+    traced.fill.policy.oracleMap = "0=all,*=moves+placement";
+    SimRunner runner(2);
+    std::vector<std::shared_future<SimResult>> runs;
+    for (const workloads::Workload &w : workloads::suite())
+        runs.push_back(runner.submit(w.name, cfg, 1));
+    runs.push_back(runner.submit("compress", traced, 1));
+    for (auto &run : runs) {
+        const std::string record = resultRecordText(run.get());
+        EXPECT_EQ(scanAndReencode(record), record);
+        SimResult back;
+        std::string err;
+        ASSERT_TRUE(resultFromRecordText(record, back, err)) << err;
+        EXPECT_EQ(resultRecordText(back), record);
+    }
+    ASSERT_TRUE(runs.back().get().timeline && runs.back().get().policy);
+
+    for (unsigned mask = 0; mask <= kPassMaskEvery; ++mask) {
+        SimConfig c = SimConfig::withOpts(
+            optsFromPassMask(static_cast<PassMask>(mask)));
+        c.name = "mask " + std::to_string(mask);
+        std::string text;
+        {
+            JsonWriter w(text);
+            configToJson(w, c);
+        }
+        EXPECT_EQ(scanAndReencode(text), text) << mask;
+        JsonDocument doc;
+        ASSERT_TRUE(doc.parse(text));
+        SimConfig back;
+        std::string err;
+        ASSERT_TRUE(configFromJson(doc.root(), back, err)) << err;
+        std::string again;
+        {
+            JsonWriter w(again);
+            configToJson(w, back);
+        }
+        EXPECT_EQ(again, text) << mask;
+    }
 }
 
 /** @p v as compact JSON text (every kind, null included). */

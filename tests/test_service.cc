@@ -248,6 +248,18 @@ configText(const SimConfig &cfg)
     return text;
 }
 
+/** configFromJson() over scanned @p text; malformed JSON fails too. */
+bool
+configFromText(std::string_view text, SimConfig &out, std::string &err)
+{
+    obs::JsonDocument doc;
+    if (!doc.parse(text)) {
+        err = "malformed JSON";
+        return false;
+    }
+    return configFromJson(doc.root(), out, err);
+}
+
 /** A knob setting the model cannot run, and the field it must name. */
 struct BadKnob
 {
@@ -346,6 +358,21 @@ const BadKnob kBadKnobs[] = {
      [](SimConfig &c) { c.core.crossClusterDelay = Cycle{1} << 31; }},
     {"config.mem: memBusOccupancy",
      [](SimConfig &c) { c.mem.memBusOccupancy = 65536; }},
+    // Knobs that size what a run holds: window slots (unbounded once
+    // memBusOccupancy is 0), fetch-queue lines and timeline rows.
+    {"config: windowCap",
+     [](SimConfig &c) {
+         c.mem.memBusOccupancy = 0;
+         c.windowCap = 1u << 20;
+     }},
+    {"config: fetchQueueLines",
+     [](SimConfig &c) { c.fetchQueueLines = 1u << 20; }},
+    {"config: statsInterval", [](SimConfig &c) { c.statsInterval = 1; }},
+    {"config: statsInterval",
+     [](SimConfig &c) {
+         c.maxInsts = InstSeqNum{1} << 40;
+         c.statsInterval = 1'000;
+     }},
 };
 
 // ServiceClient::sweep looks a point up by the key of its own config;
@@ -366,8 +393,7 @@ TEST(PointKey, ClientKeyEqualsDaemonKey)
             p.config.maxInsts = 20'000 + 8 * mask;
             SimConfig wire;
             std::string err;
-            ASSERT_TRUE(configFromJson(
-                obs::JsonValue::parse(configText(p.config)), wire, err))
+            ASSERT_TRUE(configFromText(configText(p.config), wire, err))
                 << err;
             EXPECT_EQ(simPointKey(p.workload, p.scale, p.config),
                       simPointKey(p.workload, p.scale, wire))
@@ -386,8 +412,7 @@ TEST(ConfigWire, RejectsConfigsTheModelCannotRun)
 
         SimConfig parsed;
         std::string err;
-        EXPECT_FALSE(configFromJson(obs::JsonValue::parse(configText(cfg)),
-                                    parsed, err))
+        EXPECT_FALSE(configFromText(configText(cfg), parsed, err))
             << k.field;
         EXPECT_EQ(err.rfind(k.field, 0), 0u) << k.field << ": " << err;
     }
@@ -401,8 +426,7 @@ TEST(ConfigWire, RejectsRetiredPolicies)
     auto refusal = [](const std::string &bad) {
         SimConfig parsed;
         std::string err;
-        EXPECT_FALSE(
-            configFromJson(obs::JsonValue::parse(bad), parsed, err));
+        EXPECT_FALSE(configFromText(bad, parsed, err));
         return err;
     };
     const std::size_t kind = text.find("\"static\"");
@@ -486,14 +510,20 @@ TEST(ConfigWire, AcceptsTheEdgesTheModelRuns)
             c.windowCap = 16;
             c.mem.memBusOccupancy = 50'000 / 16;
         },
+        // The largest window and fetch queue and the finest timeline.
+        [](SimConfig &c) {
+            c.mem.memBusOccupancy = 0;
+            c.windowCap = 65536;
+            c.fetchQueueLines = 1024;
+            c.statsInterval = 100;
+        },
     };
     for (std::size_t i = 0; i < std::size(edges); ++i) {
         SimConfig cfg = tinyConfig();
         edges[i](cfg);
         SimConfig parsed;
         std::string err;
-        ASSERT_TRUE(configFromJson(obs::JsonValue::parse(configText(cfg)),
-                                   parsed, err))
+        ASSERT_TRUE(configFromText(configText(cfg), parsed, err))
             << "edge " << i << ": " << err;
         EXPECT_EQ(configCacheKey(parsed), configCacheKey(cfg));
         const SimResult r =
@@ -547,19 +577,16 @@ TEST(ConfigFuzz, MutatedConfigsRejectOrRoundTrip)
           }
         }
 
-        const std::optional<obs::JsonValue> v =
-            obs::JsonValue::tryParse(text);
         SimConfig parsed;
         std::string err;
-        if (!v || !configFromJson(*v, parsed, err)) {
-            EXPECT_TRUE(!v || !err.empty()) << text;
+        if (!configFromText(text, parsed, err)) {
+            EXPECT_FALSE(err.empty()) << text;
             ++refused;
             continue;
         }
         ++accepted;
         SimConfig again;
-        ASSERT_TRUE(configFromJson(
-            obs::JsonValue::parse(configText(parsed)), again, err))
+        ASSERT_TRUE(configFromText(configText(parsed), again, err))
             << err << "\n" << text;
         EXPECT_EQ(configCacheKey(again), configCacheKey(parsed)) << text;
         EXPECT_EQ(again.name, parsed.name) << text;
@@ -1360,10 +1387,64 @@ TEST(Store, RottedRecordCostsOnlyItselfOnReload)
     }
 }
 
+// A rotted length byte misframes its record, and used to misframe
+// every record after it: the reload read them as a torn tail and
+// truncated the log there. Replay resynchronizes at the next whole
+// record, so only the damaged record is lost, on reload and after a
+// compaction.
+TEST(Store, RottedLengthCostsOnlyItsRecord)
+{
+    const std::string dir = scratchDir("rotlen");
+    // Keys as long as simPointKey texts: two-byte length varints.
+    auto key = [](int k) {
+        return "point " + std::to_string(k) + "@1 " + std::string(200, 'k');
+    };
+    auto value = [](int k) {
+        return "{record " + std::to_string(k) + "}" + std::string(300, 'r');
+    };
+    std::string path;
+    {
+        ResultStore store(dir);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        for (int k = 0; k < 100; ++k)
+            ASSERT_TRUE(store.put(key(k), value(k)));
+        path = store.path();
+    }
+    std::string log = readFile(path);
+    // The first record: its PUT op after the 12-byte header, then the
+    // first byte of its key length.
+    ASSERT_EQ(log[12], '\x01');
+    --log[13];
+    const std::string rotted = storeWithLog("rotlen2", log);
+
+    for (const bool compacted : {false, true}) {
+        ResultStore store(rotted);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        const StoreStats s = store.stats();
+        EXPECT_EQ(s.liveRecords, 99u) << compacted;
+        EXPECT_EQ(s.recoveredDrops, 0u) << compacted;
+        EXPECT_EQ(s.corruptDrops, compacted ? 0u : 1u);
+        if (!compacted) {
+            EXPECT_EQ(s.logBytes, log.size()) << "nothing may be truncated";
+        }
+        std::string v;
+        EXPECT_FALSE(store.get(key(0), v));
+        for (int k = 1; k < 100; ++k) {
+            ASSERT_TRUE(store.get(key(k), v)) << k;
+            ASSERT_EQ(v, value(k));
+        }
+        if (!compacted) {
+            ASSERT_TRUE(store.compact(err)) << err;
+        }
+    }
+}
+
 // The crash-point sweep: a log cut at every record boundary, or inside
 // any record, reloads exactly the records before the cut; one rotted
-// byte in any record's key or value costs that record alone. No
-// reload ever serves a wrong value.
+// byte in any record's key, value or lengths costs that record alone.
+// No reload ever serves a wrong value.
 TEST(StoreFuzz, TruncateOrRotAtEveryRecord)
 {
     const std::string dir = scratchDir("crashpoints");
@@ -1432,17 +1513,21 @@ TEST(StoreFuzz, TruncateOrRotAtEveryRecord)
         EXPECT_EQ(reload(log.substr(0, inside), st), firstN(i)) << i;
         EXPECT_EQ(st.recoveredDrops, 1u) << i;
 
-        // One rotted byte in the key, then in the value.
+        // One rotted byte in the key, in the value, in the key length
+        // and in the value length.
         std::vector<int> others = firstN(kPuts);
         others.erase(others.begin() + i);
-        for (const std::string &part : {key(i), value(i)}) {
+        const std::size_t keyAt = log.find(key(i), putAt[i]);
+        const std::size_t valueAt = log.find(value(i), keyAt);
+        ASSERT_LT(valueAt, ends[i]) << i;
+        for (const std::size_t at :
+             {keyAt + key(i).size() / 2, valueAt + value(i).size() / 2,
+              putAt[i] + 1, keyAt + key(i).size()}) {
             std::string rotted = log;
-            const std::size_t at = rotted.find(part, putAt[i]);
-            ASSERT_LT(at, ends[i]) << i;
-            rotted[at + part.size() / 2] ^= 0x01;
-            EXPECT_EQ(reload(rotted, st), others) << i;
-            EXPECT_EQ(st.recoveredDrops, 0u) << i;
-            EXPECT_GE(st.corruptDrops, 1u) << i;
+            rotted[at] ^= 0x01;
+            EXPECT_EQ(reload(rotted, st), others) << i << " at " << at;
+            EXPECT_EQ(st.recoveredDrops, 0u) << i << " at " << at;
+            EXPECT_GE(st.corruptDrops, 1u) << i << " at " << at;
         }
     }
     StoreStats st;
@@ -1770,6 +1855,38 @@ TEST(Daemon, InvalidConfigIsRejectedAndShardsSurvive)
     }
     ASSERT_TRUE(client.sweep(fresh, out, summary, err)) << err;
     EXPECT_EQ(summary.computed, 16u);
+}
+
+// A scale past the wire's bound would run a shard for hours; it is
+// answered with an error frame that names the field, and both shards
+// still simulate the next sweep.
+TEST(Daemon, ScalePastTheBoundIsRejectedAndShardsSurvive)
+{
+    DaemonHarness harness("badscale", 2, /*with_store=*/false);
+    ASSERT_TRUE(harness.started());
+
+    ServiceClient client;
+    std::string err;
+    ASSERT_TRUE(client.connect(harness.socketPath(), err)) << err;
+
+    std::vector<SimResult> out;
+    ServiceClient::SweepSummary summary;
+    for (unsigned scale : {kMaxSweepScale + 1, ~0u}) {
+        ServiceClient::Point p = point("compress", tinyConfig());
+        p.scale = scale;
+        EXPECT_FALSE(client.sweep({p}, out, summary, err)) << scale;
+        EXPECT_EQ(err.rfind("sweep.points: scale", 0), 0u) << err;
+    }
+
+    std::vector<ServiceClient::Point> fresh;
+    for (unsigned i = 0; i < 8; ++i) {
+        SimConfig cfg = tinyConfig();
+        cfg.maxInsts = 1'000 + 100 * i;
+        fresh.push_back(point("compress", cfg));
+    }
+    fresh.back().scale = kMaxSweepScale;
+    ASSERT_TRUE(client.sweep(fresh, out, summary, err)) << err;
+    EXPECT_EQ(summary.computed, 8u);
 }
 
 TEST(Daemon, RejectsUnknownWorkloadWithoutKillingTheSweep)
