@@ -948,30 +948,16 @@ JsonDocument::scanString(const char *&p, const char *end)
 inline bool
 JsonDocument::scanNumber(const char *&p, const char *end)
 {
-    const auto digit = [](char c) { return c >= '0' && c <= '9'; };
-    const auto numeric = [&digit](char c) {
-        return digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
-            c == '-';
+    const auto numeric = [](char c) {
+        return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+            c == '+' || c == '-';
     };
     const char *const tok = p;
-    const bool negative = p != end && *p == '-';
-    p += negative;
-    const char *const digits = p;
-    std::uint64_t whole = 0;
-    while (p != end && digit(*p))
-        whole = whole * 10 + static_cast<std::uint64_t>(*p++ - '0');
+    while (p != end && numeric(*p))
+        ++p;
     double d = 0.0;
-    if (p != digits && p - digits <= 15 && (p == end || !numeric(*p))) {
-        // A short integer, the common token: exact in a double.
-        d = static_cast<double>(whole);
-        if (negative)
-            d = -d;
-    } else {
-        while (p != end && numeric(*p))
-            ++p;
-        if (p == tok || !detail::readJsonNumber(tok, p, d))
-            return false;
-    }
+    if (p == tok || !detail::readJsonNumber(tok, p, d))
+        return false;
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof(bits));
     push(JsonKind::Number, false, 0, bits);
@@ -995,8 +981,9 @@ JsonValue::tryParse(std::string_view text)
  * of wire payloads (sim/config_io, sim/result_io) are built from
  * nested ObjectReaders so a schema drift in either direction — a
  * field the reader does not know, or one the writer stopped emitting
- * — fails loudly instead of silently dropping data. A read allocates
- * only its output and, on failure, the error text.
+ * — fails loudly instead of silently dropping data. A reader
+ * allocates its bit per member once; a read allocates only its output
+ * and, on failure, the error text.
  */
 class ObjectReader
 {
@@ -1009,10 +996,8 @@ class ObjectReader
             fail("expected an object");
             return;
         }
-        count_ = v.size();
         nextKey_ = v.i_ + 1;
-        if (count_ > kInlineMembers)
-            spill_.assign(count_, false);
+        seen_.assign(v.size(), false);
     }
 
     bool ok() const { return ok_; }
@@ -1121,8 +1106,9 @@ class ObjectReader
             return false;
         const JsonDocument &d = *v_.doc_;
         std::size_t key = v_.i_ + 1;
-        for (std::size_t i = 0; i < count_; ++i, key = d.skip(key + 1)) {
-            if (!seen(i))
+        for (std::size_t i = 0; i < seen_.size();
+             ++i, key = d.skip(key + 1)) {
+            if (!seen_[i])
                 return fail("unknown member '" +
                             std::string(d.string(key)) + "'");
         }
@@ -1130,9 +1116,6 @@ class ObjectReader
     }
 
   private:
-    /** Members tracked without an allocation; more spill to spill_. */
-    static constexpr std::size_t kInlineMembers = 128;
-
     /**
      * Find and mark @p name. Readers ask for members in the order the
      * writer emitted them, so the scan starts just past the last hit
@@ -1142,38 +1125,22 @@ class ObjectReader
     consume(std::string_view name)
     {
         const JsonDocument &d = *v_.doc_;
+        const std::size_t count = seen_.size();
         std::size_t i = next_, key = nextKey_;
-        for (std::size_t k = 0; k < count_;
+        for (std::size_t k = 0; k < count;
              ++k, ++i, key = d.skip(key + 1)) {
-            if (i == count_) {
+            if (i == count) {
                 i = 0;
                 key = v_.i_ + 1;
             }
             if (d.string(key) == name) {
-                mark(i);
+                seen_[i] = true;
                 next_ = i + 1;
                 nextKey_ = d.skip(key + 1);
                 return JsonNode(&d, key + 1);
             }
         }
         return {};
-    }
-
-    void
-    mark(std::size_t i)
-    {
-        if (count_ > kInlineMembers)
-            spill_[i] = true;
-        else
-            seen_[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-
-    bool
-    seen(std::size_t i) const
-    {
-        if (count_ > kInlineMembers)
-            return spill_[i];
-        return seen_[i / 64] >> (i % 64) & 1;
     }
 
     bool
@@ -1189,11 +1156,9 @@ class ObjectReader
     JsonNode v_;
     std::string_view path_;
     std::string &err_;
-    std::size_t count_ = 0;     ///< members of the object
+    std::vector<bool> seen_;    ///< per member: consumed yet
     std::size_t next_ = 0;      ///< member where consume() starts scanning
     std::size_t nextKey_ = 0;   ///< that member's name node
-    std::uint64_t seen_[kInlineMembers / 64] = {};
-    std::vector<bool> spill_;   ///< seen marks past kInlineMembers members
     bool ok_ = true;
 };
 

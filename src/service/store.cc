@@ -71,7 +71,9 @@ struct Framed
 
 /**
  * Frame the record at @p pos of @p log into @p r; true when its op is
- * known, its lengths fit the log and its CRC verifies.
+ * known, its key is not empty, its lengths fit the log and its CRC
+ * verifies. put() stores no empty key, and one would verify over any
+ * run of zeros (the CRC-32 of no bytes is 0), so it is refused.
  */
 bool
 wholeRecordAt(const std::string &log, std::size_t pos, Framed &r)
@@ -79,7 +81,7 @@ wholeRecordAt(const std::string &log, std::size_t pos, Framed &r)
     r.op = static_cast<std::uint8_t>(log[pos++]);
     std::uint64_t keyLen = 0, valLen = 0;
     if ((r.op != kOpPut && r.op != kOpTouch && r.op != kOpErase) ||
-        !tracefile::getVarint(log, pos, keyLen) ||
+        !tracefile::getVarint(log, pos, keyLen) || keyLen == 0 ||
         log.size() - pos < keyLen)
         return false;
     r.keyOff = pos;
@@ -384,6 +386,8 @@ ResultStore::get(const std::string &key, std::string &value)
 bool
 ResultStore::put(const std::string &key, const std::string &value)
 {
+    if (key.empty())
+        return false;
     std::lock_guard<std::mutex> lk(mu_);
     auto it = index_.find(key);
     if (it != index_.end())

@@ -14,22 +14,27 @@
  *     ERASE  u8 0x03, varint keyLen, key, u32 LE CRC-32(key)
  *
  * load() replays the log into an in-memory index, one whole record
- * (known op, lengths that fit the log, a CRC that verifies) at a
- * time. Where the bytes at the replay point are not a whole record —
- * rot in a key or value, or in a length byte that misframes what
- * follows — replay resumes at the next offset where a whole record
- * starts, so the damage costs only the records it touched (each
- * skipped stretch counts in corruptDrops). A tail that holds no whole
- * record is torn: the log is truncated back to the last whole record
- * (a crash mid-append costs at most the record being written). The
- * log format itself has no resync marker: ops, lengths and the CRC
- * are enough. Every get() re-reads its value bytes from disk and
- * re-verifies the CRC, so silent on-disk corruption of one record
- * degrades to a miss for that key, never a wrong result. TOUCH records persist recency, so
- * the LRU order survives restarts; when maxBytes is set, put() evicts
- * least-recently-used entries (appending ERASE) until live key+value
- * bytes fit. compact() rewrites the log with one PUT per live entry
- * in LRU order and swaps it in atomically via rename.
+ * (known op, a key that is not empty, lengths that fit the log, a CRC
+ * that verifies) at a time. Where the bytes at the replay point are
+ * not a whole record — rot in a key or value, or in a length byte
+ * that misframes what follows — replay resumes at the next offset
+ * where a whole record starts, so the damage costs only the records
+ * it touched (each skipped stretch counts in corruptDrops). A tail
+ * that holds no whole record is torn: the log is truncated back to
+ * the last whole record (a crash mid-append costs at most the record
+ * being written). The log format itself has no resync marker: ops,
+ * lengths and the CRC are enough, because no key is empty. A false
+ * start must verify the CRC over at least one key byte, a 1-in-2^32
+ * chance; a record with an empty key would verify over any run of
+ * zeros (the CRC-32 of no bytes is 0), as a zero-filled torn tail
+ * holds, so put() refuses an empty key and replay never reads one.
+ * Every get() re-reads its value bytes from disk and re-verifies the
+ * CRC, so silent on-disk corruption of one record degrades to a miss
+ * for that key, never a wrong result. TOUCH records persist recency,
+ * so the LRU order survives restarts; when maxBytes is set, put()
+ * evicts least-recently-used entries (appending ERASE) until live
+ * key+value bytes fit. compact() rewrites the log with one PUT per
+ * live entry in LRU order and swaps it in atomically via rename.
  *
  * All public methods are thread-safe behind one internal mutex.
  */
@@ -85,7 +90,11 @@ class ResultStore
      */
     bool get(const std::string &key, std::string &value);
 
-    /** Insert/overwrite @p key, evicting LRU entries past the cap. */
+    /**
+     * Insert/overwrite @p key, evicting LRU entries past the cap.
+     * False when the append fails or @p key is empty (load() would
+     * not replay an empty key).
+     */
     bool put(const std::string &key, const std::string &value);
 
     /** Drop @p key if present (appends ERASE). */

@@ -157,36 +157,6 @@ TEST(Json, IntegerReaderRejectsHostileNumbers)
     EXPECT_EQ(JsonValue::parse("{\"n\": 1e300}").at("n").u64(), 0u);
 }
 
-// Members past the reader's inline set are tracked too: an object of
-// 200 members reads whole, and an unread one past the 128th is named.
-TEST(Json, ObjectReaderTracksMembersPastTheInlineSet)
-{
-    std::string text;
-    {
-        JsonWriter w(text);
-        w.beginObject();
-        for (unsigned m = 0; m < 200; ++m)
-            w.field(("m" + std::to_string(m)).c_str(), std::uint64_t{m});
-        w.endObject();
-    }
-    JsonDocument doc;
-    ASSERT_TRUE(doc.parse(text));
-    for (const unsigned skipped : {200u, 150u}) {
-        std::string err;
-        ObjectReader r(doc.root(), "doc", err);
-        for (unsigned m = 0; m < 200; ++m) {
-            unsigned v = 0;
-            if (m != skipped) {
-                ASSERT_TRUE(r.integer("m" + std::to_string(m), v)) << err;
-            }
-        }
-        EXPECT_EQ(r.finish(), skipped == 200u) << err;
-        if (skipped != 200u) {
-            EXPECT_EQ(err, "doc: unknown member 'm150'");
-        }
-    }
-}
-
 TEST(Json, NumberFormattingRoundTrips)
 {
     // The writer's shortest-round-trip rendering must parse back to

@@ -1535,6 +1535,51 @@ TEST(StoreFuzz, TruncateOrRotAtEveryRecord)
     EXPECT_EQ(st.corruptDrops, 0u);
 }
 
+// A crash can leave a torn append's tail zero-filled. The CRC-32 of no
+// bytes is 0, so a record with an empty key over zeros would verify at
+// any offset: after a key-length varint whose second byte is 1, 2 or 3
+// (a key of 128-511 bytes, as simPointKey texts are), the zeros would
+// read as a PUT, TOUCH or ERASE of key "". Such a tail holds no whole
+// record: it is truncated, and no key "" is served.
+TEST(StoreFuzz, ZeroFilledTornPutIsTruncated)
+{
+    // Keys whose length varint's second byte is 1, 2 and 3.
+    for (const std::size_t keyLen : {130u, 300u, 450u}) {
+        const std::string dir = scratchDir("zerotail");
+        std::size_t tornAt = 0;
+        std::string path;
+        {
+            ResultStore store(dir);
+            std::string err;
+            ASSERT_TRUE(store.load(err)) << err;
+            ASSERT_TRUE(store.put("point 0@1", "{record 0}"));
+            tornAt = store.stats().logBytes;
+            ASSERT_TRUE(store.put(std::string(keyLen, 'k'), "{record 1}"));
+            path = store.path();
+        }
+        // The second PUT, torn past its op and two-byte key length.
+        const std::string log = readFile(path);
+        const std::size_t cut = tornAt + 3;
+        ASSERT_EQ(log[cut - 1], static_cast<char>(keyLen >> 7)) << keyLen;
+        const std::string d = storeWithLog(
+            "zerotail2", log.substr(0, cut) + std::string(64, '\0'));
+
+        ResultStore store(d);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        const StoreStats s = store.stats();
+        EXPECT_EQ(s.liveRecords, 1u) << keyLen;
+        EXPECT_EQ(s.recoveredDrops, 1u) << keyLen;
+        EXPECT_EQ(s.corruptDrops, 0u) << keyLen;
+        EXPECT_EQ(s.logBytes, tornAt) << keyLen;
+        EXPECT_EQ(readFile(store.path()).size(), tornAt) << keyLen;
+        std::string v;
+        EXPECT_FALSE(store.get("", v)) << keyLen;
+        ASSERT_TRUE(store.get("point 0@1", v)) << keyLen;
+        EXPECT_EQ(v, "{record 0}");
+    }
+}
+
 // ---- record text --------------------------------------------------------
 
 TEST(Source, NormalizedRecordStripsProvenance)
