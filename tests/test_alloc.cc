@@ -27,7 +27,10 @@ std::atomic<std::size_t> g_allocations{0};
 
 } // namespace
 
-void *
+// Both out of line, so that no inlined new- or delete-expression shows
+// the compiler malloc() paired with delete or new paired with free()
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -36,11 +39,12 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+
 void *operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { ::operator delete(p); }
+void operator delete(void *p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void *p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tcfill
 {
