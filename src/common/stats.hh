@@ -90,12 +90,12 @@ class Group
     /**
      * Register a counter by reference; the component keeps ownership.
      * @p timing marks the counter a fact of the timing model — equal
-     * across interchangeable implementations of the same machine (the
-     * scan/wakeup schedulers, live/replay commit sources). Pass false
-     * for implementation diagnostics whose value depends on *how* the
-     * model computes (e.g. scheduler scan-retry counts): they still
-     * dump and register normally, but the timeline collector skips
-     * them so interval series stay byte-identical across variants.
+     * across interchangeable runs of the same machine (live/replay
+     * commit sources). Pass false for implementation diagnostics
+     * whose value depends on *how* the model computes (e.g. the
+     * memory scheduler's select-attempt count): they still dump and
+     * register normally, but the timeline collector skips them so
+     * interval series hold only timing facts.
      */
     void
     addCounter(const std::string &name, const Counter &c,

@@ -10,7 +10,7 @@
  *
  * Both are deterministic functions of the committed instruction
  * stream and the retire cycles, so runs stay reproducible across
- * schedulers, thread counts and record/replay. A static run is
+ * thread counts and record/replay. A static run is
  * bit-identical to the pre-policy boolean dispatch (golden fixtures
  * pin this).
  */
@@ -108,7 +108,7 @@ struct PolicyPhaseStat
 
 /**
  * Deterministic decision record a policy leaves behind; joins
- * SimResult (and thus --stats-json / --compare-timing) for oracle
+ * SimResult (and thus --stats-json / --compare-replay) for oracle
  * runs.
  */
 struct PolicySummary

@@ -14,10 +14,9 @@
  *
  * Determinism contract: the collector observes only architectural
  * commit order and timing-model counters, so the serialized
- * `timeline` section is byte-identical across -j1/-j8, across
- * scheduler implementations (non-timing diagnostics are excluded at
- * registration — see stats::Group::addCounter) and across live
- * record/replay runs. Enabling it never changes simulated cycles
+ * `timeline` section is byte-identical across -j1/-j8 and across
+ * live record/replay runs; non-timing diagnostics are excluded at
+ * registration (see stats::Group::addCounter). Enabling it never changes simulated cycles
  * (asserted in tests/test_obs.cc).
  */
 

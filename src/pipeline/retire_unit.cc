@@ -78,8 +78,6 @@ RetireUnit::tick(Cycle now)
         rec.taken = di->taken;
         rec.effAddr = di->effAddr;
         fill_.retire(rec, now, di->missLineStart);
-        if (commit_hook_)
-            commit_hook_(rec, now);
 
         // Dynamic optimization accounting (Table 2, figures 3-5, 7).
         if (di->moveMarked)

@@ -121,9 +121,6 @@ configToJson(obs::JsonWriter &w, const SimConfig &cfg)
     w.field("fusPerCluster", cfg.core.fusPerCluster);
     w.field("rsEntries", cfg.core.rsEntries);
     w.field("crossClusterDelay", cfg.core.crossClusterDelay);
-    w.field("scheduler",
-            cfg.core.scheduler == SchedulerKind::Scan ? "scan"
-                                                      : "wakeup");
     w.endObject();
     w.endObject();
 }
@@ -261,17 +258,6 @@ configFromJson(obs::JsonNode v, SimConfig &out, std::string &err)
         cs.integer("fusPerCluster", out.core.fusPerCluster);
         cs.integer("rsEntries", out.core.rsEntries);
         cs.integer("crossClusterDelay", out.core.crossClusterDelay);
-        std::string sched;
-        if (cs.string("scheduler", sched)) {
-            if (sched == "wakeup") {
-                out.core.scheduler = SchedulerKind::Wakeup;
-            } else if (sched == "scan") {
-                out.core.scheduler = SchedulerKind::Scan;
-            } else {
-                err = "config.core: unknown scheduler '" + sched + "'";
-                return false;
-            }
-        }
         if (!cs.finish())
             return false;
     }

@@ -302,12 +302,6 @@ Processor::setTracer(obs::PipeTracer *tracer)
 }
 
 void
-Processor::setCommitHook(pipeline::CommitHook hook)
-{
-    retire_.setCommitHook(std::move(hook));
-}
-
-void
 Processor::setRetireCycleProbe(InstSeqNum at, Cycle *out)
 {
     retire_.setRetireCycleProbe(at, out);

@@ -107,13 +107,6 @@ class Processor
     void setTracer(obs::PipeTracer *tracer);
 
     /**
-     * Attach an observational per-commit callback (nullptr-like {}
-     * detaches); must be set before run(). Forwarded to the retire
-     * unit — see pipeline::CommitHook. Timing-invisible.
-     */
-    void setCommitHook(pipeline::CommitHook hook);
-
-    /**
      * Arm the retire unit's cycles-at-retired-count probe; must be
      * set before run(). When the @p at th instruction commits, *out
      * receives the cycle count a run capped at maxInsts == @p at

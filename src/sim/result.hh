@@ -100,7 +100,7 @@ struct SimResult
      * Interval telemetry series (cfg.statsInterval != 0 only; null
      * otherwise). Deterministic simulation data — serialized in the
      * document body (not the host section) and byte-identical across
-     * -j1/-j8, schedulers and record/replay. Shared (immutable) so
+     * -j1/-j8 and record/replay. Shared (immutable) so
      * SimRunner result-cache copies stay cheap.
      */
     std::shared_ptr<const obs::TimelineData> timeline;
@@ -110,8 +110,8 @@ struct SimResult
      * null otherwise, so static documents do not change).
      * Deterministic simulation data — policy decisions are a function
      * of the committed stream and cycle numbers, so this section is
-     * timing-affecting and byte-identical across -j1/-j8, schedulers
-     * and record/replay (tests/test_policy.cc pins this). Shared
+     * timing-affecting and byte-identical across -j1/-j8 and
+     * record/replay (tests/test_policy.cc pins this). Shared
      * (immutable) for cheap result-cache copies.
      */
     std::shared_ptr<const PolicySummary> policy;

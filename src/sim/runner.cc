@@ -170,14 +170,12 @@ configCacheKey(const SimConfig &cfg)
        << cfg.bpred.historyBits;
     os << "|bias=" << cfg.bias.entries << ','
        << cfg.bias.promoteThreshold;
-    // Execution core. The scheduler kind never changes timing (the
-    // cli.scheduler_identity ctest asserts so) but is keyed anyway:
-    // cached results must be reproducible by rerunning the exact
-    // config.
+    // Execution core. The fifth slot named a retired second
+    // scheduler; result stores on disk are keyed with its default, so
+    // the text keeps it as a constant.
     os << "|core=" << cfg.core.numClusters << ','
        << cfg.core.fusPerCluster << ',' << cfg.core.rsEntries << ','
-       << cfg.core.crossClusterDelay << ','
-       << static_cast<unsigned>(cfg.core.scheduler);
+       << cfg.core.crossClusterDelay << ",0";
     return os.take();
 }
 

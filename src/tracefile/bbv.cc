@@ -14,15 +14,6 @@ BbvProfiler::BbvProfiler(InstSeqNum interval) : interval_(interval)
 }
 
 void
-BbvProfiler::consume(const ExecRecord &rec)
-{
-    // A block ends at any control transfer (taken or not — SimPoint
-    // keys blocks on static extent, and a not-taken branch still ends
-    // the static block) or serializing instruction.
-    consume(rec.pc, rec.inst.endsBlock());
-}
-
-void
 BbvProfiler::cutInterval()
 {
     // Cut exactly at the interval length; a block straddling the
@@ -40,19 +31,6 @@ BbvProfiler::finish()
     if (cur_insts_ > 0)
         cutInterval();
     finished_ = true;
-}
-
-std::vector<BbvInterval>
-profileBbv(CommitSource &src, InstSeqNum interval, InstSeqNum maxInsts)
-{
-    BbvProfiler prof(interval);
-    InstSeqNum n = 0;
-    while (!src.halted() && (maxInsts == 0 || n < maxInsts)) {
-        prof.consume(src.step());
-        ++n;
-    }
-    prof.finish();
-    return prof.intervals();
 }
 
 std::vector<BbvInterval>

@@ -8,12 +8,10 @@
  * the k-means selector in sample.hh exploits to pick a few
  * representative intervals instead of timing the whole run.
  *
- * The profiler is a pure consumer of ExecRecords, so it can run off
- * a fast functional Executor (profileBbv — the normal path: no
- * timing model, millions of records per second) or be attached to
- * RetireUnit's commit hook during a timing run; both see the same
- * committed stream and produce identical vectors (asserted in
- * tests/test_tracefile.cc).
+ * The profiler consumes the committed stream one (PC, ends-block)
+ * pair at a time, off a fast functional Executor (profileBbv, and the
+ * sampler's profiling pass): no timing model, no ExecRecord, millions
+ * of instructions per second.
  */
 
 #ifndef TCFILL_TRACEFILE_BBV_HH
@@ -51,16 +49,13 @@ class BbvProfiler
     /** @p interval is the interval length in committed instructions. */
     explicit BbvProfiler(InstSeqNum interval);
 
-    /** Account one committed record (records arrive in order). */
-    void consume(const ExecRecord &rec);
-
     /**
-     * Record-free variant for the Executor fast path: @p pc is the
-     * committed instruction's PC and @p ends_block is
-     * Executor::fastStep()'s return (control transfer or serializing).
-     * Produces vectors identical to the ExecRecord overload on the
-     * same stream (asserted in tests). Inline: this runs once per
-     * committed instruction of every profiling pass.
+     * Account one committed instruction (instructions arrive in
+     * order): @p pc is its PC and @p ends_block is
+     * Executor::fastStep()'s return — a control transfer (taken or
+     * not: SimPoint keys blocks on static extent) or a serializing
+     * instruction. Inline: this runs once per committed instruction
+     * of every profiling pass.
      */
     void
     consume(Addr pc, bool ends_block)
@@ -99,17 +94,9 @@ class BbvProfiler
 };
 
 /**
- * Profile @p src functionally to completion (or @p maxInsts committed
- * instructions when non-zero) and return the interval vectors.
- */
-std::vector<BbvInterval> profileBbv(CommitSource &src,
-                                    InstSeqNum interval,
-                                    InstSeqNum maxInsts = 0);
-
-/**
- * Fast-path overload: profile a live Executor via fastStep(), which
- * skips ExecRecord construction and the virtual dispatch. Produces
- * vectors identical to the CommitSource overload (asserted in tests).
+ * Profile @p exec functionally to completion (or @p maxInsts
+ * committed instructions when non-zero) via fastStep(), and return
+ * the interval vectors.
  */
 std::vector<BbvInterval> profileBbv(Executor &exec,
                                     InstSeqNum interval,

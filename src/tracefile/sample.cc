@@ -75,55 +75,6 @@ selectSimpoints(const std::vector<BbvInterval> &intervals, unsigned k)
 namespace
 {
 
-/**
- * Step @p exec forward @p n committed instructions (or to halt) on
- * the virtual record-building path. Part of the reference
- * implementation: Executor::fastForward is the optimized replacement.
- */
-void
-fastForwardSlow(Executor &exec, InstSeqNum n)
-{
-    for (InstSeqNum i = 0; i < n && !exec.halted(); ++i)
-        exec.step();
-}
-
-/**
- * Cycles for a fresh machine to retire @p cap instructions starting
- * from @p skip committed instructions into @p prog's stream. Part of
- * the reference implementation: the optimized path reads the warmup
- * cycle count out of the full measurement run via the retire-cycle
- * probe instead of paying a second capped run.
- */
-Cycle
-timePrefix(const Program &prog, const SimConfig &cfg, InstSeqNum skip,
-           InstSeqNum cap)
-{
-    if (cap == 0)
-        return 0;
-    Executor exec(prog);
-    fastForwardSlow(exec, skip);
-    SimConfig run_cfg = cfg;
-    run_cfg.maxInsts = cap;
-    Processor proc(exec, prog.name, exec.state().pc, run_cfg);
-    return proc.run().cycles;
-}
-
-/** Shared result-document skeleton of both implementations. */
-SimResult
-assembleEstimate(const SimConfig &cfg, const Program &prog,
-                 InstSeqNum total, double est_cpi)
-{
-    SimResult res;
-    res.config = cfg.name;
-    res.workload = prog.name;
-    res.mode = "sample";
-    res.maxInsts = cfg.maxInsts;
-    res.retired = total;
-    res.cycles = static_cast<Cycle>(
-        std::llround(est_cpi * static_cast<double>(total)));
-    return res;
-}
-
 /** The (skip, warm, measure) geometry of one simpoint measurement. */
 struct PointTask
 {
@@ -244,13 +195,19 @@ runSampled(const std::string &workload, unsigned scale,
     // run via the retire-cycle probe. Tasks share only immutable
     // state (Program, CheckpointStore, SimConfig), so any pool width
     // yields the same per-point cycles; the weighted fold below runs
-    // serially in simpoint order, reproducing the reference
-    // implementation's double arithmetic exactly.
+    // serially in simpoint order, so its double arithmetic is the
+    // same at every width.
     SimRunner pool(spec.jobs);
     if (progress)
         pool.setProgress(std::move(progress));
 
     SimResult res;
+    res.config = cfg.name;
+    res.workload = prog.name;
+    res.mode = "sample";
+    res.maxInsts = cfg.maxInsts;
+    res.retired = total;
+    res.sourceDigest = workloadDigest(workload, scale);
     res.sample.jobs = pool.threads();
     res.sample.simpoints = points.size();
     res.sample.checkpoints = ckpts.size();
@@ -349,10 +306,8 @@ runSampled(const std::string &workload, unsigned scale,
              static_cast<double>(tasks[i].measure));
     }
 
-    SimResult::SampleHost sample = res.sample;
-    res = assembleEstimate(cfg, prog, total, est_cpi);
-    res.sourceDigest = workloadDigest(workload, scale);
-    res.sample = sample;
+    res.cycles = static_cast<Cycle>(
+        std::llround(est_cpi * static_cast<double>(total)));
     if (spec.profiler) {
         for (const obs::HostProfiler::Row &row :
              spec.profiler->rows()) {
@@ -360,48 +315,6 @@ runSampled(const std::string &workload, unsigned scale,
                 row.name, row.seconds, row.calls});
         }
     }
-    res.hostSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - t0).count();
-    return res;
-}
-
-SimResult
-runSampledReference(const std::string &workload, unsigned scale,
-                    const SimConfig &cfg, const SampleSpec &spec)
-{
-    panic_if(spec.interval == 0, "sample interval must be positive");
-    const auto t0 = std::chrono::steady_clock::now();
-    const Program prog = workloads::build(workload, scale);
-
-    // Functional BBV profile over the same region a full timing run
-    // would retire (cfg.maxInsts-capped), on the virtual
-    // record-building path the pre-checkpointing implementation used.
-    Executor prof_exec(prog);
-    const std::vector<BbvInterval> ivs = profileBbv(
-        static_cast<CommitSource &>(prof_exec), spec.interval,
-        cfg.maxInsts);
-    // profileBbv stops at the cap, so this is min(run length, cap).
-    const InstSeqNum total = prof_exec.instCount();
-
-    const std::vector<Simpoint> points = selectSimpoints(ivs, spec.k);
-    panic_if(points.empty(), "no intervals to sample (empty program?)");
-
-    // Per-point measurement: warm the machine on the preceding
-    // `warmup` instructions, then take the exact cycle count of the
-    // interval by prefix subtraction across two capped runs.
-    double est_cpi = 0.0;
-    for (const Simpoint &p : points) {
-        const PointTask t = pointTask(p, ivs, spec);
-        const Cycle c_warm = timePrefix(prog, cfg, t.skip, t.warm);
-        const Cycle c_full =
-            timePrefix(prog, cfg, t.skip, t.warm + t.measure);
-        const double cycles =
-            static_cast<double>(c_full) - static_cast<double>(c_warm);
-        est_cpi += p.weight * (cycles / static_cast<double>(t.measure));
-    }
-
-    SimResult res = assembleEstimate(cfg, prog, total, est_cpi);
-    res.sourceDigest = workloadDigest(workload, scale);
     res.hostSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
     return res;

@@ -18,8 +18,8 @@
  * architectural checkpoint dropped during the single functional
  * profiling pass (arch/checkpoint.hh) and runs the per-simpoint
  * measurements concurrently on a SimRunner pool; the estimate is
- * byte-identical to the serial re-execute reference
- * (runSampledReference) at every job count — see DESIGN.md §14.
+ * byte-identical at every job count and checkpoint stride — see
+ * DESIGN.md §14.
  */
 
 #ifndef TCFILL_TRACEFILE_SAMPLE_HH
@@ -122,19 +122,6 @@ struct SampleSpec
 SimResult runSampled(const std::string &workload, unsigned scale,
                      const SimConfig &cfg, const SampleSpec &spec,
                      obs::ProgressFn progress = {});
-
-/**
- * The pre-checkpointing serial implementation, kept as the
- * correctness oracle and benchmark baseline: every simpoint
- * re-executes its prefix functionally from instruction zero and times
- * warmup and warmup+measure as two separate runs. Ignores
- * SampleSpec's host-side knobs. runSampled must produce a
- * byte-identical SimResult body (asserted by the cli.sample_identity
- * ctest).
- */
-SimResult runSampledReference(const std::string &workload, unsigned scale,
-                              const SimConfig &cfg,
-                              const SampleSpec &spec);
 
 } // namespace tcfill::tracefile
 

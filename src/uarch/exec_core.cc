@@ -54,50 +54,7 @@ ExecCore::dispatch(DynInst &di)
     rs_[di.fu].push_back(&di);
     if (di.isStore)
         store_window_.push_back(&di);
-    if (params_.scheduler == SchedulerKind::Wakeup)
-        subscribeOperands(di);
-}
-
-bool
-ExecCore::operandsReady(const DynInst &di, Cycle now) const
-{
-    if (di.issueCycle == kNoCycle || now < di.issueCycle + 1)
-        return false;   // schedule stage: one cycle after issue
-    for (unsigned k = 0; k < di.numSrcs; ++k) {
-        if (di.isStore && static_cast<int>(k) == di.dataOperand)
-            continue;   // stores wait only for address operands
-        Cycle avail = operandAvail(di.src[k],
-                                   static_cast<unsigned>(di.fu));
-        if (avail == kNoCycle || avail > now)
-            return false;
-    }
-    return true;
-}
-
-bool
-ExecCore::memScheduleOk(const DynInst &di, Cycle now,
-                        const DynInst *&forward_from) const
-{
-    forward_from = nullptr;
-    if (!di.onCorrectPath || di.effAddr == kNoAddr)
-        return true;    // wrong-path loads model no real access
-
-    for (const DynInst *s : store_window_) {
-        if (s->seq >= di.seq)
-            break;
-        if (s->squashed())
-            continue;
-        // No memory operation bypasses a store with an unknown address.
-        if (s->addrKnown == kNoCycle || s->addrKnown > now)
-            return false;
-        if (s->onCorrectPath && s->effAddr != kNoAddr &&
-            (s->effAddr >> 2) == (di.effAddr >> 2)) {
-            forward_from = s;   // youngest older match wins
-        }
-    }
-    if (forward_from && forward_from->completeCycle == kNoCycle)
-        return false;   // forwarding store's data is not ready yet
-    return true;
+    subscribeOperands(di);
 }
 
 // --------------------------------------------------------------------
@@ -109,7 +66,7 @@ ExecCore::subscribeOperands(DynInst &di)
 {
     // One cycle of schedule stage after issue; kNoCycle (never
     // issued) is sticky through the max() chain and keeps the
-    // instruction unarmed forever, matching the scan path.
+    // instruction unarmed forever.
     Cycle ready =
         di.issueCycle == kNoCycle ? kNoCycle : di.issueCycle + 1;
     unsigned pending = 0;
@@ -240,8 +197,8 @@ ExecCore::resetLoadDeferrals()
 {
     // A store left the window mid-flight (squash): any load whose
     // eligibility was deferred to a known store-address cycle may now
-    // be selectable earlier, exactly as the per-cycle scan would
-    // discover on its next tick.
+    // be selectable earlier, so drop every deferral back to its
+    // operand readyCycle and let the next select re-evaluate it.
     for (unsigned fu = 0; fu < num_fus_; ++fu) {
         for (ReadyEnt &e : ready_[fu]) {
             if (e.inst->isLoad && e.earliest > e.inst->readyCycle) {
@@ -440,52 +397,6 @@ ExecCore::finalizePendingStores(Cycle now)
 void
 ExecCore::tick(Cycle now)
 {
-    if (params_.scheduler == SchedulerKind::Wakeup)
-        tickWakeup(now);
-    else
-        tickScan(now);
-}
-
-void
-ExecCore::tickScan(Cycle now)
-{
-    finalizePendingStores(now);
-
-    for (unsigned fu = 0; fu < num_fus_; ++fu) {
-        if (fu_busy_until_[fu] > now)
-            continue;
-        auto &station = rs_[fu];
-        // Oldest-first select among ready instructions.
-        std::size_t pick = station.size();
-        InstSeqNum best_seq = ~InstSeqNum(0);
-        const DynInst *pick_forward = nullptr;
-        for (std::size_t i = 0; i < station.size(); ++i) {
-            const DynInst *di = station[i];
-            if (di->seq >= best_seq)
-                continue;
-            if (!operandsReady(*di, now))
-                continue;
-            const DynInst *forward = nullptr;
-            if (di->isLoad && !memScheduleOk(*di, now, forward)) {
-                ++mem_sched_stalls_;
-                continue;
-            }
-            pick = i;
-            best_seq = di->seq;
-            pick_forward = forward;
-        }
-        if (pick == station.size())
-            continue;
-        DynInst *di = station[pick];
-        station.erase(station.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
-        startExecution(*di, now, pick_forward);
-    }
-}
-
-void
-ExecCore::tickWakeup(Cycle now)
-{
     if (!pending_stores_.empty())
         finalizePendingStores(now);
     if (armed_ == 0)
@@ -550,9 +461,6 @@ ExecCore::tickWakeup(Cycle now)
 Cycle
 ExecCore::nextEventCycle(Cycle next) const
 {
-    if (params_.scheduler == SchedulerKind::Scan)
-        return next;    // the scan path keeps no event state: no skip
-
     Cycle best = kNoCycle;
     for (const DynInst *s : pending_stores_) {
         if (s->squashed())
@@ -583,43 +491,9 @@ ExecCore::nextEventCycle(Cycle next) const
 // --------------------------------------------------------------------
 
 void
-ExecCore::squashRangeScan(InstSeqNum lo, InstSeqNum hi,
-                          InstSeqNum rescue_lo, InstSeqNum rescue_hi)
-{
-    auto in_range = [&](const DynInst *di) {
-        if (di->seq < lo || di->seq >= hi)
-            return false;
-        if (di->seq >= rescue_lo && di->seq < rescue_hi)
-            return false;
-        return true;
-    };
-
-    for (auto &station : rs_) {
-        std::erase_if(station, [&](DynInst *di) {
-            if (!in_range(di))
-                return false;
-            di->phase = InstPhase::Squashed;
-            return true;
-        });
-    }
-    std::erase_if(pending_stores_, [&](DynInst *di) {
-        if (!in_range(di))
-            return false;
-        di->phase = InstPhase::Squashed;
-        return true;
-    });
-    std::erase_if(store_window_, in_range);
-}
-
-void
 ExecCore::squashRange(InstSeqNum lo, InstSeqNum hi,
                       InstSeqNum rescue_lo, InstSeqNum rescue_hi)
 {
-    if (params_.scheduler == SchedulerKind::Scan) {
-        squashRangeScan(lo, hi, rescue_lo, rescue_hi);
-        return;
-    }
-
     auto in_range = [&](const DynInst *di) {
         if (di->seq < lo || di->seq >= hi)
             return false;
@@ -698,12 +572,9 @@ ExecCore::regStats(stats::Group &group)
                      "cross-cluster bypass");
     group.addCounter("core.load_forwards", load_forwards_,
                      "loads satisfied by store forwarding");
-    // Not a timing fact: the scan scheduler counts one stall per
-    // blocked scan attempt (re-scanned every cycle) while the wakeup
-    // scheduler counts one per RetryAt/ParkOn event, so the value is
-    // scheduler-implementation-dependent even though timing is
-    // bit-identical. Registered non-timing so the obs::Timeline
-    // interval series stays byte-equal across --scheduler variants.
+    // Not a timing fact: it counts select attempts (one per
+    // RetryAt/ParkOn outcome), not cycles or instructions, so it is
+    // registered non-timing and stays out of the obs::Timeline series.
     group.addCounter("core.mem_sched_stalls", mem_sched_stalls_,
                      "load selects blocked by unknown store addresses",
                      /*timing=*/false);

@@ -7,11 +7,9 @@
  * memory scheduler (no memory operation bypasses a store with an
  * unknown address).
  *
- * Two timing-identical schedulers are selectable (DESIGN.md §13):
- * the default producer-driven wakeup/select design (dependent lists
- * built at dispatch, per-FU ready queues, loads re-armed by
- * store-window events) and the legacy per-cycle scan kept as the
- * reference oracle for the scheduler-identity tests.
+ * Selection is producer-driven wakeup/select (DESIGN.md §13):
+ * dependent lists built at dispatch, per-FU ready queues with
+ * oldest-first select, and loads re-armed by store-window events.
  */
 
 #ifndef TCFILL_UARCH_EXEC_CORE_HH
@@ -32,20 +30,12 @@
 namespace tcfill
 {
 
-/** Instruction scheduler implementation (identical cycle timing). */
-enum class SchedulerKind : std::uint8_t
-{
-    Wakeup = 0,     ///< event-driven wakeup/select (default)
-    Scan = 1,       ///< per-cycle O(FUs x window) rescan (reference)
-};
-
 /** Execution engine configuration. */
 struct ExecCoreParams
 {
     unsigned numClusters = 4;
     unsigned fusPerCluster = 4;
     unsigned rsEntries = 32;
-    SchedulerKind scheduler = SchedulerKind::Wakeup;
     Cycle crossClusterDelay = 1;
 
     /**
@@ -109,8 +99,7 @@ class ExecCore
      * of a pending store whose data timing is known. kNoCycle when no
      * internal event is scheduled (the core is fully quiescent until
      * something external arms an instruction). Used by the
-     * Processor's cycle-skipping; the scan scheduler conservatively
-     * answers @p next (no skipping) since it keeps no event state.
+     * Processor's cycle-skipping.
      */
     Cycle nextEventCycle(Cycle next) const;
 
@@ -180,7 +169,7 @@ class ExecCore
         Cycle earliest;
     };
 
-    /** Outcome of one memory-scheduler evaluation (wakeup mode). */
+    /** Outcome of one memory-scheduler evaluation. */
     enum class MemSched : std::uint8_t
     {
         Ok,         ///< may issue (forward set when store-forwarded)
@@ -202,18 +191,11 @@ class ExecCore
             complete_fn_(complete_ctx_, di);
     }
 
-    bool operandsReady(const DynInst &di, Cycle now) const;
-    bool memScheduleOk(const DynInst &di, Cycle now,
-                       const DynInst *&forward_from) const;
     void startExecution(DynInst &di, Cycle now,
                         const DynInst *forward_from);
     void finalizePendingStores(Cycle now);
-    void tickScan(Cycle now);
-    void tickWakeup(Cycle now);
-    void squashRangeScan(InstSeqNum lo, InstSeqNum hi,
-                         InstSeqNum rescue_lo, InstSeqNum rescue_hi);
 
-    // ---- wakeup-mode machinery ------------------------------------------
+    // ---- wakeup machinery -----------------------------------------------
     void subscribeOperands(DynInst &di);
     void arm(DynInst &di, Cycle earliest);
     void removeFromReady(DynInst &di);
@@ -252,7 +234,7 @@ class ExecCore
     // of them (RecoveryController::squashWindow) before the window
     // drains it.
     std::vector<std::vector<DynInst *>> rs_;    // per FU
-    std::vector<std::vector<ReadyEnt>> ready_;  // per FU (wakeup mode)
+    std::vector<std::vector<ReadyEnt>> ready_;  // per FU
     /**
      * Per-FU lazy lower bound on the earliest select-eligibility
      * cycle in ready_[fu]: select skips the whole queue while the

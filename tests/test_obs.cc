@@ -1306,25 +1306,6 @@ TEST(Timeline, PhaseLabelsInRangeAndFirstAppearanceOrdered)
     }
 }
 
-TEST(Timeline, ByteIdenticalAcrossSchedulers)
-{
-    // mem_sched_stalls counts differently under scan and wakeup
-    // (per-attempt vs per-event); it is registered as a non-timing
-    // diagnostic precisely so this holds.
-    Program p = loopProgram(1500);
-    SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
-    cfg.statsInterval = 500;
-    cfg.statsPhases = 2;
-
-    SimConfig wakeup = cfg;
-    wakeup.core.scheduler = SchedulerKind::Wakeup;
-    SimConfig scan = cfg;
-    scan.core.scheduler = SchedulerKind::Scan;
-
-    EXPECT_EQ(bodyJson(simulate(p, wakeup)),
-              bodyJson(simulate(p, scan)));
-}
-
 TEST(Timeline, ByteIdenticalAcrossThreadCounts)
 {
     // Through the SimRunner pool (cached copies share the immutable

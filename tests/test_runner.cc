@@ -241,8 +241,6 @@ TEST(SimRunner, ConfigKeyCoversEveryKnob)
         {"core.rsEntries", [](SimConfig &c) { c.core.rsEntries = 8; }},
         {"core.crossClusterDelay",
          [](SimConfig &c) { c.core.crossClusterDelay = 4; }},
-        {"core.scheduler",
-         [](SimConfig &c) { c.core.scheduler = SchedulerKind::Scan; }},
     };
 
     const SimConfig base;

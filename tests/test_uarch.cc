@@ -94,18 +94,9 @@ TEST(Rename, RebuildHonorsMoveAliases)
 
 struct CoreHarness
 {
-    explicit CoreHarness(SchedulerKind kind = SchedulerKind::Wakeup)
-        : mem(), core(makeParams(kind), mem)
+    CoreHarness() : mem(), core(ExecCoreParams{}, mem)
     {
         core.setCompleteHook(&CoreHarness::onComplete, this);
-    }
-
-    static ExecCoreParams
-    makeParams(SchedulerKind kind)
-    {
-        ExecCoreParams p;
-        p.scheduler = kind;
-        return p;
     }
 
     static void
@@ -123,33 +114,19 @@ struct CoreHarness
     ExecCore core;
 };
 
-/** Every core-semantics test runs under both schedulers. */
-class ExecCoreTest : public ::testing::TestWithParam<SchedulerKind>
+class ExecCoreTest : public ::testing::Test
 {
   protected:
-    ExecCoreTest() : h(GetParam()) {}
-
     CoreHarness h;
 };
 
-std::string
-schedulerName(const ::testing::TestParamInfo<SchedulerKind> &p)
-{
-    return p.param == SchedulerKind::Wakeup ? "Wakeup" : "Scan";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedulers, ExecCoreTest,
-    ::testing::Values(SchedulerKind::Wakeup, SchedulerKind::Scan),
-    schedulerName);
-
-TEST_P(ExecCoreTest, Geometry)
+TEST_F(ExecCoreTest, Geometry)
 {
     EXPECT_EQ(h.core.numFus(), 16u);
     EXPECT_EQ(h.core.rsFree(0), 32u);
 }
 
-TEST_P(ExecCoreTest, ScheduleStageDelaysExecution)
+TEST_F(ExecCoreTest, ScheduleStageDelaysExecution)
 {
     DynInstPtr di = makeInst(1);
     di->issueCycle = 5;
@@ -162,7 +139,7 @@ TEST_P(ExecCoreTest, ScheduleStageDelaysExecution)
     EXPECT_EQ(di->completeCycle, 7u);
 }
 
-TEST_P(ExecCoreTest, WaitsForProducer)
+TEST_F(ExecCoreTest, WaitsForProducer)
 {
     DynInstPtr prod = makeInst(1, Op::MUL, 0);
     DynInstPtr cons = makeInst(2, Op::ADD, 1);
@@ -178,7 +155,7 @@ TEST_P(ExecCoreTest, WaitsForProducer)
     EXPECT_EQ(cons->startCycle, 4u);
 }
 
-TEST_P(ExecCoreTest, CrossClusterBypassCostsACycle)
+TEST_F(ExecCoreTest, CrossClusterBypassCostsACycle)
 {
     DynInstPtr prod = makeInst(1, Op::ADD, 0);      // cluster 0
     DynInstPtr cons = makeInst(2, Op::ADD, 4);      // cluster 1
@@ -193,7 +170,7 @@ TEST_P(ExecCoreTest, CrossClusterBypassCostsACycle)
     EXPECT_TRUE(cons->bypassDelayed);
 }
 
-TEST_P(ExecCoreTest, SameClusterBackToBack)
+TEST_F(ExecCoreTest, SameClusterBackToBack)
 {
     DynInstPtr prod = makeInst(1, Op::ADD, 0);
     DynInstPtr cons = makeInst(2, Op::ADD, 1);      // same cluster
@@ -206,7 +183,7 @@ TEST_P(ExecCoreTest, SameClusterBackToBack)
     EXPECT_FALSE(cons->bypassDelayed);
 }
 
-TEST_P(ExecCoreTest, OldestFirstSelection)
+TEST_F(ExecCoreTest, OldestFirstSelection)
 {
     DynInstPtr young = makeInst(10, Op::ADD, 0);
     DynInstPtr old = makeInst(5, Op::ADD, 0);
@@ -219,7 +196,7 @@ TEST_P(ExecCoreTest, OldestFirstSelection)
     EXPECT_EQ(young->startCycle, 2u);
 }
 
-TEST_P(ExecCoreTest, DivideIsUnpipelined)
+TEST_F(ExecCoreTest, DivideIsUnpipelined)
 {
     DynInstPtr div = makeInst(1, Op::DIV, 0);
     DynInstPtr next = makeInst(2, Op::ADD, 0);
@@ -234,7 +211,7 @@ TEST_P(ExecCoreTest, DivideIsUnpipelined)
     EXPECT_EQ(next->startCycle, 13u);
 }
 
-TEST_P(ExecCoreTest, StoreAddrKnownThenDataCompletes)
+TEST_F(ExecCoreTest, StoreAddrKnownThenDataCompletes)
 {
     DynInstPtr data = makeInst(1, Op::MUL, 0);
     DynInstPtr st = makeInst(2, Op::SW, 1);
@@ -254,7 +231,7 @@ TEST_P(ExecCoreTest, StoreAddrKnownThenDataCompletes)
     EXPECT_EQ(st->completeCycle, 4u);
 }
 
-TEST_P(ExecCoreTest, LoadBlockedByUnknownStoreAddress)
+TEST_F(ExecCoreTest, LoadBlockedByUnknownStoreAddress)
 {
     DynInstPtr base = makeInst(1, Op::MUL, 0);  // store address chain
     DynInstPtr st = makeInst(2, Op::SW, 1);
@@ -280,7 +257,7 @@ TEST_P(ExecCoreTest, LoadBlockedByUnknownStoreAddress)
     EXPECT_EQ(ld->startCycle, 5u);
 }
 
-TEST_P(ExecCoreTest, StoreToLoadForwarding)
+TEST_F(ExecCoreTest, StoreToLoadForwarding)
 {
     DynInstPtr st = makeInst(1, Op::SW, 0);
     st->isStore = true;
@@ -303,7 +280,7 @@ TEST_P(ExecCoreTest, StoreToLoadForwarding)
                                           st->completeCycle) + 1);
 }
 
-TEST_P(ExecCoreTest, SquashRangeRemovesFromStations)
+TEST_F(ExecCoreTest, SquashRangeRemovesFromStations)
 {
     DynInstPtr a = makeInst(1, Op::ADD, 0);
     DynInstPtr b = makeInst(2, Op::ADD, 1);
@@ -323,7 +300,7 @@ TEST_P(ExecCoreTest, SquashRangeRemovesFromStations)
     EXPECT_EQ(h.core.occupancy(), 2u);
 }
 
-TEST_P(ExecCoreTest, WrongPathLoadsSkipCaches)
+TEST_F(ExecCoreTest, WrongPathLoadsSkipCaches)
 {
     DynInstPtr ld = makeInst(1, Op::LW, 0);
     ld->isLoad = true;

@@ -40,17 +40,6 @@ Usage:
         byte-identical when canonically re-serialized. On divergence,
         reports the first differing counter per result and exits 1.
 
-    check_stats_json.py SCAN.json WAKEUP.json --compare-timing
-        Enforce the scheduler timing-identity contract (DESIGN.md
-        section 13): two runs of the same workloads under different
-        scheduler implementations must agree on every deterministic
-        counter. Same volatile-key stripping as --compare-replay
-        (host wall-clock and run provenance are not timing); on
-        divergence, names the first differing counter per result.
-        The fill `policy` section is deliberately NOT stripped:
-        policy decisions feed back into segment construction, so they
-        are timing-affecting and must be identical too.
-
 Exit status: 0 clean, 1 validation/diff failure, 2 usage error.
 Stdlib only, so it runs in CI and on dev machines without a venv.
 """
@@ -120,8 +109,8 @@ RATE_FIELDS = [
 # These are DECISION counters, not diagnostics: policy choices feed
 # back into segment construction and therefore into timing, so the
 # section deliberately stays in the deterministic document body where
-# --compare-timing and --compare-replay include it (unlike the
-# host.* wall-clock sections, which are stripped as volatile).
+# --compare-replay includes it (unlike the host.* wall-clock
+# sections, which are stripped as volatile).
 POLICY_FIELDS = {
     "kind": str,
     "finalMask": int,
@@ -508,48 +497,34 @@ def first_divergence(live_r, replay_r):
     return None
 
 
-def compare_identical(a_path, a_doc, b_path, b_doc, a_role, b_role,
-                      contract):
-    """Shared engine for --compare-replay and --compare-timing: the
-    two documents must be identical modulo the volatile keys."""
-    a = canonical_replay_view(a_doc)
-    b = canonical_replay_view(b_doc)
-    a_bytes = json.dumps(a, sort_keys=True)
-    b_bytes = json.dumps(b, sort_keys=True)
+def compare_replay(live_path, live, replay_path, replay):
+    """--compare-replay: the two documents must be identical modulo
+    the volatile keys."""
+    a_bytes = json.dumps(canonical_replay_view(live), sort_keys=True)
+    b_bytes = json.dumps(canonical_replay_view(replay), sort_keys=True)
     if a_bytes == b_bytes:
-        n = len(a_doc["results"])
-        print(f"{contract}: {n} result"
+        n = len(live["results"])
+        print(f"replay deterministic: {n} result"
               f"{'s' if n != 1 else ''} byte-identical "
               f"(modulo {', '.join(REPLAY_VOLATILE_RESULT_KEYS)})")
         return True
 
-    a_pts, b_pts = by_point(a_doc), by_point(b_doc)
-    for key in sorted(a_pts.keys() | b_pts.keys()):
+    live_pts, replay_pts = by_point(live), by_point(replay)
+    for key in sorted(live_pts.keys() | replay_pts.keys()):
         label = f"{key[0]}/{key[1]}"
-        if key not in a_pts:
-            print(f"  !! {label}: only in {b_path}")
+        if key not in live_pts:
+            print(f"  !! {label}: only in {replay_path}")
             continue
-        if key not in b_pts:
-            print(f"  !! {label}: only in {a_path}")
+        if key not in replay_pts:
+            print(f"  !! {label}: only in {live_path}")
             continue
-        div = first_divergence(a_pts[key], b_pts[key])
+        div = first_divergence(live_pts[key], replay_pts[key])
         if div:
             field, a_v, b_v = div
             print(f"  !! {label}: first diverging counter "
-                  f"'{field}': {a_v} ({a_role}) vs {b_v} ({b_role})")
-    print(f"{contract} FAILED: {a_path} vs {b_path}")
+                  f"'{field}': {a_v} (live) vs {b_v} (replay)")
+    print(f"replay deterministic FAILED: {live_path} vs {replay_path}")
     return False
-
-
-def compare_replay(live_path, live, replay_path, replay):
-    return compare_identical(live_path, live, replay_path, replay,
-                             "live", "replay", "replay deterministic")
-
-
-def compare_timing(scan_path, scan, wakeup_path, wakeup):
-    return compare_identical(scan_path, scan, wakeup_path, wakeup,
-                             "scan", "wakeup",
-                             "scheduler timing identity")
 
 
 # ---- trace-event export validation --------------------------------------
@@ -638,17 +613,12 @@ def main():
     ap.add_argument("--compare-replay", action="store_true",
                     help="two-file mode: require identical simulation "
                          "content (record/replay determinism check)")
-    ap.add_argument("--compare-timing", action="store_true",
-                    help="two-file mode: require identical simulation "
-                         "content between two scheduler "
-                         "implementations (timing-identity check)")
     ap.add_argument("--validate-trace-events", action="store_true",
                     help="validate Chrome/Perfetto trace-event "
                          "exports (--trace-events files) instead of "
                          "stats documents")
     opts = ap.parse_args()
-    modes = [m for m in ("--compare-replay", "--compare-timing",
-                         "--validate-trace-events")
+    modes = [m for m in ("--compare-replay", "--validate-trace-events")
              if getattr(opts, m[2:].replace("-", "_"))]
     if len(modes) > 1:
         ap.error("pick one of " + ", ".join(modes))
@@ -672,9 +642,6 @@ def main():
     if ok and len(docs) == 2:
         if opts.compare_replay:
             ok = compare_replay(opts.files[0], docs[0], opts.files[1],
-                                docs[1])
-        elif opts.compare_timing:
-            ok = compare_timing(opts.files[0], docs[0], opts.files[1],
                                 docs[1])
         else:
             ok = diff(opts.files[0], docs[0], opts.files[1], docs[1],

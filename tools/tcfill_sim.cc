@@ -23,10 +23,6 @@
  *   --no-inactive-issue    disable inactive issue
  *   --no-promotion         disable branch promotion
  *   --tc-entries N         trace cache entries (default 2048)
- *   --scheduler KIND       instruction scheduler: wakeup (default,
- *                          event-driven) or scan (per-cycle rescan
- *                          reference; identical timing — used by the
- *                          cli.scheduler_identity ctest)
  *   --stats                dump full component statistics
  *   --stats-dump           dump component statistics as JSON
  *   --stats-json FILE      write a tcfill-stats-v1 JSON document with
@@ -68,9 +64,6 @@
  *                          every job count)
  *   --sample-ckpt-stride N checkpoint every N interval boundaries
  *                          (default 1)
- *   --sample-reference     use the serial two-runs-per-point
- *                          reference implementation (oracle for the
- *                          cli.sample_identity ctest)
  */
 
 #include <cstdlib>
@@ -149,7 +142,6 @@ usage(const std::string &why = {})
         "  --max-insts N\n"
         "  --opts LIST | --fill-latency N | --no-trace-cache\n"
         "  --no-inactive-issue | --no-promotion | --tc-entries N\n"
-        "  --scheduler wakeup|scan\n"
         "  --fill-policy KIND | --list-policies | --policy-window N\n"
         "  --policy-phases K | --policy-threshold F | --policy-map SPEC\n"
         "  --stats | --stats-dump | --stats-json FILE | --stats-host\n"
@@ -158,7 +150,6 @@ usage(const std::string &why = {})
         "  --record FILE | --replay FILE | --bbv FILE\n"
         "  --bbv-interval N | --sample K:INTERVAL | --sample-warmup N\n"
         "  --sample-jobs N | --sample-ckpt-stride N\n"
-        "  --sample-reference\n"
         "run `tcfill_sim --help` for full option descriptions\n";
     std::exit(2);
 }
@@ -186,9 +177,6 @@ help()
         "  --no-inactive-issue    disable inactive issue\n"
         "  --no-promotion         disable branch promotion\n"
         "  --tc-entries N         trace cache entries (default 2048)\n"
-        "  --scheduler KIND       wakeup (default, event-driven) or\n"
-        "                         scan (per-cycle rescan reference;\n"
-        "                         identical timing)\n"
         "\n"
         "Fill pass-selection policy (DESIGN.md §16):\n"
         "  --fill-policy KIND     static (default) | oracle — how the\n"
@@ -251,9 +239,7 @@ help()
         "  --sample-ckpt-stride N checkpoint every N interval\n"
         "                         boundaries (default 1; wider strides\n"
         "                         journal fewer pages, fast-forward\n"
-        "                         more)\n"
-        "  --sample-reference     serial two-runs-per-point reference\n"
-        "                         implementation (correctness oracle)\n";
+        "                         more)\n";
     std::exit(0);
 }
 
@@ -305,7 +291,6 @@ main(int argc, char **argv)
     InstSeqNum bbv_interval = 100'000;
     tracefile::SampleSpec sample_spec;
     bool do_sample = false;
-    bool sample_reference = false;
     std::string fill_policy;
     SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
     cfg.name = "opts=all";
@@ -373,16 +358,6 @@ main(int argc, char **argv)
             cfg.fill.promoteBranches = false;
         } else if (arg == "--tc-entries") {
             cfg.tcache.entries = std::strtoul(next(), nullptr, 10);
-        } else if (arg == "--scheduler") {
-            std::string kind = next();
-            if (kind == "wakeup") {
-                cfg.core.scheduler = SchedulerKind::Wakeup;
-            } else if (kind == "scan") {
-                cfg.core.scheduler = SchedulerKind::Scan;
-            } else {
-                fatal("unknown scheduler '%s' (wakeup|scan)",
-                      kind.c_str());
-            }
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--stats-dump") {
@@ -436,8 +411,6 @@ main(int argc, char **argv)
                 std::strtoul(next(), nullptr, 10));
             fatal_if(sample_spec.checkpointStride == 0,
                      "--sample-ckpt-stride must be positive");
-        } else if (arg == "--sample-reference") {
-            sample_reference = true;
         } else if (arg == "--progress") {
             show_progress = true;
         } else if (arg.rfind("--", 0) == 0) {
@@ -522,11 +495,6 @@ main(int argc, char **argv)
             if (!record_path.empty()) {
                 res = tracefile::recordTrace(names[0], scale, cfg,
                                              record_path);
-            } else if (sample_reference) {
-                // (falls through to the serial oracle; pool knobs are
-                // meaningless there)
-                res = tracefile::runSampledReference(names[0], scale,
-                                                     cfg, sample_spec);
             } else {
                 // --threads/-j also applies to the measurement pool
                 // unless --sample-jobs picked a width explicitly.
