@@ -79,6 +79,39 @@ getString(const std::string &buf, std::size_t &pos, std::string &s)
     return true;
 }
 
+/**
+ * Why @p rec's successor contradicts its own instruction, or nullptr
+ * when it agrees: a fall-through goes to pc + 4 not taken, a
+ * conditional branch to its target when taken and to pc + 4 when
+ * not, J/JAL to their target taken, and JR/JALR are taken (to any
+ * register value).
+ */
+const char *
+successorError(const ExecRecord &rec)
+{
+    const Instruction &in = rec.inst;
+    const Addr fall = rec.pc + 4;
+    if (in.isCondBranch()) {
+        const Addr target = fall +
+            (static_cast<Addr>(static_cast<std::int64_t>(in.imm)) << 2);
+        return rec.nextPc == (rec.taken ? target : fall)
+            ? nullptr
+            : "branch record's nextPc contradicts its outcome";
+    }
+    if (in.op == Op::J || in.op == Op::JAL) {
+        const Addr target =
+            static_cast<Addr>(static_cast<std::uint32_t>(in.imm)) * 4;
+        return rec.taken && rec.nextPc == target
+            ? nullptr
+            : "jump record does not go to its target";
+    }
+    if (in.isIndirect())
+        return rec.taken ? nullptr : "indirect jump record is not taken";
+    return !rec.taken && rec.nextPc == fall
+        ? nullptr
+        : "record leaves the fall-through path";
+}
+
 } // namespace
 
 const char *
@@ -354,10 +387,20 @@ TraceReader::next(ExecRecord &rec)
         !getZigzag(frame_, frame_pos_, next_d)) {
         return fail(ReadStatus::Malformed, "record overruns frame");
     }
+    // The committed path is contiguous: every record starts where the
+    // previous one went (the first where the header's entry PC says).
+    // A forged record off that path, or one whose successor
+    // contradicts its instruction, would drive the model's fetch off
+    // the path it is replaying.
+    if (pc_d != 0)
+        return fail(ReadStatus::Malformed,
+                    "record pc is not the previous record's nextPc");
     rec.inst.imm = static_cast<std::int32_t>(imm);
     rec.taken = flags & 0x01;
-    rec.pc = expected_pc_ + static_cast<Addr>(pc_d);
+    rec.pc = expected_pc_;
     rec.nextPc = rec.pc + 4 + static_cast<Addr>(next_d);
+    if (const char *why = successorError(rec))
+        return fail(ReadStatus::Malformed, why);
     if (flags & 0x02) {
         std::int64_t ea_d = 0;
         if (!getZigzag(frame_, frame_pos_, ea_d))

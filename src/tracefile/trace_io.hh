@@ -13,9 +13,9 @@
  *   shamt     u8
  *   imm       zigzag varint
  *   pc        zigzag varint, delta from the previous record's nextPc
- *                     (the committed path makes this 0 — one byte —
- *                     except the very first record, which deltas from
- *                     the header's entry PC)
+ *                     (the first record's from the header's entry
+ *                     PC); the committed path makes it 0 — one byte —
+ *                     and the reader refuses any other value
  *   nextPc    zigzag varint, delta from pc + 4 (0 for fall-through)
  *   effAddr   zigzag varint, delta from the previous effAddr
  *                     (present iff bit1 of flags)
@@ -26,7 +26,11 @@
  * The reader is non-fatal by design: every structural problem
  * (truncation, CRC mismatch, version skew) surfaces as a ReadStatus
  * so callers choose between a clean error (ReplayExecutor fatals)
- * and programmatic handling (tests).
+ * and programmatic handling (tests). The CRC catches accidents, not
+ * forgeries, so the reader also refuses (Malformed) a record the
+ * model could not replay: an invalid opcode or register, a pc that
+ * is not the previous record's nextPc, or a nextPc/taken pair that
+ * contradicts the instruction.
  */
 
 #ifndef TCFILL_TRACEFILE_TRACE_IO_HH
