@@ -20,7 +20,6 @@ FillUnitConfig::check() const
 FillUnit::FillUnit(const FillUnitConfig &config, TraceCache &tcache,
                    BiasTable &bias)
     : config_(config), tcache_(tcache), bias_(bias),
-      pipeline_(config.opts.reassocOptions),
       policy_(config.policy, passMaskFromOpts(config.opts))
 {
     const std::string err = config.check();
@@ -138,9 +137,9 @@ FillUnit::finalize(Cycle now)
         ? 1
         : static_cast<unsigned>(seg.insts.back().blockNum) + 1;
 
-    // The optimization pipeline (paper §4) with the pass set the
-    // policy currently selects. Dependency pre-decode is part of the
-    // baseline fill unit and always runs.
+    // The optimization passes (paper §4) the policy currently
+    // selects. Dependency pre-decode is part of the baseline fill
+    // unit and always runs.
     const PassMask mask = policy_.mask();
     if (tracer_ && last_mask_ >= 0 &&
         mask != static_cast<PassMask>(last_mask_)) {
@@ -151,7 +150,12 @@ FillUnit::finalize(Cycle now)
         tracer_->policyEvent(pe);
     }
     last_mask_ = mask;
-    pipeline_.run(seg, mask, &placement_hints_);
+    const PassCounts applied = runPasses(
+        seg, mask, config_.opts.reassocOptions, &placement_hints_);
+    moves_marked_ += applied.movesMarked;
+    reassociations_ += applied.reassociations;
+    scaled_adds_ += applied.scaledAdds;
+    dead_elided_ += applied.deadElided;
 
     ++segments_;
     insts_ += seg.size();
@@ -203,10 +207,10 @@ FillUnit::policySummary() const
 {
     PolicySummary s;
     policy_.summarize(s);
-    s.movesMarked = pipeline_.movesMarked();
-    s.reassociations = pipeline_.reassociations();
-    s.scaledAdds = pipeline_.scaledAdds();
-    s.deadElided = pipeline_.deadElided();
+    s.movesMarked = moves_marked_.value();
+    s.reassociations = reassociations_.value();
+    s.scaledAdds = scaled_adds_.value();
+    s.deadElided = dead_elided_.value();
     return s;
 }
 
@@ -216,13 +220,13 @@ FillUnit::regStats(stats::Group &group)
     group.addCounter("fill.segments", segments_, "trace segments built");
     group.addCounter("fill.insts", insts_,
                      "instructions collected into segments");
-    group.addCounter("fill.moves_marked", pipeline_.movesCounter(),
+    group.addCounter("fill.moves_marked", moves_marked_,
                      "register moves marked (static, per segment build)");
-    group.addCounter("fill.reassociations", pipeline_.reassocCounter(),
+    group.addCounter("fill.reassociations", reassociations_,
                      "instructions reassociated (static)");
-    group.addCounter("fill.scaled_adds", pipeline_.scaledCounter(),
+    group.addCounter("fill.scaled_adds", scaled_adds_,
                      "scaled operands created (static)");
-    group.addCounter("fill.dead_elided", pipeline_.dceCounter(),
+    group.addCounter("fill.dead_elided", dead_elided_,
                      "dead writes elided (static, extension)");
     group.addCounter("fill.promoted_branches", promoted_branches_,
                      "conditional branches recorded promoted");

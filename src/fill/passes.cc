@@ -505,7 +505,7 @@ parsePassMask(const std::string &token, PassMask &out, std::string &err)
     PassMask m = kPassMaskNone;
     std::size_t pos = 0;
     while (pos <= token.size()) {
-        std::size_t end = token.find('+', pos);
+        std::size_t end = token.find_first_of("+,", pos);
         if (end == std::string::npos)
             end = token.size();
         const std::string part = token.substr(pos, end - pos);
@@ -539,123 +539,25 @@ parsePassMask(const std::string &token)
     return m;
 }
 
-// --------------------------------------------------------------------
-// Pass objects
-// --------------------------------------------------------------------
-
-namespace
+PassCounts
+runPasses(TraceSegment &seg, PassMask mask, const ReassocOptions &reassoc,
+          PlacementHints *hints)
 {
-
-class MarkMovesPass final : public TracePass
-{
-  public:
-    MarkMovesPass() : TracePass("mark-moves", kPassMarkMoves) {}
-
-    void
-    apply(TraceSegment &seg, PassContext &) override
-    {
-        applied_ += markMoves(seg);
-    }
-};
-
-class ReassociatePass final : public TracePass
-{
-  public:
-    ReassociatePass() : TracePass("reassociate", kPassReassociate) {}
-
-    void
-    apply(TraceSegment &seg, PassContext &ctx) override
-    {
-        applied_ += reassociate(seg, ctx.reassoc);
-    }
-};
-
-class ScaledAddsPass final : public TracePass
-{
-  public:
-    ScaledAddsPass() : TracePass("scaled-adds", kPassScaledAdds) {}
-
-    void
-    apply(TraceSegment &seg, PassContext &) override
-    {
-        applied_ += createScaledAdds(seg);
-    }
-};
-
-class DeadWritePass final : public TracePass
-{
-  public:
-    DeadWritePass() : TracePass("dead-write-elision", kPassDeadCodeElim) {}
-
-    void
-    apply(TraceSegment &seg, PassContext &) override
-    {
-        applied_ += eliminateDeadWrites(seg);
-    }
-};
-
-class PlacementPass final : public TracePass
-{
-  public:
-    PlacementPass() : TracePass("placement", kPassPlacement) {}
-
-    void
-    apply(TraceSegment &seg, PassContext &ctx) override
-    {
-        placeInstructions(seg, kSegmentMaxInsts, 4, ctx.hints);
-        ++applied_;
-    }
-
-    void
-    applyDisabled(TraceSegment &seg, PassContext &) override
-    {
-        placeIdentity(seg);
-    }
-};
-
-} // namespace
-
-PassPipeline::PassPipeline(const ReassocOptions &reassoc)
-    : reassoc_(reassoc)
-{
-    passes_.push_back(std::make_unique<MarkMovesPass>());
-    passes_.push_back(std::make_unique<ReassociatePass>());
-    passes_.push_back(std::make_unique<ScaledAddsPass>());
-    passes_.push_back(std::make_unique<DeadWritePass>());
-    passes_.push_back(std::make_unique<PlacementPass>());
-}
-
-void
-PassPipeline::run(TraceSegment &seg, PassMask mask, PlacementHints *hints)
-{
+    PassCounts applied;
     markDependencies(seg);
-    PassContext ctx{reassoc_, hints};
-    for (auto &p : passes_) {
-        if (mask & p->bit())
-            p->apply(seg, ctx);
-        else
-            p->applyDisabled(seg, ctx);
-    }
-}
-
-const stats::Counter &PassPipeline::movesCounter() const
-{
-    return passes_[0]->applied();
-}
-
-const stats::Counter &PassPipeline::reassocCounter() const
-{
-    return passes_[1]->applied();
-}
-
-const stats::Counter &PassPipeline::scaledCounter() const
-{
-    return passes_[2]->applied();
-}
-
-const stats::Counter &PassPipeline::dceCounter() const
-{
-    return passes_[3]->applied();
+    if (mask & kPassMarkMoves)
+        applied.movesMarked = markMoves(seg);
+    if (mask & kPassReassociate)
+        applied.reassociations = reassociate(seg, reassoc);
+    if (mask & kPassScaledAdds)
+        applied.scaledAdds = createScaledAdds(seg);
+    if (mask & kPassDeadCodeElim)
+        applied.deadElided = eliminateDeadWrites(seg);
+    if (mask & kPassPlacement)
+        placeInstructions(seg, kSegmentMaxInsts, 4, hints);
+    else
+        placeIdentity(seg);
+    return applied;
 }
 
 bool

@@ -11,22 +11,20 @@
 #define TCFILL_FILL_PASSES_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/stats.hh"
 #include "trace/segment.hh"
 
 namespace tcfill
 {
 
-/** Counts of transformations applied to one segment (for Table 2). */
+/** Counts of transformations runPasses() applied to one segment. */
 struct PassCounts
 {
     unsigned movesMarked = 0;
     unsigned reassociations = 0;
     unsigned scaledAdds = 0;
+    unsigned deadElided = 0;
 };
 
 /** Options controlling the reassociation pass. */
@@ -117,9 +115,10 @@ FillOptimizations optsFromPassMask(PassMask mask,
 std::string passMaskName(PassMask mask);
 
 /**
- * Parse a mask token: the names passMaskName() produces, the --opts
- * keyword forms, or a decimal bit value. Returns false with a reason
- * in @p err on an unknown token or an out-of-range value.
+ * Parse a mask token: "none", "all", "extended", a list of pass names
+ * joined by '+' (as passMaskName() writes it) or ',' (as --opts takes
+ * it), or a decimal bit value. Returns false with a reason in @p err
+ * on an unknown token or an out-of-range value.
  */
 bool parsePassMask(const std::string &token, PassMask &out,
                    std::string &err);
@@ -225,95 +224,18 @@ void setSrcReg(Instruction &inst, unsigned slot, RegIndex reg);
  */
 bool depsConsistent(const TraceSegment &seg);
 
-// --------------------------------------------------------------------
-// Pass objects
-// --------------------------------------------------------------------
-
-/** Shared state a pass may need beyond the segment itself. */
-struct PassContext
-{
-    ReassocOptions reassoc{};
-    PlacementHints *hints = nullptr;
-};
-
 /**
- * One optional fill-unit transformation, lifted into an object so a
- * FillPolicy can enable or disable it per segment. A pass owns its
- * applied-transform counter; the FillUnit registers it under the
- * legacy fill.* stat name so existing output does not move.
+ * The fill unit's pass sequence over a finalized segment (paper §4).
+ * markDependencies is the baseline pre-decode and always runs first;
+ * then each optimization @p mask enables runs in the fixed legal
+ * order: markMoves, reassociate, createScaledAdds,
+ * eliminateDeadWrites, placeInstructions (placeIdentity when
+ * placement is off).
+ * @return the transforms each pass applied to @p seg.
  */
-class TracePass
-{
-  public:
-    TracePass(std::string name, PassMask bit)
-        : name_(std::move(name)), bit_(bit)
-    {}
-
-    virtual ~TracePass() = default;
-
-    const std::string &name() const { return name_; }
-
-    /** This pass's bit in a PassMask. */
-    PassMask bit() const { return bit_; }
-
-    /** Transformations applied across all segments (legacy stat). */
-    const stats::Counter &applied() const { return applied_; }
-
-    /** Run the transformation on a finalized segment. */
-    virtual void apply(TraceSegment &seg, PassContext &ctx) = 0;
-
-    /**
-     * Run when the pass is disabled. A no-op for every pass except
-     * placement, whose disabled form is identity slot routing.
-     */
-    virtual void applyDisabled(TraceSegment &seg, PassContext &ctx)
-    {
-        (void)seg;
-        (void)ctx;
-    }
-
-  protected:
-    stats::Counter applied_;
-
-  private:
-    std::string name_;
-    PassMask bit_;
-};
-
-/**
- * The canonical pass sequence over a finalized segment. Always runs
- * markDependencies first (it is the baseline pre-decode, not a
- * policy choice), then each optional pass in the fixed legal order,
- * gated by the mask bit. For any mask this performs exactly the same
- * call sequence the legacy boolean dispatch performed, so static
- * configurations stay bit-identical.
- */
-class PassPipeline
-{
-  public:
-    explicit PassPipeline(const ReassocOptions &reassoc);
-
-    /** Transform @p seg in place with the passes enabled in @p mask. */
-    void run(TraceSegment &seg, PassMask mask, PlacementHints *hints);
-
-    std::size_t size() const { return passes_.size(); }
-    const TracePass &pass(std::size_t i) const { return *passes_[i]; }
-
-    // Legacy counter access (registered by FillUnit under fill.*).
-    const stats::Counter &movesCounter() const;
-    const stats::Counter &reassocCounter() const;
-    const stats::Counter &scaledCounter() const;
-    const stats::Counter &dceCounter() const;
-
-    std::uint64_t movesMarked() const { return movesCounter().value(); }
-    std::uint64_t reassociations() const { return reassocCounter().value(); }
-    std::uint64_t scaledAdds() const { return scaledCounter().value(); }
-    std::uint64_t deadElided() const { return dceCounter().value(); }
-
-  private:
-    ReassocOptions reassoc_;
-    std::vector<std::unique_ptr<TracePass>> passes_;
-};
+PassCounts runPasses(TraceSegment &seg, PassMask mask,
+                     const ReassocOptions &reassoc,
+                     PlacementHints *hints);
 
 } // namespace tcfill
 

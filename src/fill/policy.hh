@@ -118,7 +118,7 @@ struct PolicySummary
     std::uint64_t windows = 0;
     std::uint64_t switches = 0;
     std::uint64_t phasesSeen = 0;
-    // Filled in by FillUnit from the pass pipeline counters.
+    // Filled in by FillUnit from its fill.* transform counters.
     std::uint64_t movesMarked = 0;
     std::uint64_t reassociations = 0;
     std::uint64_t scaledAdds = 0;

@@ -228,7 +228,8 @@ def check_trace_events():
 
 def check_bad_args():
     """Each tool names the option it refuses before its usage text;
-    retired options are refused by name, not run as something else."""
+    retired options are refused by name, not run as something else,
+    and so is a bad --opts pass token."""
     for tool, args, want in (
             ("tools/tcfill", ["--policy-hysteresis", "0.1", "compress"],
              "unknown option '--policy-hysteresis'"),
@@ -264,6 +265,26 @@ def check_bad_args():
     if res.returncode != 2 or want not in res.stderr:
         fail(f"check_stats_json.py --compare-timing: exit "
              f"{res.returncode}, stderr {res.stderr!r}; want {want!r}")
+    # A bad pass token is refused by name before anything runs: tcfill
+    # prints no result and the client never reaches its (absent)
+    # socket.
+    for tool, args, spec in (
+            ("tools/tcfill", ["--opts", "moves,bogus", "compress"],
+             "moves,bogus"),
+            ("tools/tcfill_client",
+             ["--socket", path("s"), "--opts", "moves,bogus"],
+             "moves,bogus"),
+            ("tools/tcfill_client",
+             ["--socket", path("s"), "--opts-list", "all;dce,bogus"],
+             "dce,bogus")):
+        res = subprocess.run([os.path.join(BUILD, tool), *args],
+                             stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+        want = f"fatal: unknown pass mask token 'bogus' in '{spec}'\n"
+        if res.returncode != 1 or res.stderr != want or res.stdout:
+            fail(f"{tool} {' '.join(args)}: exit {res.returncode}, "
+                 f"stdout {res.stdout!r}, stderr {res.stderr!r}; "
+                 f"want {want!r} alone")
 
 
 def start_daemon(sock, *args):

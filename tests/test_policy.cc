@@ -1,9 +1,8 @@
 /**
  * @file
  * Fill pass-selection policy tests (DESIGN.md §16): pass-mask helper
- * round trips, PassPipeline equivalence with the legacy free-function
- * dispatch for every mask, decision-window accounting, the static and
- * oracle policies driven through onRetire, oracle map parsing, online
+ * round trips, decision-window accounting, the static and oracle
+ * policies driven through onRetire, oracle map parsing, online
  * phase-tracker labeling, and sim-level contracts — uniform-mask
  * oracle runs bit-identical to the equivalent static configuration
  * across the full 32-combo optimization matrix, and a switching
@@ -60,6 +59,15 @@ TEST(PassMask, NamedConfigurations)
     EXPECT_EQ(passMaskName(kPassMaskNone), "none");
     EXPECT_EQ(passMaskName(kPassMarkMoves | kPassPlacement),
               "moves+placement");
+    // --opts spells lists with commas; either separator parses.
+    EXPECT_EQ(parsePassMask("moves,placement"),
+              kPassMarkMoves | kPassPlacement);
+    EXPECT_EQ(parsePassMask("moves,reassoc+scaled,dce,placement"),
+              kPassMaskExtended);
+    PassMask m = kPassMaskNone;
+    std::string err;
+    EXPECT_FALSE(parsePassMask("moves,bogus", m, err));
+    EXPECT_EQ(err, "unknown pass mask token 'bogus' in 'moves,bogus'");
 }
 
 TEST(PassMask, OptsFromMaskPreservesReassocBase)
@@ -72,183 +80,6 @@ TEST(PassMask, OptsFromMaskPreservesReassocBase)
     EXPECT_FALSE(opts.reassocOptions.foldMemDisplacement);
     EXPECT_TRUE(opts.placement);
 }
-
-// --------------------------------------------------------------------
-// PassPipeline vs. the legacy free-function dispatch
-// --------------------------------------------------------------------
-
-/** Append an instruction to a segment with synthetic PC/region. */
-TraceInst &
-append(TraceSegment &seg, Instruction in, unsigned cf_region = 0)
-{
-    TraceInst ti;
-    ti.inst = in;
-    ti.pc = 0x400000 + seg.size() * 4;
-    ti.origIdx = static_cast<std::uint8_t>(seg.size());
-    ti.slot = ti.origIdx;
-    ti.cfRegion = static_cast<std::uint8_t>(cf_region);
-    ti.blockNum = static_cast<std::uint8_t>(cf_region & 3);
-    seg.insts.push_back(ti);
-    return seg.insts.back();
-}
-
-/** Random instruction mix covering every pass's trigger patterns. */
-Instruction
-randomInst(Random &rng)
-{
-    Instruction in;
-    auto reg = [&rng]() {
-        return static_cast<RegIndex>(rng.below(12) + 1);
-    };
-    switch (rng.below(10)) {
-      case 0: case 1: case 2:
-        in.op = Op::ADDI;
-        in.dest = reg();
-        in.src1 = rng.percent(20) ? kRegZero : reg();
-        in.imm = static_cast<std::int32_t>(rng.range(-64, 64)) *
-                 (rng.percent(10) ? 0 : 1);
-        break;
-      case 3:
-        in.op = Op::SLLI;
-        in.dest = reg();
-        in.src1 = reg();
-        in.shamt = static_cast<std::uint8_t>(rng.below(5));
-        break;
-      case 4:
-        in.op = Op::ADD;
-        in.dest = reg();
-        in.src1 = reg();
-        in.src2 = rng.percent(25) ? kRegZero : reg();
-        break;
-      case 5:
-        in.op = Op::LW;
-        in.dest = reg();
-        in.src1 = reg();
-        in.imm = static_cast<std::int32_t>(rng.range(-32, 32)) * 4;
-        break;
-      case 6:
-        in.op = Op::LWX;
-        in.dest = reg();
-        in.src1 = reg();
-        in.src2 = reg();
-        break;
-      case 7:
-        in.op = Op::SW;
-        in.src1 = reg();
-        in.src3 = reg();
-        in.imm = static_cast<std::int32_t>(rng.range(-32, 32)) * 4;
-        break;
-      case 8:
-        in.op = rng.percent(50) ? Op::BEQ : Op::BNE;
-        in.src1 = reg();
-        in.src2 = reg();
-        in.imm = 4;
-        break;
-      default:
-        in.op = rng.percent(50) ? Op::XOR : Op::SUB;
-        in.dest = reg();
-        in.src1 = reg();
-        in.src2 = reg();
-        break;
-    }
-    return in;
-}
-
-TraceSegment
-randomSegment(Random &rng)
-{
-    TraceSegment seg;
-    unsigned region = 0;
-    const unsigned n = 4 + static_cast<unsigned>(rng.below(13));
-    for (unsigned i = 0; i < n; ++i) {
-        Instruction in = randomInst(rng);
-        append(seg, in, region);
-        if (in.isControl() || rng.percent(20))
-            ++region;
-    }
-    return seg;
-}
-
-void
-expectSameSegment(const TraceSegment &a, const TraceSegment &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("inst " + std::to_string(i));
-        const TraceInst &x = a.insts[i];
-        const TraceInst &y = b.insts[i];
-        EXPECT_EQ(x.inst, y.inst);
-        EXPECT_EQ(x.pc, y.pc);
-        for (int s = 0; s < 3; ++s)
-            EXPECT_EQ(x.srcDep[s], y.srcDep[s]);
-        EXPECT_EQ(x.liveOut, y.liveOut);
-        EXPECT_EQ(x.isMove, y.isMove);
-        EXPECT_EQ(x.moveSrc, y.moveSrc);
-        EXPECT_EQ(x.moveSrcDep, y.moveSrcDep);
-        EXPECT_EQ(x.scaledSrcIdx, y.scaledSrcIdx);
-        EXPECT_EQ(x.scaleAmt, y.scaleAmt);
-        EXPECT_EQ(x.slot, y.slot);
-        EXPECT_EQ(x.deadElided, y.deadElided);
-        EXPECT_EQ(x.reassociated, y.reassociated);
-    }
-}
-
-class PipelineEquivalence : public ::testing::TestWithParam<unsigned>
-{
-};
-
-/**
- * For every mask, PassPipeline::run must perform exactly the call
- * sequence the pre-policy boolean dispatch performed — same segment
- * rewrites, same placement-hint evolution. This is the unit-level
- * form of the golden-fixture byte-identity contract.
- */
-TEST_P(PipelineEquivalence, MatchesLegacyDispatchForEveryMask)
-{
-    for (unsigned m = 0; m <= kPassMaskEvery; ++m) {
-        const PassMask mask = static_cast<PassMask>(m);
-        Random rng(GetParam() * 2654435761u + m * 97 + 5);
-
-        FillOptimizations base;
-        base.reassocOptions.crossBlockOnly = rng.percent(50);
-        base.reassocOptions.foldMemDisplacement = rng.percent(50);
-        const FillOptimizations opts = optsFromPassMask(mask, base);
-
-        TraceSegment seg = randomSegment(rng);
-        TraceSegment legacy = seg;
-
-        // The pre-refactor FillUnit::finalize dispatch, verbatim.
-        PlacementHints legacy_hints;
-        markDependencies(legacy);
-        if (opts.markMoves)
-            markMoves(legacy);
-        if (opts.reassociate)
-            reassociate(legacy, opts.reassocOptions);
-        if (opts.scaledAdds)
-            createScaledAdds(legacy);
-        if (opts.deadCodeElim)
-            eliminateDeadWrites(legacy);
-        if (opts.placement)
-            placeInstructions(legacy, kSegmentMaxInsts, 4, &legacy_hints);
-        else
-            placeIdentity(legacy);
-
-        PassPipeline pipe(opts.reassocOptions);
-        PlacementHints hints;
-        pipe.run(seg, mask, &hints);
-
-        SCOPED_TRACE("mask " + std::to_string(m) + " seed " +
-                     std::to_string(GetParam()));
-        expectSameSegment(legacy, seg);
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            EXPECT_EQ(hints.cluster[r], legacy_hints.cluster[r])
-                << "hint r" << r;
-        EXPECT_TRUE(depsConsistent(seg));
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PipelineEquivalence,
-                         ::testing::Range(0u, 20u));
 
 // --------------------------------------------------------------------
 // Decision-window accounting

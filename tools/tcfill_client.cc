@@ -72,43 +72,6 @@ usage(const std::string &why = {})
     std::exit(2);
 }
 
-FillOptimizations
-parseOpts(const std::string &spec)
-{
-    if (spec == "all")
-        return FillOptimizations::all();
-    if (spec == "none")
-        return FillOptimizations::none();
-    if (spec == "extended")
-        return FillOptimizations::extended();
-
-    FillOptimizations opts;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        std::string tok = spec.substr(
-            pos, comma == std::string::npos ? spec.size() - pos
-                                            : comma - pos);
-        if (tok == "moves") {
-            opts.markMoves = true;
-        } else if (tok == "reassoc") {
-            opts.reassociate = true;
-        } else if (tok == "scaled") {
-            opts.scaledAdds = true;
-        } else if (tok == "placement") {
-            opts.placement = true;
-        } else if (tok == "dce") {
-            opts.deadCodeElim = true;
-        } else if (!tok.empty()) {
-            fatal("unknown optimization '%s'", tok.c_str());
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return opts;
-}
-
 std::vector<std::string>
 splitList(const std::string &spec, char sep)
 {
@@ -251,6 +214,12 @@ main(int argc, char **argv)
 
     if (socket_path.empty())
         usage("option '--socket' is required");
+    if (opts_specs.empty())
+        opts_specs = {"all"};
+    // Refuse a bad pass token before connecting.
+    std::vector<PassMask> masks;
+    for (const std::string &spec : opts_specs)
+        masks.push_back(parsePassMask(spec));
 
     service::ServiceClient client;
     std::string err;
@@ -273,8 +242,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (opts_specs.empty())
-        opts_specs = {"all"};
     if (latencies.empty())
         latencies = {5};
 
@@ -282,14 +249,14 @@ main(int argc, char **argv)
     // then latency — matching the nested-loop order a script would use.
     std::vector<service::ServiceClient::Point> points;
     for (const std::string &name : parseWorkloads(workload)) {
-        for (const std::string &spec : opts_specs) {
+        for (std::size_t o = 0; o < masks.size(); ++o) {
             for (std::uint64_t lat : latencies) {
                 service::ServiceClient::Point p;
                 p.workload = name;
                 p.scale = scale;
                 SimConfig cfg =
-                    SimConfig::withOpts(parseOpts(spec), lat);
-                cfg.name = "opts=" + spec;
+                    SimConfig::withOpts(optsFromPassMask(masks[o]), lat);
+                cfg.name = "opts=" + opts_specs[o];
                 if (latencies.size() > 1)
                     cfg.name += "+lat=" + std::to_string(lat);
                 cfg.maxInsts = max_insts;
