@@ -8,14 +8,15 @@ namespace tcfill::pipeline
 {
 
 DispatchRename::DispatchRename(const DispatchEnv &env)
-    : cfg_(env.cfg), in_(env.in), out_(env.out), window_(env.window),
-      issue_(env.issue)
+    : cfg_(env.cfg), in_(env.in), window_(env.window), core_(env.core)
 {
 }
 
 void
 DispatchRename::regStats(stats::Group &master)
 {
+    master.addCounter("issue.dispatched", dispatched_,
+                      "instructions inserted into reservation stations");
     rename_.regStats(master);
     master.addCounter("dispatch.lines", lines_,
                       "fetched lines renamed");
@@ -40,8 +41,8 @@ DispatchRename::tick(Cycle now)
         if (!di->moveMarked && !di->elided)
             ++need[static_cast<unsigned>(di->fu) % 64];
     }
-    for (unsigned fu = 0; fu < issue_.numFus(); ++fu) {
-        if (need[fu] > issue_.rsFree(fu))
+    for (unsigned fu = 0; fu < core_.numFus(); ++fu) {
+        if (need[fu] > core_.rsFree(fu))
             return;
     }
 
@@ -72,25 +73,6 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
             } else {
                 di->src[k] = rename_.read(di->inst.srcReg(k));
             }
-#ifdef TCFILL_SQUASH_AUDIT
-            if (di->src[k].producer &&
-                (di->src[k].producer->squashed() ||
-                 di->src[k].producer->inactive)) {
-                std::fprintf(stderr,
-                    "AUDIT-ISSUE cycle=%llu consumer seq=%llu "
-                    "pc=0x%llx '%s' src%u dep=%d -> producer "
-                    "seq=%llu pc=0x%llx sq=%d inact=%d\n",
-                    (unsigned long long)now,
-                    (unsigned long long)di->seq,
-                    (unsigned long long)di->pc,
-                    disassemble(di->inst).c_str(), k,
-                    (int)di->lineDep[k],
-                    (unsigned long long)di->src[k].producer->seq,
-                    (unsigned long long)di->src[k].producer->pc,
-                    di->src[k].producer->squashed() ? 1 : 0,
-                    di->src[k].producer->inactive ? 1 : 0);
-            }
-#endif
         }
         if (di->moveMarked) {
             std::int8_t d = di->moveSrcDep;
@@ -127,7 +109,8 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
         } else {
             if (di->inst.hasDest() && !di->inactive)
                 rename_.write(di->inst.dest, di);
-            out_.toCore.push_back(di.get());
+            core_.dispatch(*di);
+            ++dispatched_;
         }
         // The line is discarded right after rename: hand the owning
         // reference straight to the window.
@@ -148,7 +131,8 @@ DispatchRename::renameSerialLine(FetchLine &line, Cycle now)
         tracePipe(tracer_, obs::PipeStage::Issue, *di, now);
         if (di->inst.hasDest())
             rename_.write(di->inst.dest, di);
-        out_.toCore.push_back(di.get());
+        core_.dispatch(*di);
+        ++dispatched_;
         window_.insts.push_back(std::move(di));
         ++insts_;
     }

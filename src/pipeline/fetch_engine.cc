@@ -45,7 +45,6 @@ FetchEngine::makeDynInst(const Instruction &inst, Addr pc,
     di->seq = seq_next_++;
     di->pc = pc;
     di->inst = inst;
-    di->archInst = inst;
     di->source = src;
     di->fetchCycle = fetch_cycle;
     di->latency = opInfo(inst.op).latency;
@@ -151,7 +150,6 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
 
         if (correct) {
             const ExecRecord &rec = oracle_.at(i);
-            di->archInst = rec.inst;
             di->nextPc = rec.nextPc;
             di->taken = rec.taken;
             di->effAddr = rec.effAddr;

@@ -10,7 +10,7 @@ namespace tcfill::pipeline
 
 RetireUnit::RetireUnit(const RetireEnv &env)
     : cfg_(env.cfg), window_(env.window), oracle_(env.oracle),
-      fill_(env.fill), issue_(env.issue), ctrl_(env.ctrl)
+      fill_(env.fill), core_(env.core), ctrl_(env.ctrl)
 {
 }
 
@@ -67,16 +67,15 @@ RetireUnit::tick(Cycle now)
         // Predictors train at fetch (see FetchEngine); retirement
         // only drives the fill unit and bookkeeping.
         if (di->isStore)
-            issue_.retireStore(di);
+            core_.retireStore(di);
 
-        // Feed the fill unit the architectural instruction.
-        ExecRecord rec;
-        rec.seq = di->seq;
-        rec.pc = di->pc;
-        rec.nextPc = di->nextPc;
-        rec.inst = di->archInst;
-        rec.taken = di->taken;
-        rec.effAddr = di->effAddr;
+        // The committed-path record of this instruction carries its
+        // architectural form for the fill unit.
+        const ExecRecord &rec = oracle_.front();
+        panic_if(rec.pc != di->pc,
+                 "retired 0x%llx but oracle front is 0x%llx",
+                 static_cast<unsigned long long>(di->pc),
+                 static_cast<unsigned long long>(rec.pc));
         fill_.retire(rec, now, di->missLineStart);
 
         // Dynamic optimization accounting (Table 2, figures 3-5, 7).
@@ -96,15 +95,11 @@ RetireUnit::tick(Cycle now)
         // After the commit's counter increments, so the interval that
         // ends on this instruction includes it in its deltas.
         if (timeline_)
-            timeline_->onRetire(di->pc, di->archInst.endsBlock(), now);
+            timeline_->onRetire(di->pc, rec.inst.endsBlock(), now);
 
         if (di == ctrl_.stallSerialize)
             ctrl_.stallSerialize = nullptr;
 
-        panic_if(oracle_.front().pc != di->pc,
-                 "retired 0x%llx but oracle front is 0x%llx",
-                 static_cast<unsigned long long>(di->pc),
-                 static_cast<unsigned long long>(oracle_.front().pc));
         oracle_.popRetired();
         window_.insts.pop_front();  // releases di
 

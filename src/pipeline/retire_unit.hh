@@ -14,11 +14,11 @@
 
 #include "fill/fill_unit.hh"
 #include "obs/timeline.hh"
-#include "pipeline/issue_stage.hh"
 #include "pipeline/latches.hh"
 #include "pipeline/oracle.hh"
 #include "pipeline/stage.hh"
 #include "sim/config.hh"
+#include "uarch/exec_core.hh"
 #include "uarch/pipe_hooks.hh"
 
 namespace tcfill::pipeline
@@ -31,7 +31,7 @@ struct RetireEnv
     InstWindow &window;
     OracleStream &oracle;
     FillUnit &fill;
-    IssueStage &issue;
+    ExecCore &core;
     FetchControl &ctrl;
 };
 
@@ -118,7 +118,7 @@ class RetireUnit : public Stage
     InstWindow &window_;
     OracleStream &oracle_;
     FillUnit &fill_;
-    IssueStage &issue_;
+    ExecCore &core_;
     FetchControl &ctrl_;
 
     Cycle last_retire_cycle_ = 0;

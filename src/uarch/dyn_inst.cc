@@ -6,12 +6,9 @@ namespace tcfill
 void
 destroyDynInst(DynInst *p)
 {
-    if (SlabArena *arena = p->ptrArena) {
-        p->~DynInst();
-        arena->deallocate(p);
-    } else {
-        delete p;
-    }
+    SlabArena *arena = p->ptrArena;
+    p->~DynInst();
+    arena->deallocate(p);
 }
 
 } // namespace tcfill

@@ -122,10 +122,11 @@ struct DynInst
 {
     InstSeqNum seq = 0;
     Addr pc = 0;
-    /** Possibly fill-unit-rewritten form (dataflow topology). */
+    /**
+     * Possibly fill-unit-rewritten form (dataflow topology); the
+     * architectural form is the committed-path record's.
+     */
     Instruction inst;
-    /** Original architectural form (fed back to the fill unit). */
-    Instruction archInst;
     /** Committed next PC (correct-path instructions only). */
     Addr nextPc = 0;
     FetchSource source = FetchSource::InstCache;
@@ -233,7 +234,7 @@ struct DynInst
     // ---- intrusive lifetime (managed by DynInstPtr) ---------------------
     /** Reference count; non-atomic — see the file comment. */
     std::uint32_t ptrRefs = 0;
-    /** Owning arena, or nullptr for heap-backed instances. */
+    /** Owning arena (set by allocDynInst). */
     SlabArena *ptrArena = nullptr;
 
     unsigned
@@ -282,13 +283,6 @@ allocDynInst(SlabArena &arena)
     DynInst *p = new (mem) DynInst();
     p->ptrArena = &arena;
     return DynInstPtr(p);
-}
-
-/** Heap-backed variant for tests and tools. */
-inline DynInstPtr
-allocDynInst()
-{
-    return DynInstPtr(new DynInst());
 }
 
 } // namespace tcfill

@@ -39,7 +39,7 @@ namespace
 std::string
 pinOf(const Processor &p, const SimResult &r)
 {
-    const ExecCore &core = p.issueStage().core();
+    const ExecCore &core = p.core();
     const std::string text = resultRecordText(r) + '|' +
         std::to_string(core.selectedCount()) + ',' +
         std::to_string(core.bypassDelayedCount()) + ',' +
@@ -194,6 +194,7 @@ struct StormCore
  */
 TEST(SchedulerPins, RandomizedDispatchSquashStorm)
 {
+    SlabArena arena;    // outlives every instruction below
     StormCore sc;
     ExecCore &core = sc.core;
     digest::Fnv64 pin;
@@ -213,7 +214,7 @@ TEST(SchedulerPins, RandomizedDispatchSquashStorm)
     Cycle now = 0;
 
     auto make = [&](Op op, int fu) -> DynInst & {
-        DynInstPtr di = allocDynInst();
+        DynInstPtr di = allocDynInst(arena);
         di->seq = seq++;
         di->inst.op = op;
         di->inst.dest = 3;

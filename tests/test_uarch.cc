@@ -12,9 +12,9 @@ namespace
 {
 
 DynInstPtr
-makeInst(InstSeqNum seq, Op op = Op::ADD, int fu = 0)
+makeInst(SlabArena &arena, InstSeqNum seq, Op op = Op::ADD, int fu = 0)
 {
-    DynInstPtr di = allocDynInst();
+    DynInstPtr di = allocDynInst(arena);
     di->seq = seq;
     di->inst.op = op;
     di->inst.dest = 3;
@@ -39,8 +39,9 @@ TEST(Rename, ReadsAreReadyByDefault)
 
 TEST(Rename, WriteAndRead)
 {
+    SlabArena arena;
     RenameTable rt;
-    DynInstPtr p = makeInst(1);
+    DynInstPtr p = makeInst(arena, 1);
     rt.write(5, p);
     EXPECT_EQ(rt.read(5).producer, p);
     // R0 is never mapped.
@@ -50,8 +51,9 @@ TEST(Rename, WriteAndRead)
 
 TEST(Rename, AliasForMoves)
 {
+    SlabArena arena;
     RenameTable rt;
-    DynInstPtr p = makeInst(1);
+    DynInstPtr p = makeInst(arena, 1);
     rt.write(5, p);
     rt.alias(7, rt.read(5));
     EXPECT_EQ(rt.read(7).producer, p);
@@ -59,14 +61,15 @@ TEST(Rename, AliasForMoves)
 
 TEST(Rename, RebuildReplaysSurvivors)
 {
+    SlabArena arena;
     RenameTable rt;
     std::deque<DynInstPtr> window;
-    DynInstPtr a = makeInst(1);
+    DynInstPtr a = makeInst(arena, 1);
     a->inst.dest = 5;
-    DynInstPtr b = makeInst(2);
+    DynInstPtr b = makeInst(arena, 2);
     b->inst.dest = 5;
     b->phase = InstPhase::Squashed;
-    DynInstPtr c = makeInst(3);
+    DynInstPtr c = makeInst(arena, 3);
     c->inst.dest = 6;
     c->inactive = true;             // unresolved inactive: skipped
     window = {a, b, c};
@@ -77,11 +80,12 @@ TEST(Rename, RebuildReplaysSurvivors)
 
 TEST(Rename, RebuildHonorsMoveAliases)
 {
+    SlabArena arena;
     RenameTable rt;
     std::deque<DynInstPtr> window;
-    DynInstPtr p = makeInst(1);
+    DynInstPtr p = makeInst(arena, 1);
     p->inst.dest = 5;
-    DynInstPtr mv = makeInst(2);
+    DynInstPtr mv = makeInst(arena, 2);
     mv->inst.dest = 7;
     mv->moveMarked = true;
     mv->moveAlias = Operand{p, 0};
@@ -108,6 +112,8 @@ struct CoreHarness
 
     void tick(Cycle now) { core.tick(now); }
 
+    // Declared first so it is destroyed last, as in the Processor.
+    SlabArena arena;
     std::vector<DynInstPtr> completed;
 
     MemoryHierarchy mem;
@@ -128,7 +134,7 @@ TEST_F(ExecCoreTest, Geometry)
 
 TEST_F(ExecCoreTest, ScheduleStageDelaysExecution)
 {
-    DynInstPtr di = makeInst(1);
+    DynInstPtr di = makeInst(h.arena, 1);
     di->issueCycle = 5;
     h.core.dispatch(di);
     h.tick(5);      // same cycle as issue: not eligible
@@ -141,8 +147,8 @@ TEST_F(ExecCoreTest, ScheduleStageDelaysExecution)
 
 TEST_F(ExecCoreTest, WaitsForProducer)
 {
-    DynInstPtr prod = makeInst(1, Op::MUL, 0);
-    DynInstPtr cons = makeInst(2, Op::ADD, 1);
+    DynInstPtr prod = makeInst(h.arena, 1, Op::MUL, 0);
+    DynInstPtr cons = makeInst(h.arena, 2, Op::ADD, 1);
     cons->src[0].producer = prod;
     h.core.dispatch(prod);
     h.core.dispatch(cons);
@@ -157,8 +163,8 @@ TEST_F(ExecCoreTest, WaitsForProducer)
 
 TEST_F(ExecCoreTest, CrossClusterBypassCostsACycle)
 {
-    DynInstPtr prod = makeInst(1, Op::ADD, 0);      // cluster 0
-    DynInstPtr cons = makeInst(2, Op::ADD, 4);      // cluster 1
+    DynInstPtr prod = makeInst(h.arena, 1, Op::ADD, 0);      // cluster 0
+    DynInstPtr cons = makeInst(h.arena, 2, Op::ADD, 4);      // cluster 1
     cons->src[0].producer = prod;
     h.core.dispatch(prod);
     h.core.dispatch(cons);
@@ -172,8 +178,8 @@ TEST_F(ExecCoreTest, CrossClusterBypassCostsACycle)
 
 TEST_F(ExecCoreTest, SameClusterBackToBack)
 {
-    DynInstPtr prod = makeInst(1, Op::ADD, 0);
-    DynInstPtr cons = makeInst(2, Op::ADD, 1);      // same cluster
+    DynInstPtr prod = makeInst(h.arena, 1, Op::ADD, 0);
+    DynInstPtr cons = makeInst(h.arena, 2, Op::ADD, 1);      // same cluster
     cons->src[0].producer = prod;
     h.core.dispatch(prod);
     h.core.dispatch(cons);
@@ -185,8 +191,8 @@ TEST_F(ExecCoreTest, SameClusterBackToBack)
 
 TEST_F(ExecCoreTest, OldestFirstSelection)
 {
-    DynInstPtr young = makeInst(10, Op::ADD, 0);
-    DynInstPtr old = makeInst(5, Op::ADD, 0);
+    DynInstPtr young = makeInst(h.arena, 10, Op::ADD, 0);
+    DynInstPtr old = makeInst(h.arena, 5, Op::ADD, 0);
     h.core.dispatch(young);
     h.core.dispatch(old);
     h.tick(1);
@@ -198,8 +204,8 @@ TEST_F(ExecCoreTest, OldestFirstSelection)
 
 TEST_F(ExecCoreTest, DivideIsUnpipelined)
 {
-    DynInstPtr div = makeInst(1, Op::DIV, 0);
-    DynInstPtr next = makeInst(2, Op::ADD, 0);
+    DynInstPtr div = makeInst(h.arena, 1, Op::DIV, 0);
+    DynInstPtr next = makeInst(h.arena, 2, Op::ADD, 0);
     h.core.dispatch(div);
     h.core.dispatch(next);
     h.tick(1);
@@ -213,8 +219,8 @@ TEST_F(ExecCoreTest, DivideIsUnpipelined)
 
 TEST_F(ExecCoreTest, StoreAddrKnownThenDataCompletes)
 {
-    DynInstPtr data = makeInst(1, Op::MUL, 0);
-    DynInstPtr st = makeInst(2, Op::SW, 1);
+    DynInstPtr data = makeInst(h.arena, 1, Op::MUL, 0);
+    DynInstPtr st = makeInst(h.arena, 2, Op::SW, 1);
     st->isStore = true;
     st->onCorrectPath = true;
     st->effAddr = 0x1000;
@@ -233,15 +239,15 @@ TEST_F(ExecCoreTest, StoreAddrKnownThenDataCompletes)
 
 TEST_F(ExecCoreTest, LoadBlockedByUnknownStoreAddress)
 {
-    DynInstPtr base = makeInst(1, Op::MUL, 0);  // store address chain
-    DynInstPtr st = makeInst(2, Op::SW, 1);
+    DynInstPtr base = makeInst(h.arena, 1, Op::MUL, 0);  // store address chain
+    DynInstPtr st = makeInst(h.arena, 2, Op::SW, 1);
     st->isStore = true;
     st->onCorrectPath = true;
     st->effAddr = 0x2000;
     st->numSrcs = 2;
     st->dataOperand = 1;
     st->src[0].producer = base;     // address unknown until MUL done
-    DynInstPtr ld = makeInst(3, Op::LW, 2);
+    DynInstPtr ld = makeInst(h.arena, 3, Op::LW, 2);
     ld->isLoad = true;
     ld->onCorrectPath = true;
     ld->effAddr = 0x3000;           // disjoint address, still blocked
@@ -259,13 +265,13 @@ TEST_F(ExecCoreTest, LoadBlockedByUnknownStoreAddress)
 
 TEST_F(ExecCoreTest, StoreToLoadForwarding)
 {
-    DynInstPtr st = makeInst(1, Op::SW, 0);
+    DynInstPtr st = makeInst(h.arena, 1, Op::SW, 0);
     st->isStore = true;
     st->onCorrectPath = true;
     st->effAddr = 0x4000;
     st->numSrcs = 2;
     st->dataOperand = 1;
-    DynInstPtr ld = makeInst(2, Op::LW, 1);
+    DynInstPtr ld = makeInst(h.arena, 2, Op::LW, 1);
     ld->isLoad = true;
     ld->onCorrectPath = true;
     ld->effAddr = 0x4000;           // same word
@@ -282,11 +288,11 @@ TEST_F(ExecCoreTest, StoreToLoadForwarding)
 
 TEST_F(ExecCoreTest, SquashRangeRemovesFromStations)
 {
-    DynInstPtr a = makeInst(1, Op::ADD, 0);
-    DynInstPtr b = makeInst(2, Op::ADD, 1);
-    DynInstPtr c = makeInst(3, Op::ADD, 2);
+    DynInstPtr a = makeInst(h.arena, 1, Op::ADD, 0);
+    DynInstPtr b = makeInst(h.arena, 2, Op::ADD, 1);
+    DynInstPtr c = makeInst(h.arena, 3, Op::ADD, 2);
     // Make them un-ready so they stay in the stations.
-    DynInstPtr never = makeInst(99, Op::ADD, 15);
+    DynInstPtr never = makeInst(h.arena, 99, Op::ADD, 15);
     never->issueCycle = kNoCycle;
     for (auto &di : {a, b, c})
         di->src[0].producer = never;
@@ -302,7 +308,7 @@ TEST_F(ExecCoreTest, SquashRangeRemovesFromStations)
 
 TEST_F(ExecCoreTest, WrongPathLoadsSkipCaches)
 {
-    DynInstPtr ld = makeInst(1, Op::LW, 0);
+    DynInstPtr ld = makeInst(h.arena, 1, Op::LW, 0);
     ld->isLoad = true;
     ld->onCorrectPath = false;      // wrong path: fixed fake latency
     h.core.dispatch(ld);
@@ -314,7 +320,7 @@ TEST_F(ExecCoreTest, WrongPathLoadsSkipCaches)
 TEST(ExecCoreDeath, DispatchWithoutFuPanics)
 {
     CoreHarness h;
-    DynInstPtr di = makeInst(1);
+    DynInstPtr di = makeInst(h.arena, 1);
     di->fu = -1;
     EXPECT_DEATH(h.core.dispatch(di), "no FU");
 }
