@@ -77,12 +77,9 @@ main(int argc, char **argv)
                 "hit rate", "storage");
     for (std::size_t i = 0; i < std::size(capacities); ++i) {
         SimResult r = cap_runs[i].get();
-        // Storage is a pure function of the geometry; no need to keep
-        // the simulated Processor alive for it.
-        TraceCache geometry(cap_cfgs[i].tcache);
         std::printf("  %-10zu %-10.3f %-10.3f %zu KB\n",
                     capacities[i], r.ipc(), r.tcHitRate(),
-                    geometry.storageBits() / 8 / 1024);
+                    cap_cfgs[i].tcacheStorageBits() / 8 / 1024);
     }
     return 0;
 }

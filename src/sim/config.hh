@@ -93,10 +93,22 @@ struct SimConfig
         SimConfig cfg;
         cfg.fill.opts = opts;
         cfg.fill.latency = fill_latency;
-        cfg.tcache.moveBits = opts.markMoves;
-        cfg.tcache.scaledBits = opts.scaledAdds;
-        cfg.tcache.placementBits = opts.placement;
         return cfg;
+    }
+
+    /**
+     * Trace-cache storage in bits at full occupancy: entries x 16
+     * instructions x bits per instruction. A line carries the
+     * metadata bits of the optimizations fill.opts enables (paper
+     * §4.6), so the bits follow from the opts.
+     */
+    std::size_t
+    tcacheStorageBits() const
+    {
+        return tcache.entries * kSegmentMaxInsts *
+            TraceSegment::bitsPerInst(fill.opts.markMoves,
+                                      fill.opts.scaledAdds,
+                                      fill.opts.placement);
     }
 };
 

@@ -87,9 +87,6 @@ configToJson(obs::JsonWriter &w, const SimConfig &cfg)
     w.beginObject("tcache");
     w.field("entries", static_cast<std::uint64_t>(cfg.tcache.entries));
     w.field("ways", static_cast<std::uint64_t>(cfg.tcache.ways));
-    w.field("moveBits", cfg.tcache.moveBits);
-    w.field("scaledBits", cfg.tcache.scaledBits);
-    w.field("placementBits", cfg.tcache.placementBits);
     w.endObject();
 
     w.beginObject("mem");
@@ -206,9 +203,6 @@ configFromJson(obs::JsonNode v, SimConfig &out, std::string &err)
         Scope ts(tc, "config.tcache", err);
         ts.integer("entries", out.tcache.entries);
         ts.integer("ways", out.tcache.ways);
-        ts.boolean("moveBits", out.tcache.moveBits);
-        ts.boolean("scaledBits", out.tcache.scaledBits);
-        ts.boolean("placementBits", out.tcache.placementBits);
         if (!ts.finish())
             return false;
     }

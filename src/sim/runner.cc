@@ -101,7 +101,7 @@ static_assert(sizeof(FillPolicyParams) == sizeof(std::string) + 24,
 static_assert(sizeof(FillUnitConfig) ==
                   sizeof(FillPolicyParams) + 32,
               "FillUnitConfig changed: update configCacheKey()");
-static_assert(sizeof(TraceCache::Params) == 24,
+static_assert(sizeof(TraceCache::Params) == 16,
               "TraceCache::Params changed: update configCacheKey()");
 static_assert(sizeof(CacheParams) == sizeof(std::string) + 24,
               "CacheParams changed: update configCacheKey()");
@@ -116,7 +116,7 @@ static_assert(sizeof(BiasTable::Params) == 16,
 static_assert(sizeof(ExecCoreParams) == 24,
               "ExecCoreParams changed: update configCacheKey()");
 static_assert(sizeof(SimConfig) ==
-                  sizeof(std::string) + sizeof(FillPolicyParams) + 376,
+                  sizeof(std::string) + sizeof(FillPolicyParams) + 368,
               "SimConfig changed: update configCacheKey()");
 #endif
 
@@ -153,10 +153,11 @@ configCacheKey(const SimConfig &cfg)
     os << "|policy=" << static_cast<unsigned>(p.kind) << ','
        << p.maxPhases << ',' << p.windowInsts << ',' << p.newPhaseDist
        << ",0.02," << p.oracleMap;
-    // Trace cache.
+    // Trace cache. The last slot holds the line's metadata bits,
+    // which follow from the opts; result stores on disk are keyed
+    // with them, so the text keeps them.
     os << "|tcache=" << cfg.tcache.entries << ',' << cfg.tcache.ways
-       << ',' << cfg.tcache.moveBits << cfg.tcache.scaledBits
-       << cfg.tcache.placementBits;
+       << ',' << o.markMoves << o.scaledAdds << o.placement;
     // Memory hierarchy.
     os << "|mem=";
     keyCache(os, cfg.mem.l1i);

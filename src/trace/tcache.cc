@@ -162,14 +162,6 @@ TraceCache::forEach(
     }
 }
 
-std::size_t
-TraceCache::storageBits() const
-{
-    return params_.entries * kSegmentMaxInsts *
-           TraceSegment::bitsPerInst(params_.moveBits, params_.scaledBits,
-                                     params_.placementBits);
-}
-
 void
 TraceCache::regStats(stats::Group &group)
 {

@@ -29,10 +29,6 @@ class TraceCache
     {
         std::size_t entries = 2048;     ///< total lines
         std::size_t ways = 4;
-        /// Optimization bits present in each line (storage accounting).
-        bool moveBits = false;
-        bool scaledBits = false;
-        bool placementBits = false;
 
         /**
          * Why these parameters cannot build a trace cache ("" when
@@ -88,12 +84,6 @@ class TraceCache
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t installs() const { return installs_.value(); }
-
-    /**
-     * Total storage in bits for the configured geometry at full
-     * occupancy: entries * 16 inst * bits-per-inst.
-     */
-    std::size_t storageBits() const;
 
     std::size_t numSets() const { return num_sets_; }
 

@@ -194,12 +194,6 @@ TEST(SimRunner, ConfigKeyCoversEveryKnob)
         // TraceCache::Params.
         {"tcache.entries", [](SimConfig &c) { c.tcache.entries = 64; }},
         {"tcache.ways", [](SimConfig &c) { c.tcache.ways = 2; }},
-        {"tcache.moveBits",
-         [](SimConfig &c) { c.tcache.moveBits = true; }},
-        {"tcache.scaledBits",
-         [](SimConfig &c) { c.tcache.scaledBits = true; }},
-        {"tcache.placementBits",
-         [](SimConfig &c) { c.tcache.placementBits = true; }},
         // MemoryHierarchy::Params (every CacheParams field × level).
         {"mem.l1i.sizeBytes",
          [](SimConfig &c) { c.mem.l1i.sizeBytes = 1024; }},

@@ -419,8 +419,9 @@ TEST(ConfigWire, RejectsConfigsTheModelCannotRun)
 }
 
 // A config naming a retired policy, carrying the knob only one of
-// them read, or naming the retired second scheduler is refused rather
-// than run as some other machine.
+// them read, naming the retired second scheduler or setting the
+// trace-cache metadata bits the opts decide is refused rather than
+// run as some other machine.
 TEST(ConfigWire, RejectsRetiredPolicies)
 {
     const std::string text = configText(tinyConfig());
@@ -449,6 +450,16 @@ TEST(ConfigWire, RejectsRetiredPolicies)
     bad.insert(text.find("\"crossClusterDelay\""),
                "\"scheduler\": \"scan\", ");
     EXPECT_EQ(refusal(bad), "config.core: unknown member 'scheduler'");
+    // The trace cache's metadata bits follow fill.opts.
+    for (const std::string member :
+         {"moveBits", "scaledBits", "placementBits"}) {
+        EXPECT_EQ(text.find('"' + member + '"'), std::string::npos);
+        bad = text;
+        bad.insert(text.find("\"ways\"", text.find("\"tcache\"")),
+                   '"' + member + "\": true, ");
+        EXPECT_EQ(refusal(bad),
+                  "config.tcache: unknown member '" + member + "'");
+    }
 }
 
 // The limits refuse only machines that cannot run: the edges just

@@ -372,10 +372,14 @@ TEST(Processor, DeadElisionCountsAndStaysCorrect)
 
 TEST(Processor, StorageBitsFollowConfiguredOpts)
 {
-    Program p = loopProgram(50);
-    SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());
-    Processor proc(p, cfg);
-    EXPECT_EQ(proc.traceCache().storageBits(), 2048u * 16 * 46);
+    // The metadata bits follow fill.opts, however the opts were set.
+    SimConfig cfg;
+    cfg.fill.opts = FillOptimizations::all();
+    EXPECT_EQ(cfg.tcacheStorageBits(), 2048u * 16 * 46);
+    cfg.fill.opts.placement = false;
+    EXPECT_EQ(cfg.tcacheStorageBits(), 2048u * 16 * 42);
+    cfg.tcache.entries = 512;
+    EXPECT_EQ(cfg.tcacheStorageBits(), 512u * 16 * 42);
 }
 
 /** Property: every optimization combination retires the same count

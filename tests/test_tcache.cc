@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/config.hh"
 #include "trace/tcache.hh"
 
 namespace tcfill
@@ -99,8 +100,7 @@ TEST(TraceCache, PaperStorageBudget)
 {
     // Baseline: 2K entries x 16 insts x (32 inst bits + 7 pre-decode)
     // = 128KB of instructions + 28KB of pre-decode (paper §3: ~156KB).
-    TraceCache tc;
-    std::size_t bits = tc.storageBits();
+    std::size_t bits = SimConfig{}.tcacheStorageBits();
     EXPECT_EQ(bits, 2048u * 16 * 39);
     EXPECT_EQ(bits / 8, 128u * 1024 + 28 * 1024);
 }
@@ -108,14 +108,13 @@ TEST(TraceCache, PaperStorageBudget)
 TEST(TraceCache, OptimizationBitBudget)
 {
     // +1 move bit, +2 scaled bits, +4 placement bits = 7 extra bits
-    // per instruction (paper §4.6).
-    TraceCache::Params p;
-    p.moveBits = true;
-    p.scaledBits = true;
-    p.placementBits = true;
-    TraceCache tc(p);
-    TraceCache base;
-    EXPECT_EQ(tc.storageBits() - base.storageBits(), 2048u * 16 * 7);
+    // per instruction (paper §4.6); dead-write elision adds none.
+    const SimConfig all = SimConfig::withOpts(FillOptimizations::all());
+    const SimConfig ext =
+        SimConfig::withOpts(FillOptimizations::extended());
+    EXPECT_EQ(all.tcacheStorageBits() - SimConfig{}.tcacheStorageBits(),
+              2048u * 16 * 7);
+    EXPECT_EQ(ext.tcacheStorageBits(), all.tcacheStorageBits());
 }
 
 TEST(TraceCacheDeath, EmptySegmentPanics)
