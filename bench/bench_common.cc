@@ -1,6 +1,5 @@
 #include "bench/bench_common.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +9,6 @@
 #include <mutex>
 
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "obs/progress.hh"
 #include "sim/stats_io.hh"
 
@@ -41,20 +39,6 @@ runner()
     return SimRunner::shared();
 }
 
-SimResult
-run(const workloads::Workload &w, SimConfig cfg)
-{
-    SimResult res = runner().run(w.name, cfg, kScale);
-    recordResult(res);
-    return res;
-}
-
-std::shared_future<SimResult>
-runAsync(const workloads::Workload &w, SimConfig cfg)
-{
-    return runner().submit(w.name, cfg, kScale);
-}
-
 void
 prefetchSuite(const std::vector<SimConfig> &cfgs)
 {
@@ -73,36 +57,6 @@ pctGain(double base_ipc, double opt_ipc)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%+.1f%%", pct);
     return buf;
-}
-
-void
-compareSweep(const std::string &title, const SimConfig &variant,
-             double *geo_out)
-{
-    // Enqueue the whole sweep up front; the loop below then collects
-    // (mostly cache-hit) results in print order.
-    prefetchSuite({baselineConfig(), variant});
-
-    std::cout << "\n### " << title << "\n\n";
-    TextTable table({"benchmark", "base IPC", "opt IPC", "gain"});
-    double log_sum = 0.0;
-    unsigned n = 0;
-    for (const auto &w : workloads::suite()) {
-        SimResult base = run(w, baselineConfig());
-        SimResult opt = run(w, variant);
-        table.addRow({w.shortName, TextTable::num(base.ipc(), 3),
-                      TextTable::num(opt.ipc(), 3),
-                      pctGain(base.ipc(), opt.ipc())});
-        if (base.ipc() > 0 && opt.ipc() > 0) {
-            log_sum += std::log(opt.ipc() / base.ipc());
-            ++n;
-        }
-    }
-    double geo = n ? std::exp(log_sum / n) : 1.0;
-    table.addRow({"geo.mean", "", "", pctGain(1.0, geo)});
-    table.print(std::cout);
-    if (geo_out)
-        *geo_out = geo;
 }
 
 // --------------------------------------------------------------------
@@ -124,7 +78,25 @@ struct SessionState
 
 SessionState *g_session = nullptr;
 
+/** Record @p res into the active Session's document, if any. */
+void
+recordResult(const SimResult &res)
+{
+    if (!g_session)
+        return;
+    std::lock_guard<std::mutex> lk(g_session->mu);
+    g_session->results.push_back(res);
+}
+
 } // namespace
+
+SimResult
+run(const workloads::Workload &w, SimConfig cfg)
+{
+    SimResult res = runner().run(w.name, cfg, kScale);
+    recordResult(res);
+    return res;
+}
 
 Session::Session(int &argc, char **argv)
 {
@@ -192,15 +164,6 @@ Session::~Session()
         }
     }
     delete st;
-}
-
-void
-recordResult(const SimResult &res)
-{
-    if (!g_session)
-        return;
-    std::lock_guard<std::mutex> lk(g_session->mu);
-    g_session->results.push_back(res);
 }
 
 } // namespace tcfill::bench

@@ -9,7 +9,6 @@
 #ifndef TCFILL_BENCH_COMMON_HH
 #define TCFILL_BENCH_COMMON_HH
 
-#include <future>
 #include <string>
 #include <vector>
 
@@ -43,13 +42,10 @@ SimRunner &runner();
 /**
  * Run one (workload, config) pair at the standard budget. Served
  * from the SimRunner result cache; the first request per distinct
- * point simulates, every later one is a cache hit.
+ * point simulates, every later one is a cache hit. The active
+ * Session records the result.
  */
 SimResult run(const workloads::Workload &w, SimConfig cfg);
-
-/** Enqueue one pair without waiting (same cache as run()). */
-std::shared_future<SimResult>
-runAsync(const workloads::Workload &w, SimConfig cfg);
 
 /**
  * Warm the cache in parallel: enqueue every suite workload under each
@@ -60,20 +56,6 @@ void prefetchSuite(const std::vector<SimConfig> &cfgs);
 
 /** Percentage string for an IPC ratio, e.g. "+17.3%". */
 std::string pctGain(double base_ipc, double opt_ipc);
-
-/**
- * Standard sweep: for each suite benchmark, run the baseline and one
- * variant, printing IPCs and the percent improvement — the layout of
- * the paper's figures 3-6 and 8. All simulations go through the
- * SimRunner cache, so the baseline column is simulated once per
- * workload per process no matter how many sweeps are printed.
- *
- * @param title printed header
- * @param variant configuration to compare against the baseline
- * @param geo_out optional: receives the geometric-mean IPC ratio
- */
-void compareSweep(const std::string &title, const SimConfig &variant,
-                  double *geo_out = nullptr);
 
 /**
  * Per-driver observability session. Construct first thing in main():
@@ -98,13 +80,6 @@ class Session
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 };
-
-/**
- * Record one result into the active Session's stats document (no-op
- * without a Session). bench::run() records automatically; drivers
- * that collect through runAsync() futures call this directly.
- */
-void recordResult(const SimResult &res);
 
 } // namespace tcfill::bench
 
