@@ -37,9 +37,9 @@ enum class HostSection : std::uint8_t
     Fill,           ///< FillUnit::tick
     Recovery,       ///< RecoveryController::tick
     Retire,         ///< RetireUnit::tick
-    Dispatch,       ///< DispatchRename::tick
+    Dispatch,       ///< DispatchRename::tick (rename + RS insertion)
     Fetch,          ///< FetchEngine::tick
-    Issue,          ///< IssueStage::tick (+ dispatchPending)
+    Issue,          ///< ExecCore::tick (select/execute)
     Profile,        ///< sampled run: functional BBV profiling pass
     Checkpoint,     ///< sampled run: checkpoint captures
     Restore,        ///< sampled run: checkpoint restores

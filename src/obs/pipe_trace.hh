@@ -92,7 +92,7 @@ struct PolicyEvent
  *
  * Stage attribution: Fetch events come from pipeline::FetchEngine;
  * Rename/Issue from pipeline::DispatchRename; Execute/Complete from
- * the ExecCore inside pipeline::IssueStage; Retire from
+ * the Processor's ExecCore; Retire from
  * pipeline::RetireUnit; Squash from pipeline::RecoveryController;
  * fillEvent() from the FillUnit. Processor::setTracer fans one
  * tracer out to all of them.

@@ -57,13 +57,14 @@ class ExecCore
      * per-tick std::function keeps the hottest simulator path free of
      * type-erased indirect calls; the sink takes a raw reference and
      * constructs an owning handle only if it keeps the instruction
-     * (IssueStage does so for branches it queues for resolution).
+     * (the RecoveryController does so for the branches it queues for
+     * resolution).
      */
     using CompleteFn = void (*)(void *ctx, DynInst &di);
 
     ExecCore(const ExecCoreParams &params, MemoryHierarchy &mem);
 
-    /** Install the completion sink (IssueStage's resolution filter). */
+    /** Install the completion sink (the recovery resolution filter). */
     void
     setCompleteHook(CompleteFn fn, void *ctx)
     {
@@ -149,10 +150,9 @@ class ExecCore
     void regStats(stats::Group &group);
 
     /**
-     * Attach a lifecycle tracer (forwarded by the owning
-     * pipeline::IssueStage from Processor::setTracer); emits Execute
-     * at FU selection and Complete when an instruction's completion
-     * cycle becomes known.
+     * Attach a lifecycle tracer (forwarded by Processor::setTracer);
+     * emits Execute at FU selection and Complete when an
+     * instruction's completion cycle becomes known.
      */
     void setTracer(obs::PipeTracer *tracer) { tracer_ = tracer; }
 
