@@ -26,9 +26,10 @@ namespace tcfill
  * Full simulator configuration.
  *
  * NOTE: every behavior-affecting field (including those of the nested
- * params structs) must also be serialized by configCacheKey() in
- * sim/runner.cc — the SimRunner result cache treats configs with
- * equal keys as interchangeable.
+ * params structs) must have a line in the knob table, visitKnobs() in
+ * sim/config_io.hh: the store key and the wire are built from it, and
+ * the SimRunner result cache treats configs with equal keys as
+ * interchangeable.
  */
 struct SimConfig
 {
