@@ -103,18 +103,8 @@ FillUnit::retire(const ExecRecord &rec, Cycle now, bool miss_target)
     // Finalize-after rules (paper §3): returns, indirect branches and
     // serializing instructions terminate the segment; subroutine calls
     // and unconditional direct branches do not.
-    bool terminates = inst.isIndirect() || inst.isSerializing();
-    // Loop-head alignment: a taken backward transfer ends the segment
-    // so the next one starts at the loop head (see config note).
-    if (config_.alignLoopHeads && rec.taken && !inst.isCall() &&
-        rec.nextPc < rec.pc) {
-        terminates = true;
-    }
-    // Without trace packing, a segment ends at its natural block
-    // boundary once the conditional-branch budget is consumed.
-    bool packed_out = !config_.packTraces && is_cond && !promoted &&
-                      pending_cond_branches_ >= config_.maxCondBranches;
-    if (terminates || packed_out || pending_.size() >= config_.maxInsts)
+    const bool terminates = inst.isIndirect() || inst.isSerializing();
+    if (terminates || pending_.size() >= config_.maxInsts)
         finalize(now);
 }
 

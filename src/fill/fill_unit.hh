@@ -30,17 +30,6 @@ struct FillUnitConfig
 {
     /** Latency through the fill pipeline, in cycles (paper: 1/5/10). */
     Cycle latency = 5;
-    /** Pack past block boundaries up to the 16-instruction limit. */
-    bool packTraces = true;
-    /**
-     * Terminate segments after taken backward control transfers
-     * (loop bottoms), pinning segment starts to loop heads. Stops
-     * boundary drift but also forbids multi-iteration packing.
-     * An ablation knob off by default that no bench driver sets;
-     * FillUnit.AlignLoopHeadsTerminatesAtBackwardBranch pins its
-     * rule.
-     */
-    bool alignLoopHeads = false;
     /**
      * Restart the pending segment at instructions whose fetch missed
      * the trace cache (the default boundary-convergence mechanism):

@@ -42,26 +42,26 @@ std::string
 SimConfig::check() const
 {
     const std::pair<const char *, unsigned> positive[] = {
-        {"fetchWidth", fetchWidth},
-        {"fetchQueueLines", fetchQueueLines},
-        {"retireWidth", retireWidth},
-        {"windowCap", windowCap},
-        {"rasDepth", rasDepth},
+        {"config: fetchWidth", fetchWidth},
+        {"config: fetchQueueLines", fetchQueueLines},
+        {"config: retireWidth", retireWidth},
+        {"config: windowCap", windowCap},
+        {"config: rasDepth", rasDepth},
     };
     for (const auto &[knob, value] : positive) {
         if (value == 0)
-            return std::string("config: ") + knob + " must be positive";
+            return std::string(knob) + " must be positive";
     }
     // What a machine may hold: 128x the default return stack, 256x
     // the default fetch queue and 128x the default window.
     const std::tuple<const char *, unsigned, unsigned> bounded[] = {
-        {"rasDepth", rasDepth, 4096},
-        {"fetchQueueLines", fetchQueueLines, 1024},
-        {"windowCap", windowCap, 65536},
+        {"config: rasDepth", rasDepth, 4096},
+        {"config: fetchQueueLines", fetchQueueLines, 1024},
+        {"config: windowCap", windowCap, 65536},
     };
     for (const auto &[knob, value, most] : bounded) {
         if (value > most)
-            return std::string("config: ") + knob + " must be at most " +
+            return std::string(knob) + " must be at most " +
                 std::to_string(most);
     }
     if (statsInterval != 0 && statsInterval < kMinStatsInterval)

@@ -198,41 +198,6 @@ TEST(FillUnit, PromotedBranchesDoNotConsumeSlots)
     EXPECT_EQ(seg->size(), 9u);     // 4 branches total fit
 }
 
-TEST(FillUnit, PackingOffEndsAtThirdBranch)
-{
-    FillUnitConfig cfg;
-    cfg.packTraces = false;
-    FillHarness h(cfg);
-    Addr pc = 0x400000;
-    for (unsigned b = 0; b < 3; ++b) {
-        h.retireAlu(pc);
-        pc += 4;
-        h.retireBranch(pc, false, pc + 64);
-        pc += 4;
-    }
-    h.retireAlu(pc);    // after the 3rd branch: new segment
-    h.drain();
-    const TraceSegment *seg = h.tcache.lookup(0x400000);
-    ASSERT_NE(seg, nullptr);
-    EXPECT_EQ(seg->size(), 6u);
-    EXPECT_TRUE(h.tcache.probe(pc));
-}
-
-TEST(FillUnit, AlignLoopHeadsTerminatesAtBackwardBranch)
-{
-    FillUnitConfig cfg;
-    cfg.alignLoopHeads = true;
-    FillHarness h(cfg);
-    h.retireAlu(0x400100);
-    h.retireBranch(0x400104, true, 0x400100);   // taken backward
-    h.retireAlu(0x400100);
-    h.retireAlu(0x400104);                      // keeps the follow-on
-    h.drain();                                  // segment distinct
-    const TraceSegment *seg = h.tcache.lookup(0x400100);
-    ASSERT_NE(seg, nullptr);
-    EXPECT_EQ(seg->size(), 2u);                 // ends at the branch
-}
-
 TEST(FillUnit, FillLatencyDelaysInstall)
 {
     FillUnitConfig cfg;
