@@ -1,5 +1,7 @@
 #include "workloads/suite.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "workloads/kernels.hh"
 
@@ -61,6 +63,25 @@ find(const std::string &name)
             return w;
     }
     fatal("unknown workload '%s'", name.c_str());
+}
+
+std::vector<std::string>
+parseList(const std::string &spec)
+{
+    std::vector<std::string> names;
+    if (spec == "all") {
+        for (const auto &w : suite())
+            names.push_back(w.name);
+        return names;
+    }
+    for (std::size_t pos = 0; pos <= spec.size();) {
+        const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+        if (comma > pos)
+            names.push_back(find(spec.substr(pos, comma - pos)).name);
+        pos = comma + 1;
+    }
+    fatal_if(names.empty(), "no workloads in '%s'", spec.c_str());
+    return names;
 }
 
 Program

@@ -31,6 +31,13 @@ const std::vector<Workload> &suite();
 /** Look up one benchmark by (short or full) name; fatals if unknown. */
 const Workload &find(const std::string &name);
 
+/**
+ * The full names a command-line workload list selects: "all", or a
+ * comma list of names (empty tokens skipped). Fatal on an unknown name
+ * or a list that names none.
+ */
+std::vector<std::string> parseList(const std::string &spec);
+
 /** Build a benchmark's program at the given scale. */
 Program build(const std::string &name, unsigned scale = 1);
 
