@@ -18,10 +18,8 @@ void
 RecoveryController::onComplete(void *ctx, DynInst &di)
 {
     auto *self = static_cast<RecoveryController *>(ctx);
-    if (di.isBranch || di.discardHi > di.discardLo ||
-        di.mispredicted) {
+    if (di.isBranch || di.discardHi > di.discardLo)
         self->events_.push(di.completeCycle, DynInstPtr(&di));
-    }
 }
 
 void
@@ -102,8 +100,7 @@ RecoveryController::tick(Cycle now)
     while (!events_.empty() && events_.heap.top().cycle <= now) {
         DynInstPtr di = events_.heap.top().inst;
         events_.heap.pop();
-        if (di->isBranch || di->discardHi > di->discardLo)
-            resolveBranch(di, now);
+        resolveBranch(di, now);
     }
 }
 

@@ -110,8 +110,10 @@ class RecoveryController : public Stage
   private:
     /**
      * ExecCore completion sink (installed by the constructor): queues
-     * the events resolveBranch() acts on, taking an owning handle
-     * only for those.
+     * the events resolveBranch() acts on — control instructions (the
+     * only ones fetch marks mispredicted) and exits with an inactive
+     * tail — taking an owning handle only for those; tick() resolves
+     * every event it pops.
      */
     static void onComplete(void *ctx, DynInst &di);
 
