@@ -40,30 +40,15 @@ TraceCache::setIndex(Addr pc) const
 const TraceSegment *
 TraceCache::lookup(Addr pc)
 {
-    return lookup(pc, nullptr);
-}
-
-const TraceSegment *
-TraceCache::lookup(Addr pc,
-                   const std::function<std::size_t(const TraceSegment &)>
-                       &score)
-{
     Way *set = &ways_[setIndex(pc) * params_.ways];
     ++use_clock_;
 
     Way *best = nullptr;
-    std::size_t best_score = 0;
     for (std::size_t w = 0; w < params_.ways; ++w) {
         Way &way = set[w];
-        if (!way.valid || way.tag != pc)
-            continue;
-        std::size_t s = score ? score(way.seg) : 1;
-        // Higher score wins; MRU breaks ties.
-        if (!best || s > best_score ||
-            (s == best_score && way.lastUse > best->lastUse)) {
+        if (way.valid && way.tag == pc &&
+            (!best || way.lastUse > best->lastUse))
             best = &way;
-            best_score = s;
-        }
     }
 
     if (best) {

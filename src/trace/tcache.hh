@@ -48,20 +48,10 @@ class TraceCache
      *
      * The cache is path-associative: several ways may hold segments
      * with the same start address but different internal branch
-     * paths. Without a selector the most recently used match wins.
+     * paths. The most recently used match wins (DESIGN.md §3 records
+     * why the ways are not chosen by prediction).
      */
     const TraceSegment *lookup(Addr pc);
-
-    /**
-     * Path-associative lookup with prediction-directed way selection:
-     * @p score rates each tag-matching way (e.g. by how many
-     * instructions the current branch predictions would keep); the
-     * highest-scoring way is returned (MRU breaks ties).
-     */
-    const TraceSegment *
-    lookup(Addr pc,
-           const std::function<std::size_t(const TraceSegment &)>
-               &score);
 
     /** Tag probe without side effects. */
     bool probe(Addr pc) const;

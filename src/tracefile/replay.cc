@@ -6,6 +6,7 @@
 #include "common/digest.hh"
 #include "common/logging.hh"
 #include "sim/processor.hh"
+#include "sim/runner.hh"
 #include "workloads/suite.hh"
 
 namespace tcfill::tracefile
@@ -141,17 +142,6 @@ replayTrace(const std::string &path, const SimConfig &cfg)
     res.mode = "replay";
     res.sourceDigest = traceDigest(traceIdentity(path));
     return res;
-}
-
-std::shared_future<SimResult>
-submitReplay(SimRunner &runner, const std::string &path,
-             const SimConfig &cfg, bool *cache_hit)
-{
-    const std::string key =
-        "replay@" + traceIdentity(path) + '#' + configCacheKey(cfg);
-    return runner.submitKeyed(
-        key, [path, cfg]() { return replayTrace(path, cfg); },
-        cache_hit);
 }
 
 } // namespace tcfill::tracefile

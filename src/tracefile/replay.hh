@@ -3,9 +3,7 @@
  * Record and replay of committed-trace files against the timing
  * model. ReplayExecutor is the CommitSource that re-materializes a
  * captured stream; recordTrace()/replayTrace() are the one-call
- * entry points the CLI uses; submitReplay() routes a replay through
- * a SimRunner so repeated replays of the same trace under the same
- * config hit the result cache (keyed on trace *content*, not path).
+ * entry points the CLI uses.
  *
  * Determinism contract (the cli.replay ctest): for any workload and
  * config, record → replay produces byte-identical tcfill-stats-v1
@@ -21,8 +19,8 @@
 #include <iosfwd>
 #include <string>
 
+#include "sim/config.hh"
 #include "sim/result.hh"
-#include "sim/runner.hh"
 #include "tracefile/trace_io.hh"
 
 namespace tcfill::tracefile
@@ -66,8 +64,8 @@ class ReplayExecutor : public CommitSource
 /**
  * Content identity of a trace file: CRC-32 over the whole file plus
  * its byte length. Two paths with equal identity replay identically,
- * so this is what replay result caching keys on. Fatal if @p path
- * cannot be read.
+ * so a replay's provenance digest is taken of it (traceDigest()).
+ * Fatal if @p path cannot be read.
  */
 std::string traceIdentity(const std::string &path);
 
@@ -93,16 +91,6 @@ SimResult recordTrace(const std::string &workload, unsigned scale,
  * "replay". Fatal on unreadable or structurally invalid traces.
  */
 SimResult replayTrace(const std::string &path, const SimConfig &cfg);
-
-/**
- * Submit a replay to @p runner, cached like SimRunner::submit but
- * keyed on traceIdentity(path) + the config key — replaying the same
- * bytes under the same config returns the cached result even if the
- * file was copied or re-recorded in place.
- */
-std::shared_future<SimResult>
-submitReplay(SimRunner &runner, const std::string &path,
-             const SimConfig &cfg, bool *cache_hit = nullptr);
 
 } // namespace tcfill::tracefile
 

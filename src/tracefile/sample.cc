@@ -226,7 +226,8 @@ runSampled(const std::string &workload, unsigned scale,
 
         // Cache key: everything the measurement depends on — the
         // committed stream (workload, scale) and the machine /
-        // measurement geometry. Same idiom as tracefile::submitReplay.
+        // measurement geometry, around the same configCacheKey()
+        // text simPointKey() uses.
         std::ostringstream key;
         key << "sample-pt@" << workload << '/' << scale << '#'
             << configCacheKey(cfg) << '#' << t.skip << ':' << t.warm

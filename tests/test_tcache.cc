@@ -64,13 +64,14 @@ TEST(TraceCache, PathAssociativityKeepsBothPaths)
     const TraceSegment *seg = tc.lookup(0x400000);
     ASSERT_NE(seg, nullptr);
     EXPECT_TRUE(seg->insts[0].taken);
-    // A selector can pick the other way.
-    const TraceSegment *nt = tc.lookup(0x400000,
-        [](const TraceSegment &s) {
-            return s.insts[0].taken ? std::size_t(0) : std::size_t(10);
-        });
-    ASSERT_NE(nt, nullptr);
-    EXPECT_FALSE(nt->insts[0].taken);
+    // Both paths stay resident.
+    unsigned taken = 0, not_taken = 0;
+    tc.forEach([&](const TraceSegment &s) {
+        EXPECT_EQ(s.startPc, 0x400000u);
+        ++(s.insts[0].taken ? taken : not_taken);
+    });
+    EXPECT_EQ(taken, 1u);
+    EXPECT_EQ(not_taken, 1u);
 }
 
 TEST(TraceCache, LruEvictionWithinSet)

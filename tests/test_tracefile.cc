@@ -1047,50 +1047,8 @@ TEST(Sampling, DeterministicAcrossJobsAndCheckpointKnobs)
 }
 
 // --------------------------------------------------------------------
-// Replay result caching
+// One-call replay
 // --------------------------------------------------------------------
-
-TEST(ReplayCache, KeyedOnTraceContent)
-{
-    const std::string dir = ::testing::TempDir();
-    const std::string path_a = dir + "tcfill_cache_a.tctrace";
-    const std::string path_b = dir + "tcfill_cache_b.tctrace";
-    const SimConfig cfg = testConfig(5'000);
-
-    const SimResult rec =
-        recordTrace("compress", 1, cfg, path_a);
-    EXPECT_EQ(rec.mode, "record");
-    EXPECT_EQ(rec.maxInsts, cfg.maxInsts);
-
-    // Same bytes under a second path: identity must not change.
-    {
-        std::ifstream src(path_a, std::ios::binary);
-        std::ofstream dst(path_b, std::ios::binary);
-        dst << src.rdbuf();
-    }
-    EXPECT_EQ(traceIdentity(path_a), traceIdentity(path_b));
-
-    SimRunner pool(2);
-    bool hit = true;
-    SimResult first = submitReplay(pool, path_a, cfg, &hit).get();
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(first.retired, rec.retired);
-    EXPECT_EQ(first.cycles, rec.cycles);
-
-    submitReplay(pool, path_a, cfg, &hit).get();
-    EXPECT_TRUE(hit);
-    submitReplay(pool, path_b, cfg, &hit).get();
-    EXPECT_TRUE(hit) << "cache key must follow content, not path";
-
-    // A different config is a different point.
-    SimConfig other = testConfig(5'000);
-    other.useTraceCache = false;
-    submitReplay(pool, path_a, other, &hit).get();
-    EXPECT_FALSE(hit);
-
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
-}
 
 TEST(ReplayCache, ReplayTraceMatchesRecordResult)
 {
@@ -1102,7 +1060,19 @@ TEST(ReplayCache, ReplayTraceMatchesRecordResult)
     EXPECT_EQ(rep.mode, "replay");
     EXPECT_EQ(rep.workload, "li");
     expectSameTiming(rec, rep);
+
+    // The same bytes under a second path: the identity follows the
+    // content, not the path.
+    const std::string copy = path + ".copy";
+    {
+        std::ifstream src(path, std::ios::binary);
+        std::ofstream dst(copy, std::ios::binary);
+        dst << src.rdbuf();
+    }
+    EXPECT_EQ(traceIdentity(copy), traceIdentity(path));
+    EXPECT_EQ(rep.sourceDigest, traceDigest(traceIdentity(copy)));
     std::remove(path.c_str());
+    std::remove(copy.c_str());
 }
 
 } // namespace
