@@ -77,6 +77,9 @@ struct DaemonOptions
     std::uint64_t maxStoreBytes = 0; ///< live-bytes cap; 0 = unbounded
     unsigned shards = 1;            ///< worker processes (>= 1)
     unsigned shardThreads = 0;      ///< per-shard pool; 0 = default
+
+    /** The most shard processes tcfilld may be asked to fork. */
+    static constexpr unsigned kMaxShards = 64;
 };
 
 class Daemon

@@ -229,7 +229,8 @@ def check_trace_events():
 def check_bad_args():
     """Each tool names the option it refuses before its usage text;
     retired options are refused by name, not run as something else,
-    and so is a bad --opts pass token."""
+    and so are an integer option's value that is not digits alone and a
+    bad --opts pass token."""
     for tool, args, want in (
             ("tools/tcfill", ["--policy-hysteresis", "0.1", "compress"],
              "unknown option '--policy-hysteresis'"),
@@ -239,6 +240,14 @@ def check_bad_args():
                               "compress"],
              "unknown option '--sample-reference'"),
             ("tools/tcfill", ["--scale"], "option '--scale' needs a value"),
+            ("tools/tcfill", ["--scale", "abc", "compress"],
+             "option '--scale' needs an integer from 0 to 4294967295, "
+             "got 'abc'"),
+            ("tools/tcfill", ["--max-insts", "1e6", "compress"],
+             "option '--max-insts' needs an integer from 0 to "
+             "18446744073709551615, got '1e6'"),
+            ("tools/tcfill", ["-j", "abc", "compress"],
+             "option '-j' needs an integer from 0 to 1024, got 'abc'"),
             ("tools/tcfilld", ["--bogus"], "unknown option '--bogus'"),
             ("tools/tcfilld", ["--socket"],
              "option '--socket' needs a value"),

@@ -18,7 +18,8 @@
  *                          run with shard memory caches only
  *   --max-store-bytes N    evict least-recently-used results once the
  *                          live key+value bytes exceed N (0 = never)
- *   --shards N             shard worker processes (default 1)
+ *   --shards N             shard worker processes (default 1, at
+ *                          most 64)
  *   --shard-threads N      SimRunner threads per shard (default: all
  *                          cores; TCFILL_THREADS also honored)
  *   --compact              offline: rewrite the store log down to its
@@ -37,8 +38,10 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "service/daemon.hh"
 #include "service/store.hh"
+#include "sim/runner.hh"
 
 using namespace tcfill;
 
@@ -80,7 +83,8 @@ help()
         "                         (omit for memory-only operation)\n"
         "  --max-store-bytes N    LRU-evict stored results once live\n"
         "                         key+value bytes exceed N (0 = never)\n"
-        "  --shards N             shard worker processes (default 1)\n"
+        "  --shards N             shard worker processes (default 1,\n"
+        "                         at most 64)\n"
         "  --shard-threads N      SimRunner threads per shard\n"
         "                         (default: all cores)\n"
         "  --compact              offline: rewrite the store log down\n"
@@ -122,6 +126,12 @@ main(int argc, char **argv)
                 usage("option '" + arg + "' needs a value");
             return argv[++i];
         };
+        auto number = [&](auto &out, std::uint64_t max = UINT64_MAX) {
+            const char *text = next();
+            const std::string why = readUnsigned(text, out, max);
+            if (!why.empty())
+                usage("option '" + arg + "' " + why);
+        };
         if (arg == "--help" || arg == "-h") {
             help();
         } else if (arg == "--socket") {
@@ -129,14 +139,12 @@ main(int argc, char **argv)
         } else if (arg == "--store-dir") {
             opts.storeDir = next();
         } else if (arg == "--max-store-bytes") {
-            opts.maxStoreBytes = std::strtoull(next(), nullptr, 10);
+            number(opts.maxStoreBytes);
         } else if (arg == "--shards") {
-            opts.shards = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            number(opts.shards, service::DaemonOptions::kMaxShards);
             fatal_if(opts.shards == 0, "--shards must be >= 1");
         } else if (arg == "--shard-threads") {
-            opts.shardThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            number(opts.shardThreads, SimRunner::kMaxThreads);
         } else if (arg == "--compact") {
             compact = true;
         } else if (arg.rfind("--", 0) == 0) {
