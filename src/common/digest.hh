@@ -10,9 +10,10 @@
  * SimRunner's in-memory result-cache key, the tracefile content
  * identity and the service result-store key — from silently drifting
  * apart: they all compose configCacheKey() (tripwired by the
- * static_asserts in sim/runner.cc) with digests produced by this one
- * implementation, and tests/test_service.cc pins the algorithms to
- * published test vectors so an accidental change orphans no store.
+ * static_asserts next to the knob table in sim/config_io.hh) with
+ * digests produced by this one implementation, and
+ * tests/test_service.cc pins the algorithms to published test vectors
+ * so an accidental change orphans no store.
  */
 
 #ifndef TCFILL_COMMON_DIGEST_HH

@@ -2,7 +2,7 @@
  * @file
  * Persistent content-addressed result store ("tcfstor1"). Maps
  * simulation-point keys — simPointKey(): workload@scale plus the full
- * 50-knob configCacheKey text — to deterministic SimResult record
+ * configCacheKey text of every knob — to deterministic SimResult record
  * text (sim/result_io). The on-disk format is a single append-only
  * log, results.tcfstore:
  *
