@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "perl";
-    SimRunner &pool = SimRunner::shared();
+    SimRunner pool;
 
     std::cout << "design space study on '" << name << "' ("
               << pool.threads() << " worker threads)\n\n";

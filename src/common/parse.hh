@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict reading of the unsigned integers that command lines and the
+ * Strict reading of the numbers that command lines and the
  * environment pass in.
  */
 
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -35,6 +36,24 @@ readUnsigned(std::string_view text, T &out,
         return "needs an integer from 0 to " + std::to_string(max) +
             ", got '" + std::string(text) + "'";
     out = static_cast<T>(v);
+    return {};
+}
+
+/**
+ * Read @p text into @p out as a finite number: the whole of @p text
+ * must be one std::from_chars double ("0.002", "-1", "2e-3"; not "x",
+ * "1e", "+1", " 1" or "inf"). Returns "" or why @p text was refused,
+ * with @p out unchanged.
+ */
+inline std::string
+readNumber(std::string_view text, double &out)
+{
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end || !std::isfinite(v))
+        return "needs a number, got '" + std::string(text) + "'";
+    out = v;
     return {};
 }
 

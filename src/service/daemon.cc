@@ -817,6 +817,14 @@ Daemon::handleSweep(int fd, obs::JsonNode v, std::string &reply)
             perr = "sweep.points: scale must be between 1 and " +
                 std::to_string(kMaxSweepScale);
         }
+        // SimConfig::check() bounds the timeline's rows only under
+        // maxInsts; without it, one row per interval for the whole
+        // run, however large its scale.
+        if (ok && p.cfg.statsInterval != 0 && p.cfg.maxInsts == 0) {
+            ok = false;
+            perr = "sweep.points: statsInterval needs a maxInsts "
+                   "bound (one timeline row per interval)";
+        }
         if (ok && !knownWorkload(p.workload)) {
             ok = false;
             perr = "unknown workload '" + p.workload + "'";

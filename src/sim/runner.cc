@@ -129,13 +129,6 @@ SimRunner::defaultThreads()
     return hw > 0 ? hw : 1;
 }
 
-SimRunner &
-SimRunner::shared()
-{
-    static SimRunner instance;
-    return instance;
-}
-
 SimRunner::SimRunner(unsigned threads)
     : threads_(threads > 0 ? threads : defaultThreads())
 {

@@ -6,7 +6,7 @@
  * Three layers make large design-space sweeps cheap:
  *
  *  - a keyed result cache: each distinct (workload, scale, config)
- *    point is simulated once per process; every later request —
+ *    point is simulated once per runner; every later request —
  *    including one issued while the first is still running — shares
  *    the same future. A baseline config is therefore simulated once
  *    per workload no matter how many variant sweeps reference it.
@@ -167,12 +167,6 @@ class SimRunner
      * (else a warning), or std::hardware_concurrency.
      */
     static unsigned defaultThreads();
-
-    /**
-     * Process-wide runner (default thread count) shared by the bench
-     * drivers and tools so the result cache spans a whole process.
-     */
-    static SimRunner &shared();
 
   private:
     struct ProgramSlot

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for logging, stats, tables, the PRNG and strict integer
+ * Unit tests for logging, stats, tables, the PRNG and strict number
  * reading.
  */
 
+#include <cstdlib>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -209,6 +210,20 @@ TEST(ReadUnsigned, TakesOnlyBoundedDigits)
     EXPECT_EQ(readUnsigned("65", u, 64),
               "needs an integer from 0 to 64, got '65'");
     EXPECT_EQ(u, 64u);
+}
+
+TEST(ReadNumber, TakesOnlyWholeFiniteNumbers)
+{
+    double d = 7.0;
+    for (const std::string bad : {"", "x", "1e", "+1", " 1", "1 ", "0.5x",
+                                  "0x10", "inf", "-inf", "nan", "1e999"})
+        EXPECT_EQ(readNumber(bad, d), "needs a number, got '" + bad + "'");
+    EXPECT_EQ(d, 7.0);
+    // Parsed as atof() parsed it, so "0.002" keeps its bits.
+    for (const char *good : {"0.002", "-1", "2e-3", "5", "0.05"}) {
+        EXPECT_EQ(readNumber(good, d), "") << good;
+        EXPECT_EQ(d, std::atof(good)) << good;
+    }
 }
 
 } // namespace

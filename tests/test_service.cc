@@ -2086,6 +2086,40 @@ TEST(Daemon, ScalePastTheBoundIsRejectedAndShardsSurvive)
     EXPECT_EQ(summary.computed, 8u);
 }
 
+// A timeline without a maxInsts bound keeps a row per interval for the
+// whole run, at any scale; such a point is answered with an error frame
+// that names the field, and both shards still simulate the next sweep,
+// a bounded timeline included.
+TEST(Daemon, UnboundedTimelineIsRejectedAndShardsSurvive)
+{
+    DaemonHarness harness("badtimeline", 2, /*with_store=*/false);
+    ASSERT_TRUE(harness.started());
+
+    ServiceClient client;
+    std::string err;
+    ASSERT_TRUE(client.connect(harness.socketPath(), err)) << err;
+
+    std::vector<SimResult> out;
+    ServiceClient::SweepSummary summary;
+    SimConfig unbounded = tinyConfig();
+    unbounded.maxInsts = 0;
+    unbounded.statsInterval = 100;
+    EXPECT_FALSE(client.sweep({point("compress", tinyConfig()),
+                               point("compress", unbounded)},
+                              out, summary, err));
+    EXPECT_EQ(err.rfind("sweep.points: statsInterval", 0), 0u) << err;
+
+    std::vector<ServiceClient::Point> fresh;
+    for (unsigned i = 0; i < 8; ++i) {
+        SimConfig cfg = tinyConfig();
+        cfg.maxInsts = 1'000 + 100 * i;
+        fresh.push_back(point("compress", cfg));
+    }
+    fresh.back().config.statsInterval = 100;
+    ASSERT_TRUE(client.sweep(fresh, out, summary, err)) << err;
+    EXPECT_EQ(summary.computed, 8u);
+}
+
 TEST(Daemon, RejectsUnknownWorkloadWithoutKillingTheSweep)
 {
     DaemonHarness harness("badwl", 1, /*with_store=*/false);

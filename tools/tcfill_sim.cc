@@ -242,11 +242,12 @@ main(int argc, char **argv)
                 usage("option '" + arg + "' needs a value");
             return argv[++i];
         };
-        auto number = [&](auto &out, std::uint64_t max = UINT64_MAX) {
-            const char *text = next();
-            const std::string why = readUnsigned(text, out, max);
+        auto refuse = [&](const std::string &why) {
             if (!why.empty())
                 usage("option '" + arg + "' " + why);
+        };
+        auto number = [&](auto &out, std::uint64_t max = UINT64_MAX) {
+            refuse(readUnsigned(next(), out, max));
         };
         if (arg == "--help" || arg == "-h") {
             help();
@@ -284,7 +285,7 @@ main(int argc, char **argv)
         } else if (arg == "--policy-phases") {
             number(cfg.fill.policy.maxPhases);
         } else if (arg == "--policy-threshold") {
-            cfg.fill.policy.newPhaseDist = std::atof(next());
+            refuse(readNumber(next(), cfg.fill.policy.newPhaseDist));
         } else if (arg == "--policy-map") {
             cfg.fill.policy.oracleMap = next();
         } else if (arg == "--fill-latency") {
