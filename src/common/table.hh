@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table formatter used by the benchmark harnesses to print
- * paper-style result tables (one row per benchmark).
+ * Plain-text table formatter bench/paper uses to print paper-style
+ * result tables (one row per benchmark).
  */
 
 #ifndef TCFILL_COMMON_TABLE_HH

@@ -3,7 +3,7 @@
  * Sweep progress and throughput metrics: a snapshot struct the
  * SimRunner fills on every submit/completion, the callback type it
  * reports through, and a throttled console reporter used by the CLI
- * (--progress) and the bench drivers.
+ * and bench/paper (--progress).
  */
 
 #ifndef TCFILL_OBS_PROGRESS_HH
