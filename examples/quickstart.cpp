@@ -7,9 +7,10 @@
  * Usage: quickstart [workload] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
+#include "common/parse.hh"
 #include "sim/processor.hh"
 #include "workloads/suite.hh"
 
@@ -19,9 +20,15 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "compress";
-    unsigned scale = argc > 2
-        ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10))
-        : 1;
+    unsigned scale = 1;
+    if (argc > 2) {
+        const std::string why = readUnsigned(argv[2], scale);
+        if (!why.empty()) {
+            std::cerr << "argument 'scale' " << why << "\n"
+                      << "usage: quickstart [workload] [scale]\n";
+            return 2;
+        }
+    }
 
     Program prog = workloads::build(name, scale);
     std::cout << "workload: " << prog.name << " ("

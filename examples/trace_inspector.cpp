@@ -9,9 +9,10 @@
  * Usage: trace_inspector [workload] [max_segments]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
+#include "common/parse.hh"
 #include "sim/processor.hh"
 #include "workloads/suite.hh"
 
@@ -53,9 +54,15 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "m88ksim";
-    unsigned max_segs = argc > 2
-        ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10))
-        : 6;
+    unsigned max_segs = 6;
+    if (argc > 2) {
+        const std::string why = readUnsigned(argv[2], max_segs);
+        if (!why.empty()) {
+            std::cerr << "argument 'max_segments' " << why << "\n"
+                      << "usage: trace_inspector [workload] [max_segments]\n";
+            return 2;
+        }
+    }
 
     Program prog = workloads::build(name, 1);
     SimConfig cfg = SimConfig::withOpts(FillOptimizations::all());

@@ -37,7 +37,7 @@ DispatchRename::tick(Cycle now)
     if (window_.size() + line.insts.size() > cfg_.windowCap)
         return;
     std::array<unsigned, 64> need{};
-    for (const auto &di : line.insts) {
+    for (const DynInst *di : line.insts) {
         if (!di->moveMarked && !di->elided)
             ++need[static_cast<unsigned>(di->fu) % 64];
     }
@@ -61,15 +61,14 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
     // Phase 1: resolve source operands. Trace lines read all live-ins
     // against the line-entry mapping (explicit dependency marking
     // makes parallel rename possible).
-    for (auto &di : line.insts) {
+    for (DynInst *di : line.insts) {
         di->numSrcs = di->inst.numSrcs();
         for (unsigned k = 0; k < di->numSrcs; ++k) {
             std::int8_t d = di->lineDep[k];
             if (d >= 0) {
-                const DynInstPtr &p =
-                    line.insts[static_cast<std::size_t>(d)];
-                di->src[k] = p->moveMarked ? p->moveAlias
-                                           : Operand{p, 0};
+                DynInst &p = *line.insts[static_cast<std::size_t>(d)];
+                di->src[k] =
+                    p.moveMarked ? p.moveAlias : Operand::of(p);
             } else {
                 di->src[k] = rename_.read(di->inst.srcReg(k));
             }
@@ -77,17 +76,16 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
         if (di->moveMarked) {
             std::int8_t d = di->moveSrcDep;
             if (d >= 0) {
-                const DynInstPtr &p =
-                    line.insts[static_cast<std::size_t>(d)];
-                di->moveAlias = p->moveMarked ? p->moveAlias
-                                              : Operand{p, 0};
+                DynInst &p = *line.insts[static_cast<std::size_t>(d)];
+                di->moveAlias =
+                    p.moveMarked ? p.moveAlias : Operand::of(p);
             } else {
                 di->moveAlias = rename_.read(di->moveSrcReg);
             }
         }
     }
     // Phase 2: apply destination mappings in program order.
-    for (auto &di : line.insts) {
+    for (DynInst *di : line.insts) {
         di->issueCycle = now;
         tracePipe(tracer_, obs::PipeStage::Rename, *di, now);
         tracePipe(tracer_, obs::PipeStage::Issue, *di, now);
@@ -102,19 +100,22 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
             di->completeCycle = now;
             di->phase = InstPhase::Complete;
             tracePipe(tracer_, obs::PipeStage::Complete, *di, now);
+            // Sealed by its producer's completion, so a rebuild can
+            // replay it after the producer retired.
+            core_.subscribeAlias(*di);
             if (!di->inactive)
                 rename_.alias(di->inst.dest, di->moveAlias);
             if (di->isBranch)
                 panic("marked move cannot be a branch");
         } else {
             if (di->inst.hasDest() && !di->inactive)
-                rename_.write(di->inst.dest, di);
+                rename_.write(di->inst.dest, *di);
             core_.dispatch(*di);
             ++dispatched_;
         }
-        // The line is discarded right after rename: hand the owning
-        // reference straight to the window.
-        window_.insts.push_back(std::move(di));
+        // The line is discarded right after rename: the window takes
+        // ownership.
+        window_.insts.push_back(di);
         ++insts_;
     }
 }
@@ -122,7 +123,7 @@ DispatchRename::renameTraceLine(FetchLine &line, Cycle now)
 void
 DispatchRename::renameSerialLine(FetchLine &line, Cycle now)
 {
-    for (auto &di : line.insts) {
+    for (DynInst *di : line.insts) {
         di->issueCycle = now;
         di->numSrcs = di->inst.numSrcs();
         for (unsigned k = 0; k < di->numSrcs; ++k)
@@ -130,10 +131,10 @@ DispatchRename::renameSerialLine(FetchLine &line, Cycle now)
         tracePipe(tracer_, obs::PipeStage::Rename, *di, now);
         tracePipe(tracer_, obs::PipeStage::Issue, *di, now);
         if (di->inst.hasDest())
-            rename_.write(di->inst.dest, di);
+            rename_.write(di->inst.dest, *di);
         core_.dispatch(*di);
         ++dispatched_;
-        window_.insts.push_back(std::move(di));
+        window_.insts.push_back(di);
         ++insts_;
     }
 }

@@ -34,14 +34,15 @@ FetchEngine::regStats(stats::Group &master)
 // Dynamic instruction construction
 // --------------------------------------------------------------------
 
-DynInstPtr
+DynInst *
 FetchEngine::makeDynInst(const Instruction &inst, Addr pc,
                          FetchSource src, Cycle fetch_cycle)
 {
-    // Pooled allocation: the DynInst (refcount included) comes from
-    // the per-processor slab arena and recycles when the last
-    // reference drops (see inst_pool.hh) — no per-instruction malloc.
-    DynInstPtr di = allocDynInst(arena_);
+    // Pooled allocation: the DynInst comes from the per-processor slab
+    // arena, and its block recycles when the window (or recovery, for
+    // a dropped line) frees it (see inst_pool.hh) — no
+    // per-instruction malloc.
+    DynInst *di = allocDynInst(arena_);
     di->seq = seq_next_++;
     di->pc = pc;
     di->inst = inst;
@@ -130,8 +131,8 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
         const TraceInst &ti = seg.insts[i];
         const bool correct = i < match_len;
 
-        DynInstPtr di = makeDynInst(ti.inst, ti.pc,
-                                    FetchSource::TraceCache, ready);
+        DynInst *di = makeDynInst(ti.inst, ti.pc,
+                                  FetchSource::TraceCache, ready);
         di->fu = ti.slot;
         di->lineIdx = static_cast<std::uint8_t>(i);
         for (unsigned k = 0; k < 3; ++k)
@@ -163,7 +164,7 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
         } else {
             di->taken = ti.taken;
         }
-        line.insts.push_back(std::move(di));
+        line.insts.push_back(di);
     }
 
     // End-of-segment indirect control: predict the next fetch address
@@ -187,7 +188,7 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
         auto bi = static_cast<std::size_t>(mispredict_idx);
         panic_if(bi >= line.insts.size(),
                  "mispredicted branch outside the fetched prefix");
-        DynInstPtr &br = line.insts[bi];
+        DynInst *br = line.insts[bi];
         br->mispredicted = true;
         ++mispredicts_;
 
@@ -201,7 +202,7 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
         } else {
             br->redirectPc = oracle_.at(bi).nextPc;
         }
-        ctrl_.stallBranch = br;
+        ctrl_.stallBranch = br->seq;
     } else {
         // Invariant: match_len >= 1 (checked at entry) and
         // fetch_n >= 1, so at least one oracle record was consumed
@@ -216,15 +217,15 @@ FetchEngine::buildTraceLine(const TraceSegment &seg, Cycle ready)
     // The predicted-exit branch discards trailing inactive work when
     // its prediction was right.
     if (active_len < fetch_n) {
-        DynInstPtr &exit_br = line.insts[active_len - 1];
+        DynInst *exit_br = line.insts[active_len - 1];
         exit_br->discardLo = line.insts[active_len]->seq;
         exit_br->discardHi = line.insts[fetch_n - 1]->seq + 1;
     }
 
     // Serializing instructions gate fetch until they retire.
-    for (const auto &di : line.insts) {
+    for (const DynInst *di : line.insts) {
         if (di->onCorrectPath && di->inst.isSerializing()) {
-            ctrl_.stallSerialize = di;
+            ctrl_.stallSerialize = di->seq;
             break;
         }
     }
@@ -256,8 +257,8 @@ FetchEngine::buildICacheLine(Cycle ready)
         const ExecRecord &rec = oracle_.at(i);
         panic_if(rec.pc != pc, "I-cache fetch diverged from oracle");
 
-        DynInstPtr di = makeDynInst(rec.inst, rec.pc,
-                                    FetchSource::InstCache, ready);
+        DynInst *di = makeDynInst(rec.inst, rec.pc,
+                                  FetchSource::InstCache, ready);
         di->missLineStart = i == 0;
         di->fu = static_cast<int>(i % num_fus_);
         di->nextPc = rec.nextPc;
@@ -286,7 +287,7 @@ FetchEngine::buildICacheLine(Cycle ready)
         return line;
 
     // Resolve the fetch redirection for the block-ending instruction.
-    DynInstPtr last = line.insts.back();
+    DynInst *last = line.insts.back();
     const Instruction &li = last->inst;
     bool mispred = false;
     if (li.isCondBranch()) {
@@ -305,14 +306,14 @@ FetchEngine::buildICacheLine(Cycle ready)
     if (mispred) {
         last->mispredicted = true;
         last->redirectPc = last->nextPc;
-        ctrl_.stallBranch = last;
+        ctrl_.stallBranch = last->seq;
         ++mispredicts_;
     } else {
         ctrl_.pc = last->nextPc;
     }
 
     if (last->inst.isSerializing())
-        ctrl_.stallSerialize = last;
+        ctrl_.stallSerialize = last->seq;
 
     oracle_.consume(line.insts.size());
     ++icache_lines_;
@@ -353,7 +354,7 @@ FetchEngine::tick(Cycle now)
             line = buildTraceLine(*seg, now);
             ctrl_.avail = now + 1;
             if (tracer_) {
-                for (const auto &di : line.insts)
+                for (const DynInst *di : line.insts)
                     tracePipe(tracer_, obs::PipeStage::Fetch, *di,
                               di->fetchCycle);
             }
@@ -369,7 +370,7 @@ FetchEngine::tick(Cycle now)
     line = buildICacheLine(done);
     ctrl_.avail = done + 1;
     if (tracer_) {
-        for (const auto &di : line.insts)
+        for (const DynInst *di : line.insts)
             tracePipe(tracer_, obs::PipeStage::Fetch, *di,
                       di->fetchCycle);
     }

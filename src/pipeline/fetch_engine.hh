@@ -54,8 +54,8 @@ class FetchEngine : public Stage
   private:
     FetchLine buildTraceLine(const TraceSegment &seg, Cycle ready);
     FetchLine buildICacheLine(Cycle ready);
-    DynInstPtr makeDynInst(const Instruction &inst, Addr pc,
-                           FetchSource src, Cycle fetch_cycle);
+    DynInst *makeDynInst(const Instruction &inst, Addr pc,
+                         FetchSource src, Cycle fetch_cycle);
 
     const SimConfig &cfg_;
     OracleStream &oracle_;

@@ -16,11 +16,19 @@
  *                    RecoveryController W (squash trim)
  *   InstWindow       DispatchRename W, RetireUnit R/W,
  *                    RecoveryController R/W (squash/rescue)
+ *
+ * Ownership (DESIGN.md §13): a fetched instruction belongs to its
+ * FetchLine until dispatch moves it into the InstWindow, which owns
+ * it until its slot pops. The holder that lets go of an instruction
+ * for good frees it (freeDynInst): the retire unit as it pops a
+ * slot, recovery as it drops a latch line, the Processor at teardown.
+ * FetchControl names its stall instructions by seq.
  */
 
 #ifndef TCFILL_PIPELINE_LATCHES_HH
 #define TCFILL_PIPELINE_LATCHES_HH
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -34,7 +42,8 @@ namespace tcfill::pipeline
 struct FetchLine
 {
     Cycle readyCycle = 0;
-    std::vector<DynInstPtr> insts;
+    /** Owned until dispatch moves them into the window, oldest first. */
+    std::vector<DynInst *> insts;
     bool fromTrace = false;
 };
 
@@ -57,19 +66,44 @@ struct FetchControl
 {
     Addr pc = 0;
     Cycle avail = 0;
-    DynInstPtr stallBranch;     ///< unresolved mispredict gating fetch
-    DynInstPtr stallSerialize;  ///< serializing inst gating fetch
+    /** Seq of the unresolved mispredict gating fetch; 0 = none. */
+    InstSeqNum stallBranch = 0;
+    /** Seq of the serializing instruction gating fetch; 0 = none. */
+    InstSeqNum stallSerialize = 0;
 
     bool stalled() const { return stallBranch || stallSerialize; }
 };
 
-/** The in-flight window, fetch order (dispatch in, retire out). */
+/**
+ * The in-flight window, fetch order (dispatch in, retire out). It
+ * owns every instruction in it, and its seqs strictly increase from
+ * front to back.
+ */
 struct InstWindow
 {
-    std::deque<DynInstPtr> insts;
+    std::deque<DynInst *> insts;
 
     bool empty() const { return insts.empty(); }
     std::size_t size() const { return insts.size(); }
+
+    /** Index of the oldest slot whose seq is at least @p seq. */
+    std::size_t
+    lowerBound(InstSeqNum seq) const
+    {
+        auto it = std::partition_point(
+            insts.begin(), insts.end(),
+            [seq](const DynInst *di) { return di->seq < seq; });
+        return static_cast<std::size_t>(it - insts.begin());
+    }
+
+    /** The instruction with @p seq; nullptr once its slot popped. */
+    DynInst *
+    find(InstSeqNum seq) const
+    {
+        const std::size_t i = lowerBound(seq);
+        return i < insts.size() && insts[i]->seq == seq ? insts[i]
+                                                        : nullptr;
+    }
 };
 
 } // namespace tcfill::pipeline

@@ -9,7 +9,7 @@ namespace tcfill::pipeline
 
 RecoveryController::RecoveryController(const RecoveryEnv &env)
     : window_(env.window), rename_(env.rename), ctrl_(env.ctrl),
-      fetchq_(env.fetchq), core_(env.core)
+      fetchq_(env.fetchq), core_(env.core), arena_(env.arena)
 {
     core_.setCompleteHook(&RecoveryController::onComplete, this);
 }
@@ -18,8 +18,8 @@ void
 RecoveryController::onComplete(void *ctx, DynInst &di)
 {
     auto *self = static_cast<RecoveryController *>(ctx);
-    if (di.isBranch || di.discardHi > di.discardLo)
-        self->events_.push(di.completeCycle, DynInstPtr(&di));
+    if (di.mispredicted || di.discardHi > di.discardLo)
+        self->events_.push(di.completeCycle, di.seq);
 }
 
 void
@@ -40,67 +40,74 @@ RecoveryController::squashWindow(InstSeqNum lo, InstSeqNum hi,
                                  InstSeqNum rescue_lo,
                                  InstSeqNum rescue_hi, Cycle now)
 {
-    for (auto &di : window_.insts) {
-        if (di->seq < lo || di->seq >= hi)
+    auto &insts = window_.insts;
+    for (std::size_t i = window_.lowerBound(lo);
+         i < insts.size() && insts[i]->seq < hi; ++i) {
+        DynInst &di = *insts[i];
+        if (di.seq >= rescue_lo && di.seq < rescue_hi)
             continue;
-        if (di->seq >= rescue_lo && di->seq < rescue_hi)
-            continue;
-        di->phase = InstPhase::Squashed;
-        tracePipe(tracer_, obs::PipeStage::Squash, *di, now);
+        core_.squash(di);
+        tracePipe(tracer_, obs::PipeStage::Squash, di, now);
     }
-    core_.squashRange(lo, hi, rescue_lo, rescue_hi);
+    core_.purgeSquashed();
     ++squashes_;
 }
 
 void
-RecoveryController::resolveBranch(const DynInstPtr &di, Cycle now)
+RecoveryController::resolveBranch(DynInst &di, Cycle now)
 {
-    if (di->squashed())
+    if (di.squashed())
         return;
 
-    if (di->mispredicted) {
-        squashWindow(di->seq + 1, ~InstSeqNum(0), di->rescueLo,
-                     di->rescueHi, now);
+    if (di.mispredicted) {
+        squashWindow(di.seq + 1, ~InstSeqNum(0), di.rescueLo,
+                     di.rescueHi, now);
         // Activate the rescued inactive instructions (inactive issue's
         // payoff: the correct continuation is already in flight).
-        if (di->rescueHi > di->rescueLo) {
-            for (auto &w : window_.insts) {
-                if (w->seq >= di->rescueLo && w->seq < di->rescueHi) {
-                    w->inactive = false;
-                    ++rescued_insts_;
-                }
+        if (di.rescueHi > di.rescueLo) {
+            auto &insts = window_.insts;
+            for (std::size_t i = window_.lowerBound(di.rescueLo);
+                 i < insts.size() && insts[i]->seq < di.rescueHi;
+                 ++i) {
+                insts[i]->inactive = false;
+                ++rescued_insts_;
             }
         }
         rename_.rebuild(window_.insts);
-        ctrl_.pc = di->redirectPc;
+        ctrl_.pc = di.redirectPc;
         ctrl_.avail = std::max(ctrl_.avail, now + 1);
-        mispredict_stall_cycles_ += now - di->fetchCycle;
+        mispredict_stall_cycles_ += now - di.fetchCycle;
         // Drop any younger lines still waiting to issue (there are
         // none in the common case because fetch stalls, but a line
         // fetched the same cycle the mispredict was detected could
-        // linger).
+        // linger); their instructions were never dispatched, so
+        // nothing else names them.
         while (!fetchq_.empty() &&
                !fetchq_.lines.back().insts.empty() &&
-               fetchq_.lines.back().insts.front()->seq > di->seq) {
+               fetchq_.lines.back().insts.front()->seq > di.seq) {
+            for (DynInst *dropped : fetchq_.lines.back().insts)
+                freeDynInst(arena_, dropped);
             fetchq_.lines.pop_back();
         }
-        if (ctrl_.stallBranch == di)
-            ctrl_.stallBranch = nullptr;
+        if (ctrl_.stallBranch == di.seq)
+            ctrl_.stallBranch = 0;
         return;
     }
 
     // Correct prediction: discard the inactive tail, if any.
-    if (di->discardHi > di->discardLo)
-        squashWindow(di->discardLo, di->discardHi, 0, 0, now);
+    if (di.discardHi > di.discardLo)
+        squashWindow(di.discardLo, di.discardHi, 0, 0, now);
 }
 
 void
 RecoveryController::tick(Cycle now)
 {
     while (!events_.empty() && events_.heap.top().cycle <= now) {
-        DynInstPtr di = events_.heap.top().inst;
+        const InstSeqNum seq = events_.heap.top().seq;
         events_.heap.pop();
-        resolveBranch(di, now);
+        // A branch no longer in the window was squashed and popped.
+        if (DynInst *di = window_.find(seq))
+            resolveBranch(*di, now);
     }
 }
 

@@ -6,8 +6,9 @@
  * cycle, squashes the mis-speculated window suffix (sparing the
  * inactive-issue rescue range, which it activates instead — the
  * paper's §3 rescue), rebuilds the rename table from the surviving
- * window (checkpoint repair), redirects fetch, and discards inactive
- * tails of correctly predicted exits.
+ * window (checkpoint repair), redirects fetch (freeing the
+ * instructions of any younger fetch-latch line it drops), and
+ * discards inactive tails of correctly predicted exits.
  */
 
 #ifndef TCFILL_PIPELINE_RECOVERY_HH
@@ -19,6 +20,7 @@
 #include "pipeline/latches.hh"
 #include "pipeline/stage.hh"
 #include "uarch/exec_core.hh"
+#include "uarch/inst_pool.hh"
 #include "uarch/pipe_hooks.hh"
 #include "uarch/rename.hh"
 
@@ -29,7 +31,7 @@ namespace tcfill::pipeline
  * Branch-resolution events, a (cycle, seq) min-heap: filled by the
  * recovery controller's completion sink as the ExecCore learns
  * completion times, drained by the controller at the top of each
- * cycle.
+ * cycle, which finds each branch by its seq in the window.
  */
 struct ResolutionQueue
 {
@@ -37,7 +39,6 @@ struct ResolutionQueue
     {
         Cycle cycle;
         InstSeqNum seq;
-        DynInstPtr inst;
 
         bool
         operator>(const Event &o) const
@@ -49,11 +50,7 @@ struct ResolutionQueue
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         heap;
 
-    void
-    push(Cycle cycle, const DynInstPtr &di)
-    {
-        heap.push({cycle, di->seq, di});
-    }
+    void push(Cycle cycle, InstSeqNum seq) { heap.push({cycle, seq}); }
 
     bool empty() const { return heap.empty(); }
 };
@@ -66,6 +63,8 @@ struct RecoveryEnv
     FetchControl &ctrl;
     FetchLatch &fetchq;
     ExecCore &core;
+    /** Where the instructions of dropped fetch-latch lines return. */
+    SlabArena &arena;
 };
 
 /** Branch-resolution events: squash, rescue, redirect, repair. */
@@ -88,12 +87,13 @@ class RecoveryController : public Stage
     }
 
     /** Resolve one branch (public for the stage unit tests). */
-    void resolveBranch(const DynInstPtr &di, Cycle now);
+    void resolveBranch(DynInst &di, Cycle now);
 
     /**
      * Squash window instructions with seq in [lo, hi), sparing
-     * [rescue_lo, rescue_hi); mirrors the squash into the core's
-     * reservation stations.
+     * [rescue_lo, rescue_hi): from the range's first slot, found by
+     * seq, to its end, each is squashed in the core (freeing its
+     * station slot), then the core purges its store structures.
      */
     void squashWindow(InstSeqNum lo, InstSeqNum hi,
                       InstSeqNum rescue_lo, InstSeqNum rescue_hi,
@@ -110,10 +110,10 @@ class RecoveryController : public Stage
   private:
     /**
      * ExecCore completion sink (installed by the constructor): queues
-     * the events resolveBranch() acts on — control instructions (the
-     * only ones fetch marks mispredicted) and exits with an inactive
-     * tail — taking an owning handle only for those; tick() resolves
-     * every event it pops.
+     * an event, by seq, for exactly the instructions resolveBranch()
+     * acts on — mispredicted branches and exits carrying an inactive
+     * tail to discard; tick() resolves each popped event whose
+     * instruction is still in the window.
      */
     static void onComplete(void *ctx, DynInst &di);
 
@@ -122,6 +122,7 @@ class RecoveryController : public Stage
     FetchControl &ctrl_;
     FetchLatch &fetchq_;
     ExecCore &core_;
+    SlabArena &arena_;
     ResolutionQueue events_;
 
     stats::Counter mispredict_stall_cycles_;

@@ -10,7 +10,8 @@ namespace tcfill::pipeline
 
 RetireUnit::RetireUnit(const RetireEnv &env)
     : cfg_(env.cfg), window_(env.window), oracle_(env.oracle),
-      fill_(env.fill), core_(env.core), ctrl_(env.ctrl)
+      fill_(env.fill), core_(env.core), ctrl_(env.ctrl),
+      rename_(env.rename), arena_(env.arena)
 {
 }
 
@@ -39,11 +40,13 @@ RetireUnit::tick(Cycle now)
 {
     unsigned count = 0;
     while (!window_.empty()) {
-        // Hold the window's own reference; the slot is popped at the
-        // end of the commit body, after the last use.
-        const DynInstPtr &di = window_.insts.front();
+        // The window owns the head; its slot is popped and the
+        // instruction freed at the end of the commit body, after the
+        // last use.
+        DynInst *di = window_.insts.front();
         if (di->squashed()) {
             window_.insts.pop_front();  // squashed slots retire free
+            freeDynInst(arena_, di);
             continue;
         }
         if (count >= cfg_.retireWidth)
@@ -67,7 +70,7 @@ RetireUnit::tick(Cycle now)
         // Predictors train at fetch (see FetchEngine); retirement
         // only drives the fill unit and bookkeeping.
         if (di->isStore)
-            core_.retireStore(di);
+            core_.retireStore(*di);
 
         // The committed-path record of this instruction carries its
         // architectural form for the fill unit.
@@ -97,11 +100,14 @@ RetireUnit::tick(Cycle now)
         if (timeline_)
             timeline_->onRetire(di->pc, rec.inst.endsBlock(), now);
 
-        if (di == ctrl_.stallSerialize)
-            ctrl_.stallSerialize = nullptr;
+        if (di->seq == ctrl_.stallSerialize)
+            ctrl_.stallSerialize = 0;
 
+        // Later renames read the completion cycle, not the block.
+        rename_.sealRetired(*di);
         oracle_.popRetired();
-        window_.insts.pop_front();  // releases di
+        window_.insts.pop_front();
+        freeDynInst(arena_, di);
 
         if (instCapReached())
             return;
@@ -118,18 +124,13 @@ RetireUnit::panicIfDeadlocked(Cycle now) const
     for (unsigned k = 0; k < f.numSrcs; ++k) {
         const Operand &op = f.src[k];
         char buf[96];
-        if (op.producer) {
-            std::snprintf(buf, sizeof(buf),
-                " src%u<-seq%llu(ph%d,cc%lld)", k,
-                static_cast<unsigned long long>(op.producer->seq),
-                static_cast<int>(op.producer->phase),
-                op.producer->completeCycle == kNoCycle
-                    ? -1LL
-                    : static_cast<long long>(
-                          op.producer->completeCycle));
+        // An unsealed operand's producer is older than the window
+        // head, so it has left the window: print no field of it.
+        if (op.sealed()) {
+            std::snprintf(buf, sizeof(buf), " src%u@%llu(fu%d)", k,
+                static_cast<unsigned long long>(op.cycle), op.fu);
         } else {
-            std::snprintf(buf, sizeof(buf), " src%u@%llu", k,
-                static_cast<unsigned long long>(op.rfAvail));
+            std::snprintf(buf, sizeof(buf), " src%u<-unsealed", k);
         }
         ops += buf;
     }

@@ -3,8 +3,10 @@
  * In-order retirement (DESIGN.md §10): drains completed instructions
  * from the head of the in-flight window, feeds each architectural
  * instruction to the FillUnit (the paper's retire→fill handoff),
- * releases serialize stalls, pops the committed-path oracle, and owns
- * the dynamic-optimization result counters (Table 2 / figures 3-5, 7).
+ * seals the rename entries still naming it, releases serialize
+ * stalls, pops the committed-path oracle, frees each popped slot's
+ * instruction (committed or squashed), and owns the
+ * dynamic-optimization result counters (Table 2 / figures 3-5, 7).
  */
 
 #ifndef TCFILL_PIPELINE_RETIRE_UNIT_HH
@@ -19,7 +21,9 @@
 #include "pipeline/stage.hh"
 #include "sim/config.hh"
 #include "uarch/exec_core.hh"
+#include "uarch/inst_pool.hh"
 #include "uarch/pipe_hooks.hh"
+#include "uarch/rename.hh"
 
 namespace tcfill::pipeline
 {
@@ -33,6 +37,9 @@ struct RetireEnv
     FillUnit &fill;
     ExecCore &core;
     FetchControl &ctrl;
+    RenameTable &rename;
+    /** Where popped slots' instructions return. */
+    SlabArena &arena;
 };
 
 /** In-order retire, fill-unit handoff and result accounting. */
@@ -120,6 +127,8 @@ class RetireUnit : public Stage
     FillUnit &fill_;
     ExecCore &core_;
     FetchControl &ctrl_;
+    RenameTable &rename_;
+    SlabArena &arena_;
 
     Cycle last_retire_cycle_ = 0;
     obs::Timeline *timeline_ = nullptr;

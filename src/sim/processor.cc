@@ -60,9 +60,11 @@ Processor::Processor(const Program *prog, CommitSource *src,
       dispatch_(pipeline::DispatchEnv{cfg_, fetch_latch_, window_,
                                       core_}),
       retire_(pipeline::RetireEnv{cfg_, window_, oracle_, fill_, core_,
-                                  ctrl_}),
+                                  ctrl_, dispatch_.renameTable(),
+                                  inst_pool_}),
       recovery_(pipeline::RecoveryEnv{window_, dispatch_.renameTable(),
-                                      ctrl_, fetch_latch_, core_}),
+                                      ctrl_, fetch_latch_, core_,
+                                      inst_pool_}),
       stats_("sim")
 {
     ctrl_.pc = entry_pc_;
@@ -91,6 +93,27 @@ Processor::Processor(const Program *prog, CommitSource *src,
         if (cfg_.fill.policy.kind != FillPolicyKind::Static)
             timeline_->setMaskProbe(fill_.activeMaskPtr());
     }
+}
+
+Processor::~Processor()
+{
+    // Teardown frees what is still in flight, so the arena's
+    // destructor finds every block back.
+    for (DynInst *di : window_.insts)
+        freeDynInst(inst_pool_, di);
+    for (const pipeline::FetchLine &line : fetch_latch_.lines) {
+        for (DynInst *di : line.insts)
+            freeDynInst(inst_pool_, di);
+    }
+}
+
+std::size_t
+Processor::inFlight() const
+{
+    std::size_t n = window_.size();
+    for (const pipeline::FetchLine &line : fetch_latch_.lines)
+        n += line.insts.size();
+    return n;
 }
 
 // --------------------------------------------------------------------
@@ -225,6 +248,11 @@ Processor::run()
         }
         skipIdleCycles();
     }
+    // Every block handed out is either in flight or back in the arena.
+    panic_if(inst_pool_.live() != inFlight(),
+             "%llu DynInst blocks live but %zu instructions in flight",
+             static_cast<unsigned long long>(inst_pool_.live()),
+             inFlight());
 
     // Every counter comes out of the stats registry so a stage's
     // counter hoists automatically flow into the result.

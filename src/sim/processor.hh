@@ -67,6 +67,11 @@ class Processor
     Processor(CommitSource &src, const std::string &workload,
               Addr entry, const SimConfig &cfg);
 
+    /** Frees the instructions still in the window and fetch latch. */
+    ~Processor();
+    Processor(const Processor &) = delete;
+    Processor &operator=(const Processor &) = delete;
+
     /** Run to completion (or the configured caps); returns results. */
     SimResult run();
 
@@ -130,9 +135,14 @@ class Processor
      */
     void skipIdleCycles();
 
+    /** Instructions in the window plus those in the fetch latch. */
+    std::size_t inFlight() const;
+
     // ---- members ----------------------------------------------------
-    // Declared first so it is destroyed last: every DynInstPtr held
-    // by the members below lives in storage owned by this arena.
+    // Declared first so it is destroyed last: every DynInst the
+    // members below hold lives in a block of this arena, and the
+    // destructor frees the window's and fetch latch's before the
+    // arena checks that none is left.
     SlabArena inst_pool_;
 
     SimConfig cfg_;

@@ -2,14 +2,17 @@
  * @file
  * Dynamic (in-flight) instruction state for the timing model.
  *
- * DynInstPtr is an intrusive reference-counted smart pointer with a
- * deliberately NON-atomic count: every DynInst is owned by exactly one
- * Processor and never crosses a thread boundary, so the count needs no
- * synchronization. (SimRunner parallelism is between Processors, never
- * inside one.) This matters because copying instruction handles is the
- * hottest pointer traffic in the simulator, and linking the thread
- * runtime would otherwise force shared_ptr's refcounts to atomic RMW
- * ops on the whole fetch/issue/retire path.
+ * Ownership (DESIGN.md §13): fetch allocates every DynInst from the
+ * Processor's SlabArena (allocDynInst) and hands it to the fetch
+ * latch; dispatch moves it into the InstWindow, which owns it until
+ * its slot pops. Its block is freed explicitly (freeDynInst) in
+ * exactly three places: when its window slot pops at retire (as a
+ * commit or as a squashed slot), when recovery drops a fetch-latch
+ * line, and at Processor teardown. Every other holder keeps a raw
+ * pointer that the ownership rules keep valid, or a seq. The one
+ * edge that outlives its producer, a renamed source operand, is a
+ * value: an Operand is sealed to {completion cycle, FU} as soon as
+ * its producer's timing is known, so nothing reads a freed block.
  */
 
 #ifndef TCFILL_UARCH_DYN_INST_HH
@@ -18,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <utility>
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
@@ -29,64 +31,8 @@ namespace tcfill
 
 struct DynInst;
 
-/** "Not in any scheduler array" sentinel for the index fields below. */
+/** "Not in a ready queue" sentinel for DynInst::readyIdx. */
 inline constexpr std::uint32_t kNoRsIndex = ~std::uint32_t(0);
-
-/**
- * Intrusive refcounted handle to a DynInst. Semantics match
- * shared_ptr (last reference destroys the object), but the count is a
- * plain integer and destruction returns pooled blocks to the owning
- * SlabArena instead of the heap.
- */
-class DynInstPtr
-{
-  public:
-    DynInstPtr() = default;
-    DynInstPtr(std::nullptr_t) {}
-    /** Wrap a freshly constructed instruction (see allocDynInst). */
-    explicit DynInstPtr(DynInst *p) : p_(p) { retain(); }
-
-    DynInstPtr(const DynInstPtr &o) : p_(o.p_) { retain(); }
-    DynInstPtr(DynInstPtr &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
-
-    DynInstPtr &
-    operator=(const DynInstPtr &o)
-    {
-        DynInstPtr tmp(o);
-        std::swap(p_, tmp.p_);
-        return *this;
-    }
-
-    DynInstPtr &
-    operator=(DynInstPtr &&o) noexcept
-    {
-        std::swap(p_, o.p_);
-        return *this;
-    }
-
-    DynInstPtr &
-    operator=(std::nullptr_t)
-    {
-        release();
-        return *this;
-    }
-
-    ~DynInstPtr() { release(); }
-
-    DynInst *get() const { return p_; }
-    DynInst &operator*() const { return *p_; }
-    DynInst *operator->() const { return p_; }
-    explicit operator bool() const { return p_ != nullptr; }
-
-    bool operator==(const DynInstPtr &o) const { return p_ == o.p_; }
-    bool operator==(std::nullptr_t) const { return p_ == nullptr; }
-
-  private:
-    void retain();
-    void release();
-
-    DynInst *p_ = nullptr;
-};
 
 /** Lifecycle of a dynamic instruction in the window. */
 enum class InstPhase : std::uint8_t
@@ -98,17 +44,47 @@ enum class InstPhase : std::uint8_t
 };
 
 /**
- * One renamed source operand. Either the value is (or will be) read
- * from the register file (producer == nullptr, available at
- * @c rfAvail with no bypass penalty), or it is produced by an
- * in-flight instruction and arrives over the bypass network
- * (+1 cycle across clusters).
+ * One renamed source operand. It is *unsealed* while it names an
+ * in-flight producer whose completion cycle is not yet known, and
+ * *sealed* once that cycle is: then it holds the cycle and the
+ * producing functional unit, whose cluster decides the cross-cluster
+ * bypass cycle. A register-file value is sealed from the start at
+ * {0, no FU}. Every operand is sealed before its producer can retire
+ * (DESIGN.md §13), so none outlives the block it names.
  */
 struct Operand
 {
-    DynInstPtr producer;
-    Cycle rfAvail = 0;
+    /** Cycle the value leaves its producer; kNoCycle while unsealed. */
+    Cycle cycle = 0;
+    union
+    {
+        DynInst *producer;      ///< unsealed: the in-flight producer
+        std::int32_t fu = -1;   ///< sealed: producing FU, -1 = none
+    };
+
+    /** An unsealed operand naming @p p. */
+    static Operand
+    of(DynInst &p)
+    {
+        Operand op;
+        op.cycle = kNoCycle;
+        op.producer = &p;
+        return op;
+    }
+
+    bool sealed() const { return cycle != kNoCycle; }
+
+    /** True when this operand is unsealed and names @p p. */
+    bool names(const DynInst &p) const
+    {
+        return !sealed() && producer == &p;
+    }
+
+    /** Seal to @p p's known timing: its completion cycle and FU. */
+    inline void seal(const DynInst &p);
 };
+
+static_assert(sizeof(Operand) == 16, "an Operand is a cycle and one word");
 
 /** Where an instruction's bits came from. */
 enum class FetchSource : std::uint8_t
@@ -201,29 +177,36 @@ struct DynInst
     // ---- wakeup scheduler bookkeeping (ExecCore) ------------------------
     // Producer-driven wakeup: a consumer whose producer's completion
     // cycle is still unknown at dispatch links itself onto the
-    // producer's wake list and is armed into its FU's ready queue
-    // when the last subscription fires.
-    // Lists hold raw pointers: a producer always fires (or is
-    // squashed) before it retires, and the window releases younger
-    // consumers only after older producers, so every listed consumer
-    // outlives the walk (see DESIGN.md §13 for the invariant).
+    // producer's wake list; the walk seals the operand and arms the
+    // consumer into its FU's ready queue when the last subscription
+    // fires. Lists hold raw pointers: a producer's list is walked only
+    // while the producer is in the window, and every listed consumer
+    // is younger, so still in the window too (DESIGN.md §13).
     /**
      * Consumers to wake when this result's timing becomes known;
-     * (consumer, operand-index) packed into the pointer's low bits.
+     * (consumer, operand slot) packed into the pointer's low bits.
      */
     std::uintptr_t wakeHead = 0;
-    /** Next wake-list links, one per source-operand slot. */
-    std::uintptr_t wakeNext[3] = {0, 0, 0};
+    /**
+     * Next wake-list links, one per source operand plus
+     * kAliasWakeSlot for a marked move's moveAlias.
+     */
+    std::uintptr_t wakeNext[4] = {0, 0, 0, 0};
     /** Stores: loads parked on this store by the memory scheduler. */
     DynInst *memWaiterHead = nullptr;
     DynInst *memWaiterNext = nullptr;
     /** Earliest select cycle once every operand's timing is known. */
     Cycle readyCycle = 0;
-    /** Station / ready-queue slots (swap-with-back maintenance). */
-    std::uint32_t stationIdx = kNoRsIndex;
+    /** Ready-queue slot (swap-with-back maintenance). */
     std::uint32_t readyIdx = kNoRsIndex;
     /** Producer wakeups still outstanding before this can arm. */
     std::uint8_t pendingOps = 0;
+    /**
+     * A rename-table alias entry once copied an operand naming this
+     * instruction, so its retire seals every entry, not just its
+     * destination's (RenameTable::sealRetired).
+     */
+    bool aliasMapped = false;
 
     // ---- stats ---------------------------------------------------------
     /** Last-arriving operand was delayed by cross-cluster bypass. */
@@ -231,58 +214,38 @@ struct DynInst
     /** Move idiom in the architectural stream (optimized or not). */
     bool moveIdiom = false;
 
-    // ---- intrusive lifetime (managed by DynInstPtr) ---------------------
-    /** Reference count; non-atomic — see the file comment. */
-    std::uint32_t ptrRefs = 0;
-    /** Owning arena (set by allocDynInst). */
-    SlabArena *ptrArena = nullptr;
-
-    unsigned
-    cluster(unsigned fus_per_cluster) const
-    {
-        return fu < 0 ? 0 : static_cast<unsigned>(fu) / fus_per_cluster;
-    }
-
     bool complete() const { return phase == InstPhase::Complete; }
     bool squashed() const { return phase == InstPhase::Squashed; }
 };
 
+/** Wake-list slot of a marked move's moveAlias subscription. */
+inline constexpr unsigned kAliasWakeSlot = 3;
+
 inline void
-DynInstPtr::retain()
+Operand::seal(const DynInst &p)
 {
-    if (p_)
-        ++p_->ptrRefs;
+    cycle = p.completeCycle;
+    fu = p.fu;
 }
 
 /**
- * Destroy an instruction whose last reference dropped, returning its
- * block to the owning arena. Out of line: DynInstPtr::release() runs
- * about 11 times per retired instruction from dozens of call sites,
- * and inlining only its decrement-and-test keeps those sites small.
+ * A default-constructed DynInst in a block of @p arena. The caller
+ * owns it until it hands it on, and its last owner returns the block
+ * with freeDynInst() (DESIGN.md §13).
  */
-void destroyDynInst(DynInst *p);
-
-inline void
-DynInstPtr::release()
-{
-    if (p_ && --p_->ptrRefs == 0)
-        destroyDynInst(p_);
-    p_ = nullptr;
-}
-
-/**
- * Allocate a DynInst from @p arena. The block returns to the arena's
- * free list when the last DynInstPtr drops — for an instruction, at or
- * shortly after retirement, once no Operand, window slot or resolution
- * event still references it.
- */
-inline DynInstPtr
+inline DynInst *
 allocDynInst(SlabArena &arena)
 {
     void *mem = arena.allocate(sizeof(DynInst), alignof(DynInst));
-    DynInst *p = new (mem) DynInst();
-    p->ptrArena = &arena;
-    return DynInstPtr(p);
+    return new (mem) DynInst();
+}
+
+/** Return @p di's block to @p arena; nothing may read it afterwards. */
+inline void
+freeDynInst(SlabArena &arena, DynInst *di)
+{
+    di->~DynInst();
+    arena.deallocate(di);
 }
 
 } // namespace tcfill

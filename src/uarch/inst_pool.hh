@@ -5,20 +5,22 @@
  * The timing model allocates one DynInst per fetched instruction —
  * by far the hottest allocation in a simulation. SlabArena hands out
  * fixed-size blocks carved from large slabs and recycles them through
- * a free list the moment the last DynInstPtr drops (for an
- * instruction, at or shortly after retirement), so steady-state
- * simulation performs no heap allocation at all on the fetch path.
+ * a LIFO free list, so steady-state simulation performs no heap
+ * allocation at all on the fetch path.
  *
- * Used by the intrusive DynInstPtr (see dyn_inst.hh): the refcount
- * lives inside the pooled DynInst itself and the block returns here on
- * the last release, so reference-counted lifetime semantics are
- * preserved exactly — a block is never reused while any Operand,
- * window slot or resolution event still points at it, which keeps
- * recycling safe (no use-after-free) by construction.
+ * Blocks are freed explicitly (allocDynInst/freeDynInst in
+ * dyn_inst.hh): the in-flight window owns every instruction, and a
+ * block returns here when its window slot pops, when recovery drops a
+ * fetch-latch line, or at Processor teardown (DESIGN.md §13). live()
+ * counts the blocks handed out; the Processor checks it against the
+ * window and fetch latch at the end of every run, and the destructor
+ * panics unless it is back at 0. Under AddressSanitizer a freed block
+ * is poisoned until it is handed out again, so any read of a retired
+ * or squashed instruction is reported.
  *
  * The arena is intentionally NOT thread-safe: each Processor owns one
- * and every DynInstPtr stays inside that Processor. Concurrent
- * simulations (SimRunner) each use their own arena.
+ * and no instruction leaves that Processor. Concurrent simulations
+ * (SimRunner) each use their own arena.
  */
 
 #ifndef TCFILL_UARCH_INST_POOL_HH
@@ -30,6 +32,10 @@
 #include <vector>
 
 #include "common/logging.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace tcfill
 {
@@ -50,8 +56,10 @@ class SlabArena
         panic_if(live_ != 0,
                  "SlabArena destroyed with %llu blocks still live",
                  static_cast<unsigned long long>(live_));
-        for (void *slab : slabs_)
+        for (void *slab : slabs_) {
+            unpoison(slab, kBlocksPerSlab * block_bytes_);
             ::operator delete(slab, std::align_val_t(block_align_));
+        }
     }
 
     void *
@@ -71,6 +79,7 @@ class SlabArena
         if (!free_.empty()) {
             void *p = free_.back();
             free_.pop_back();
+            unpoison(p, block_bytes_);
             ++reused_;
             return p;
         }
@@ -91,6 +100,7 @@ class SlabArena
     {
         panic_if(live_ == 0, "SlabArena: deallocate underflow");
         --live_;
+        poison(p, block_bytes_);
         free_.push_back(p);
     }
 
@@ -102,6 +112,30 @@ class SlabArena
     std::size_t slabs() const { return slabs_.size(); }
 
   private:
+    // A free block is poisoned under AddressSanitizer: reading a
+    // retired or squashed instruction is then a reported error.
+    static void
+    poison(void *p, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(p, bytes);
+#else
+        (void)p;
+        (void)bytes;
+#endif
+    }
+
+    static void
+    unpoison(void *p, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#else
+        (void)p;
+        (void)bytes;
+#endif
+    }
+
     std::size_t block_bytes_ = 0;
     std::size_t block_align_ = 0;
     std::vector<void *> slabs_;

@@ -18,13 +18,12 @@ RenameTable::read(RegIndex r) const
 }
 
 void
-RenameTable::write(RegIndex r, const DynInstPtr &producer)
+RenameTable::write(RegIndex r, DynInst &producer)
 {
     if (r == kRegZero || r >= kNumArchRegs)
         return;
     ++writes_;
-    map_[r].producer = producer;
-    map_[r].rfAvail = 0;
+    map_[r] = Operand::of(producer);
 }
 
 void
@@ -34,23 +33,22 @@ RenameTable::alias(RegIndex dest, const Operand &src)
         return;
     ++aliases_;
     map_[dest] = src;
+    if (!src.sealed())
+        src.producer->aliasMapped = true;
 }
 
 void
 RenameTable::reset()
 {
-    for (auto &op : map_) {
-        op.producer = nullptr;
-        op.rfAvail = 0;
-    }
+    map_.fill(Operand{});
 }
 
 void
-RenameTable::rebuild(const std::deque<DynInstPtr> &window)
+RenameTable::rebuild(const std::deque<DynInst *> &window)
 {
     ++rebuilds_;
     reset();
-    for (const auto &di : window) {
+    for (DynInst *di : window) {
         // Skip squashed work and instructions still inactive: an
         // inactive instruction never updated the table at issue (its
         // fate is unresolved), so replaying it here would let later
@@ -60,7 +58,7 @@ RenameTable::rebuild(const std::deque<DynInstPtr> &window)
         if (di->moveMarked) {
             alias(di->inst.dest, di->moveAlias);
         } else if (di->inst.hasDest()) {
-            write(di->inst.dest, di);
+            write(di->inst.dest, *di);
         }
     }
 }

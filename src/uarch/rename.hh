@@ -5,7 +5,10 @@
  * committed register file). Register-move instructions execute here
  * by aliasing the destination mapping to the source mapping (paper
  * §4.2); recovery rebuilds the table from the surviving window, which
- * is the timing-model equivalent of checkpoint repair.
+ * is the timing-model equivalent of checkpoint repair. An entry names
+ * its producer (an unsealed Operand) until the producer retires; the
+ * retire seals every entry still naming it, so the table never names
+ * a freed instruction (DESIGN.md §13).
  */
 
 #ifndef TCFILL_UARCH_RENAME_HH
@@ -30,13 +33,34 @@ class RenameTable
     Operand read(RegIndex r) const;
 
     /** Map @p r to in-flight producer @p producer. */
-    void write(RegIndex r, const DynInstPtr &producer);
+    void write(RegIndex r, DynInst &producer);
 
     /**
      * Execute a register move: alias the destination's mapping to the
-     * operand the move copies (producer pointer or ready value).
+     * operand the move copies (an in-flight producer or a sealed
+     * value). A copied producer is flagged aliasMapped.
      */
     void alias(RegIndex dest, const Operand &src);
+
+    /**
+     * @p di is retiring: seal every entry that still names it to its
+     * completion cycle and FU. O(1) through its destination's entry,
+     * unless an alias copied it (aliasMapped); then all entries.
+     */
+    void
+    sealRetired(const DynInst &di)
+    {
+        if (di.aliasMapped) {
+            for (Operand &op : map_) {
+                if (op.names(di))
+                    op.seal(di);
+            }
+            return;
+        }
+        const RegIndex r = di.inst.dest;
+        if (r < kNumArchRegs && map_[r].names(di))
+            map_[r].seal(di);
+    }
 
     /** Reset all mappings to the committed register file. */
     void reset();
@@ -47,7 +71,7 @@ class RenameTable
      * instructions, oldest first. Squashed instructions in @p window
      * are skipped; retired values are assumed committed.
      */
-    void rebuild(const std::deque<DynInstPtr> &window);
+    void rebuild(const std::deque<DynInst *> &window);
 
     /** Register "rename.*" activity counters with @p group. */
     void regStats(stats::Group &group);

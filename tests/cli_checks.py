@@ -240,11 +240,11 @@ def check_trace_events():
 
 
 def check_bad_args():
-    """Each tool names the option or experiment it refuses before its
-    usage text; retired options are refused by name, not run as
-    something else, and so are an integer option's value that is not
-    digits alone, a number option's value that is not a number and a
-    bad --opts pass token."""
+    """Each tool names the option, experiment or example argument it
+    refuses before its usage text; retired options are refused by name,
+    not run as something else, and so are an integer option's (or
+    example argument's) value that is not digits alone, a number
+    option's value that is not a number and a bad --opts pass token."""
     for tool, args, want in (
             ("tools/tcfill", ["--policy-hysteresis", "0.1", "compress"],
              "unknown option '--policy-hysteresis'"),
@@ -273,7 +273,13 @@ def check_bad_args():
              "unknown option '--bogus'"),
             ("tools/tcfill_client", ["--socket", path("s"), "--opts"],
              "option '--opts' needs a value"),
-            ("bench/paper", ["bogus"], "unknown experiment 'bogus'")):
+            ("bench/paper", ["bogus"], "unknown experiment 'bogus'"),
+            ("examples/quickstart", ["compress", "abc"],
+             "argument 'scale' needs an integer from 0 to 4294967295, "
+             "got 'abc'"),
+            ("examples/trace_inspector", ["m88ksim", "abc"],
+             "argument 'max_segments' needs an integer from 0 to "
+             "4294967295, got 'abc'")):
         res = subprocess.run([os.path.join(BUILD, tool), *args],
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)

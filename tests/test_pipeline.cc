@@ -61,6 +61,25 @@ struct StubMachine
         ctrl.pc = prog.entry;
     }
 
+    StubMachine(const StubMachine &) = delete;
+    StubMachine &operator=(const StubMachine &) = delete;
+
+    /**
+     * Frees what is still in flight, as Processor teardown does, plus
+     * the instructions a test keeps outside the latches (@c extra).
+     */
+    ~StubMachine()
+    {
+        for (DynInst *di : window.insts)
+            freeDynInst(arena, di);
+        for (const FetchLine &line : fetch_latch.lines) {
+            for (DynInst *di : line.insts)
+                freeDynInst(arena, di);
+        }
+        for (DynInst *di : extra)
+            freeDynInst(arena, di);
+    }
+
     SimConfig cfg = SimConfig::withOpts(FillOptimizations::none());
     SlabArena arena;
     Executor exec;
@@ -73,18 +92,31 @@ struct StubMachine
     FetchControl ctrl;
     FetchLatch fetch_latch;
     InstWindow window;
+    std::vector<DynInst *> extra;
 
     ExecCore core;
 };
 
 /** A window entry for latch-only stage tests. */
-DynInstPtr
+DynInst *
 windowInst(SlabArena &arena, InstSeqNum seq, Addr pc = 0x1000)
 {
-    DynInstPtr di = allocDynInst(arena);
+    DynInst *di = allocDynInst(arena);
     di->seq = seq;
     di->pc = pc;
     return di;
+}
+
+/** A register-to-register ALU instruction for rename tests. */
+Instruction
+aluInst(RegIndex dest, RegIndex src)
+{
+    Instruction in;
+    in.op = Op::ADD;
+    in.dest = dest;
+    in.src1 = src;
+    in.src2 = kRegZero;
+    return in;
 }
 
 // --------------------------------------------------------------------
@@ -146,10 +178,16 @@ struct RecoveryFixture : ::testing::Test
     RecoveryFixture()
         : m(loopProgram(4)),
           recovery(RecoveryEnv{m.window, rename, m.ctrl, m.fetch_latch,
-                               m.core})
+                               m.core, m.arena})
     {
-        for (InstSeqNum s = 1; s <= 10; ++s)
-            m.window.insts.push_back(windowInst(m.arena, s));
+        // Dispatched as rename would, but never issued: each waits in
+        // its station until a squash frees the slot.
+        for (InstSeqNum s = 1; s <= 10; ++s) {
+            DynInst *di = windowInst(m.arena, s);
+            di->fu = static_cast<int>(s);
+            m.core.dispatch(*di);
+            m.window.insts.push_back(di);
+        }
         recovery.regStats(registry);
     }
 
@@ -179,13 +217,14 @@ TEST_F(RecoveryFixture, SquashRangeBoundsAreHalfOpen)
     EXPECT_FALSE(squashed(9));  // hi is exclusive
     EXPECT_FALSE(squashed(10));
     EXPECT_EQ(registry.counterValue("recovery.squashes"), 1u);
+    EXPECT_EQ(m.core.occupancy(), 7u);      // 4, 5 and 8 left stations
 }
 
 TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
 {
     // Window: branch at seq 5; 6..7 fetched inactively along the
     // correct path (the rescue range); 8.. on the wrong path.
-    DynInstPtr br = m.window.insts[4];
+    DynInst *br = m.window.insts[4];
     br->isBranch = true;
     br->mispredicted = true;
     br->redirectPc = 0x4444;
@@ -194,8 +233,16 @@ TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
     br->rescueHi = 8;
     for (InstSeqNum s : {6u, 7u})
         m.window.insts[s - 1]->inactive = true;
+    // A younger line still waiting in the fetch latch is dropped, and
+    // its instructions freed.
+    m.fetch_latch.lines.push_back(FetchLine{
+        9, {windowInst(m.arena, 11), windowInst(m.arena, 12)}, false});
+    ASSERT_EQ(m.arena.live(), 12u);
 
-    recovery.resolveBranch(br, /*now=*/10);
+    recovery.resolveBranch(*br, /*now=*/10);
+
+    EXPECT_TRUE(m.fetch_latch.empty());
+    EXPECT_EQ(m.arena.live(), 10u);
 
     EXPECT_FALSE(m.window.insts[5]->inactive);  // rescued...
     EXPECT_FALSE(m.window.insts[6]->inactive);
@@ -213,13 +260,13 @@ TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
 
 TEST_F(RecoveryFixture, CorrectPredictionDiscardsInactiveTail)
 {
-    DynInstPtr br = m.window.insts[4];
+    DynInst *br = m.window.insts[4];
     br->isBranch = true;
     br->mispredicted = false;
     br->discardLo = 9;
     br->discardHi = 11;
 
-    recovery.resolveBranch(br, /*now=*/3);
+    recovery.resolveBranch(*br, /*now=*/3);
 
     for (InstSeqNum s = 1; s <= 8; ++s)
         EXPECT_FALSE(squashed(s)) << "seq " << s;
@@ -239,8 +286,9 @@ TEST(RetireUnit, FeedsCommittedInstructionsToFillUnit)
     // when the fill.segments/insts counters observe the handoff.
     Program p = loopProgram(8);
     StubMachine m(p);
+    RenameTable rename;
     RetireUnit retire(RetireEnv{m.cfg, m.window, m.oracle, m.fill,
-                                m.core, m.ctrl});
+                                m.core, m.ctrl, rename, m.arena});
 
     // Fabricate completed in-flight instructions matching the
     // committed path, exactly as fetch+issue would have left them —
@@ -250,7 +298,7 @@ TEST(RetireUnit, FeedsCommittedInstructionsToFillUnit)
     ASSERT_GE(n, kInsts);
     for (std::size_t i = 0; i < kInsts; ++i) {
         const ExecRecord &rec = m.oracle.at(i);
-        DynInstPtr di = windowInst(m.arena, i + 1, rec.pc);
+        DynInst *di = windowInst(m.arena, i + 1, rec.pc);
         di->inst = rec.inst;
         di->nextPc = rec.nextPc;
         di->taken = rec.taken;
@@ -269,6 +317,7 @@ TEST(RetireUnit, FeedsCommittedInstructionsToFillUnit)
     retire.tick(4);
     EXPECT_EQ(retire.retired(), kInsts);
     EXPECT_TRUE(m.window.empty());
+    EXPECT_EQ(m.arena.live(), 0u);  // every retired slot was freed
     EXPECT_EQ(retire.lastRetireCycle(), 4u);
     stats::Group g("sim");
     retire.regStats(g);
@@ -285,10 +334,11 @@ TEST(RetireUnit, InactiveHeadBlocksRetirement)
 {
     Program p = straightProgram();
     StubMachine m(p);
+    RenameTable rename;
     RetireUnit retire(RetireEnv{m.cfg, m.window, m.oracle, m.fill,
-                                m.core, m.ctrl});
+                                m.core, m.ctrl, rename, m.arena});
 
-    DynInstPtr di = windowInst(m.arena, 1, p.entry);
+    DynInst *di = windowInst(m.arena, 1, p.entry);
     di->phase = InstPhase::Complete;
     di->completeCycle = 0;
     di->inactive = true;  // not yet activated by its branch
@@ -297,6 +347,141 @@ TEST(RetireUnit, InactiveHeadBlocksRetirement)
     retire.tick(10);
     EXPECT_EQ(retire.retired(), 0u);
     EXPECT_FALSE(m.window.empty());
+}
+
+// --------------------------------------------------------------------
+// Sealed operands: nothing reads an instruction after its slot pops
+// --------------------------------------------------------------------
+
+/**
+ * The stages a value travels through from a producer's rename to a
+ * consumer renamed after the producer retired. The producer is the
+ * program's first committed instruction (`addi r1, r0, 7`), renamed
+ * from an I-cache line at cycle 1 onto fu 0 (cluster 0); it selects
+ * at 2 and completes at 3.
+ */
+struct SealFixture : ::testing::Test
+{
+    SealFixture()
+        : prog(straightProgram()), m(prog),
+          dispatch(DispatchEnv{m.cfg, m.fetch_latch, m.window, m.core}),
+          retire(RetireEnv{m.cfg, m.window, m.oracle, m.fill, m.core,
+                           m.ctrl, dispatch.renameTable(), m.arena}),
+          recovery(RecoveryEnv{m.window, dispatch.renameTable(),
+                               m.ctrl, m.fetch_latch, m.core, m.arena})
+    {
+        m.oracle.ensure(1);
+        const ExecRecord &rec = m.oracle.at(0);
+        prod = windowInst(m.arena, 1, rec.pc);
+        prod->inst = rec.inst;
+        prod->fu = 0;
+        m.oracle.consume(1);
+        m.fetch_latch.lines.push_back(FetchLine{0, {prod}, false});
+        dispatch.tick(1);
+    }
+
+    /**
+     * Retire the producer at cycle 3 and hand its block to a new
+     * instruction that never completes, so a read through a stale
+     * pointer would see kNoCycle.
+     */
+    void
+    retireProducerAndReuseItsBlock()
+    {
+        ASSERT_EQ(prod->completeCycle, 3u);
+        const DynInst *const freed = prod;
+        retire.tick(3);
+        ASSERT_EQ(retire.retired(), 1u);
+        m.extra.push_back(allocDynInst(m.arena));
+        ASSERT_EQ(m.extra.back(), freed);
+        prod = nullptr;
+    }
+
+    /**
+     * Rename consumers of @p reg from an I-cache line at @p now: one
+     * on fu 1 (the producer's cluster) and one on fu 4 (across).
+     */
+    std::pair<DynInst *, DynInst *>
+    renameConsumers(RegIndex reg, InstSeqNum seq, Cycle now)
+    {
+        DynInst *nearc = windowInst(m.arena, seq);
+        nearc->inst = aluInst(2, reg);
+        nearc->fu = 1;
+        DynInst *farc = windowInst(m.arena, seq + 1);
+        farc->inst = aluInst(3, reg);
+        farc->fu = 4;
+        m.fetch_latch.lines.push_back(
+            FetchLine{now - 1, {nearc, farc}, false});
+        dispatch.tick(now);
+        return {nearc, farc};
+    }
+
+    Program prog;   // the Executor reads it: declared before m
+    StubMachine m;
+    DispatchRename dispatch;
+    RetireUnit retire;
+    RecoveryController recovery;
+    DynInst *prod = nullptr;
+};
+
+TEST_F(SealFixture, ConsumerRenamedAfterProducerRetiredReadsItsTiming)
+{
+    m.core.tick(2);
+    retireProducerAndReuseItsBlock();
+    // r1's entry was sealed when the producer retired.
+    const Operand op = dispatch.renameTable().read(1);
+    ASSERT_TRUE(op.sealed());
+    EXPECT_EQ(op.cycle, 3u);
+    EXPECT_EQ(op.fu, 0);
+
+    auto [nearc, farc] = renameConsumers(1, 2, /*now=*/3);
+    m.core.tick(4);
+    EXPECT_EQ(nearc->startCycle, 4u);
+    EXPECT_EQ(farc->startCycle, 4u);        // 3 + 1 across clusters
+    EXPECT_FALSE(nearc->bypassDelayed);
+    EXPECT_TRUE(farc->bypassDelayed);
+}
+
+TEST_F(SealFixture, MoveAliasReplaysAfterProducerRetired)
+{
+    // A trace line renamed at cycle 2: a marked move r7 <- r1, renamed
+    // while the producer is still in flight, then a mispredicted
+    // branch. One retire slot, so only the producer retires at 3.
+    m.cfg.retireWidth = 1;
+    DynInst *mv = windowInst(m.arena, 2);
+    mv->inst = aluInst(7, 1);
+    mv->moveMarked = true;
+    mv->moveSrcReg = 1;
+    mv->fu = 2;
+    DynInst *br = windowInst(m.arena, 3);
+    br->inst.op = Op::BGTZ;
+    br->inst.src1 = 2;
+    br->isBranch = true;
+    br->mispredicted = true;
+    br->redirectPc = 0x4444;
+    br->fu = 3;
+    m.fetch_latch.lines.push_back(FetchLine{1, {mv, br}, true});
+    dispatch.tick(2);
+    ASSERT_TRUE(mv->moveAlias.names(*prod));
+
+    m.core.tick(2);                 // the producer's walk seals the alias
+    retireProducerAndReuseItsBlock();
+    ASSERT_EQ(m.window.insts.front(), mv);
+
+    // The mispredict rebuilds the table from the window: r7 comes back
+    // from the move's alias, which must be the sealed value.
+    recovery.resolveBranch(*br, /*now=*/3);
+    const Operand op = dispatch.renameTable().read(7);
+    ASSERT_TRUE(op.sealed());
+    EXPECT_EQ(op.cycle, 3u);
+    EXPECT_EQ(op.fu, 0);
+
+    auto [nearc, farc] = renameConsumers(7, 4, /*now=*/4);
+    m.core.tick(5);
+    EXPECT_EQ(nearc->startCycle, 5u);
+    EXPECT_EQ(farc->startCycle, 5u);
+    EXPECT_FALSE(nearc->bypassDelayed);
+    EXPECT_TRUE(farc->bypassDelayed);
 }
 
 } // namespace

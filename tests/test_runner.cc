@@ -303,28 +303,61 @@ TEST(SimRunner, ProgramCacheBuildsOnce)
 TEST(SlabArena, RecyclesBlocksThroughTheFreeList)
 {
     SlabArena arena;
-    // Churn instruction handles the way the fetch/retire loop does:
-    // allocate a line's worth, drop them, allocate again. Under ASan
-    // this also proves recycling introduces no use-after-free.
-    std::vector<DynInstPtr> line;
+    // Churn instructions the way the fetch/retire loop does: allocate
+    // a line's worth, free them oldest first, allocate again. Under
+    // ASan a free block is poisoned, so this also proves a recycled
+    // block is unpoisoned before it is handed out again.
+    std::vector<DynInst *> line;
     for (int round = 0; round < 64; ++round) {
         for (int i = 0; i < 16; ++i) {
-            DynInstPtr di = allocDynInst(arena);
+            DynInst *di = allocDynInst(arena);
             di->seq = static_cast<InstSeqNum>(round * 16 + i);
             di->pc = 0x400000 + 4 * static_cast<Addr>(i);
-            line.push_back(std::move(di));
+            line.push_back(di);
         }
-        // Cross-reference operands like rename does, then retire.
+        EXPECT_EQ(arena.live(), 16u);
+        // Link operands like rename does, then retire.
         for (std::size_t i = 1; i < line.size(); ++i)
-            line[i]->src[0] = Operand{line[i - 1], 0};
-        for (auto &di : line)
+            line[i]->src[0] = Operand::of(*line[i - 1]);
+        for (DynInst *di : line) {
             EXPECT_FALSE(di->squashed());
+            freeDynInst(arena, di);
+        }
         line.clear();
     }
     EXPECT_EQ(arena.live(), 0u);
     // After the first round every allocation is a free-list reuse.
     EXPECT_GE(arena.reused(), 16u * 63u);
     EXPECT_EQ(arena.slabs(), 1u);
+}
+
+TEST(SlabArena, EveryBlockComesBackAfterEachRun)
+{
+    // Processor::run() panics unless the arena's live count equals the
+    // instructions left in the window and fetch latch, and the arena
+    // panics unless the Processor's teardown brought it back to 0.
+    // Each run below destroys its Processor, so each passes both
+    // checks or aborts the test: a run to halt (nothing left), a run
+    // capped with work in flight (its 32-entry window backs fetched
+    // lines up into the latch), and the mispredict storm's starved
+    // predictor (recovery squashes and pops slots all the time).
+    Program prog = workloads::build("compress", 1);
+    SimConfig halt = SimConfig::withOpts(FillOptimizations::all());
+    SimConfig capped = cfgAt(FillOptimizations::all(), "all");
+    SimConfig storm = capped;
+    capped.windowCap = 32;
+    storm.bpred.pht0Entries = 64;
+    storm.bpred.pht1Entries = 32;
+    storm.bpred.pht2Entries = 16;
+    storm.bpred.historyBits = 4;
+
+    const SimResult whole = Processor(prog, halt).run();
+    EXPECT_EQ(whole.retired, 635'648u);
+    const SimResult part = Processor(prog, capped).run();
+    EXPECT_EQ(part.retired, kTestInsts);
+    const SimResult stormy = Processor(prog, storm).run();
+    EXPECT_EQ(stormy.retired, kTestInsts);
+    EXPECT_GT(stormy.mispredicts, 100u);
 }
 
 TEST(SlabArena, FullSimulationRecyclesAndStaysDeterministic)

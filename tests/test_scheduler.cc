@@ -129,7 +129,7 @@ TEST(SchedulerPins, AllOptCombosThreeWorkloads)
 
 /**
  * Mispredict storm: a starved predictor makes recovery (and thus
- * squashRange) fire constantly, stressing ready-queue and station
+ * squash) fire constantly, stressing ready-queue and station
  * removal and load re-arming.
  */
 TEST(SchedulerPins, MispredictStorm)
@@ -208,13 +208,15 @@ TEST(SchedulerPins, RandomizedDispatchSquashStorm)
         return static_cast<unsigned>((lcg >> 33) % bound);
     };
 
-    std::vector<DynInstPtr> live;
+    // Owns every instruction until the end of the test, as the window
+    // would until retire.
+    std::vector<DynInst *> live;
     std::vector<bool> dead;     // squashed: unusable as producer
     InstSeqNum seq = 1;
     Cycle now = 0;
 
     auto make = [&](Op op, int fu) -> DynInst & {
-        DynInstPtr di = allocDynInst(arena);
+        DynInst *di = allocDynInst(arena);
         di->seq = seq++;
         di->inst.op = op;
         di->inst.dest = 3;
@@ -239,7 +241,7 @@ TEST(SchedulerPins, RandomizedDispatchSquashStorm)
             unsigned j = rnd(static_cast<unsigned>(live.size()) - 1);
             if (dead[j])
                 continue;
-            live.back()->src[k].producer = live[j];
+            live.back()->src[k] = Operand::of(*live[j]);
             return;
         }
     };
@@ -282,15 +284,16 @@ TEST(SchedulerPins, RandomizedDispatchSquashStorm)
             core.tick(now);
         } else if (!live.empty()) {     // suffix squash
             unsigned j = rnd(static_cast<unsigned>(live.size()));
-            InstSeqNum lo = live[j]->seq;
-            core.squashRange(lo, seq);
-            for (std::size_t i = 0; i < live.size(); ++i) {
-                if (live[i]->seq >= lo)
-                    dead[i] = true;
+            // The window walk: squash the suffix oldest first, then
+            // purge the core's store structures.
+            for (std::size_t i = j; i < live.size(); ++i) {
+                core.squash(*live[i]);
+                dead[i] = true;
             }
+            core.purgeSquashed();
         }
         const auto waiting = std::count_if(
-            live.begin(), live.end(), [](const DynInstPtr &di) {
+            live.begin(), live.end(), [](const DynInst *di) {
                 return di->startCycle == kNoCycle && !di->squashed();
             });
         ASSERT_EQ(core.occupancy(), static_cast<std::size_t>(waiting))
@@ -315,9 +318,13 @@ TEST(SchedulerPins, RandomizedDispatchSquashStorm)
     EXPECT_EQ(digest::hex64(pin.value()), "df305e82f27c8cad");
     EXPECT_EQ(sc.completed.size(), 2381u);
 
-    // Tear down: release everything still in the core before the
-    // owning vector drops its references.
-    core.squashRange(0, seq);
+    // Tear down: squash everything still in the core, then free every
+    // instruction before the arena checks that all came back.
+    for (DynInst *di : live)
+        core.squash(*di);
+    core.purgeSquashed();
+    for (DynInst *di : live)
+        freeDynInst(arena, di);
 }
 
 } // namespace
