@@ -12,17 +12,19 @@
  *
  *   FetchControl     FetchEngine W/R, RecoveryController W (redirect),
  *                    RetireUnit W (serialize release)
- *   FetchLatch       FetchEngine W, DispatchRename R,
- *                    RecoveryController W (squash trim)
+ *   FetchLatch       FetchEngine W, DispatchRename R/W,
+ *                    RecoveryController R (empty at a mispredict)
  *   InstWindow       DispatchRename W, RetireUnit R/W,
  *                    RecoveryController R/W (squash/rescue)
  *
  * Ownership (DESIGN.md §13): a fetched instruction belongs to its
  * FetchLine until dispatch moves it into the InstWindow, which owns
  * it until its slot pops. The holder that lets go of an instruction
- * for good frees it (freeDynInst): the retire unit as it pops a
- * slot, recovery as it drops a latch line, the Processor at teardown.
- * FetchControl names its stall instructions by seq.
+ * for good frees it (freeDynInst): the retire unit as it pops a slot,
+ * the Processor at teardown. No latch line is ever dropped: fetch
+ * stalls on a mispredicted branch in the line build that fetches it,
+ * so the latch is empty when the mispredict resolves. FetchControl
+ * names its stall instructions by seq.
  */
 
 #ifndef TCFILL_PIPELINE_LATCHES_HH

@@ -9,7 +9,7 @@ namespace tcfill::pipeline
 
 RecoveryController::RecoveryController(const RecoveryEnv &env)
     : window_(env.window), rename_(env.rename), ctrl_(env.ctrl),
-      fetchq_(env.fetchq), core_(env.core), arena_(env.arena)
+      fetchq_(env.fetchq), core_(env.core)
 {
     core_.setCompleteHook(&RecoveryController::onComplete, this);
 }
@@ -77,18 +77,13 @@ RecoveryController::resolveBranch(DynInst &di, Cycle now)
         ctrl_.pc = di.redirectPc;
         ctrl_.avail = std::max(ctrl_.avail, now + 1);
         mispredict_stall_cycles_ += now - di.fetchCycle;
-        // Drop any younger lines still waiting to issue (there are
-        // none in the common case because fetch stalls, but a line
-        // fetched the same cycle the mispredict was detected could
-        // linger); their instructions were never dispatched, so
-        // nothing else names them.
-        while (!fetchq_.empty() &&
-               !fetchq_.lines.back().insts.empty() &&
-               fetchq_.lines.back().insts.front()->seq > di.seq) {
-            for (DynInst *dropped : fetchq_.lines.back().insts)
-                freeDynInst(arena_, dropped);
-            fetchq_.lines.pop_back();
-        }
+        // Fetch stalls on a mispredicted branch in the line build that
+        // fetches it, and lines dispatch in order, so nothing younger
+        // can be waiting in the latch.
+        panic_if(!fetchq_.empty(),
+                 "mispredict of seq %llu resolved with a non-empty fetch "
+                 "latch (%zu lines)",
+                 static_cast<unsigned long long>(di.seq), fetchq_.size());
         if (ctrl_.stallBranch == di.seq)
             ctrl_.stallBranch = 0;
         return;

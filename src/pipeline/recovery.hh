@@ -6,9 +6,12 @@
  * cycle, squashes the mis-speculated window suffix (sparing the
  * inactive-issue rescue range, which it activates instead — the
  * paper's §3 rescue), rebuilds the rename table from the surviving
- * window (checkpoint repair), redirects fetch (freeing the
- * instructions of any younger fetch-latch line it drops), and
- * discards inactive tails of correctly predicted exits.
+ * window (checkpoint repair), redirects fetch, and discards inactive
+ * tails of correctly predicted exits. It frees no instruction: the
+ * squashed ones stay in the window until retire pops their slots, and
+ * the fetch latch is empty whenever a mispredict resolves (fetch
+ * stalls on the branch in the line build that fetches it, and lines
+ * dispatch whole and in order), which resolveBranch() checks.
  */
 
 #ifndef TCFILL_PIPELINE_RECOVERY_HH
@@ -20,7 +23,6 @@
 #include "pipeline/latches.hh"
 #include "pipeline/stage.hh"
 #include "uarch/exec_core.hh"
-#include "uarch/inst_pool.hh"
 #include "uarch/pipe_hooks.hh"
 #include "uarch/rename.hh"
 
@@ -63,8 +65,6 @@ struct RecoveryEnv
     FetchControl &ctrl;
     FetchLatch &fetchq;
     ExecCore &core;
-    /** Where the instructions of dropped fetch-latch lines return. */
-    SlabArena &arena;
 };
 
 /** Branch-resolution events: squash, rescue, redirect, repair. */
@@ -122,7 +122,6 @@ class RecoveryController : public Stage
     FetchControl &ctrl_;
     FetchLatch &fetchq_;
     ExecCore &core_;
-    SlabArena &arena_;
     ResolutionQueue events_;
 
     stats::Counter mispredict_stall_cycles_;

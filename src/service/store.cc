@@ -109,12 +109,34 @@ headerBytes()
     return h;
 }
 
+/** Append a TOUCH or ERASE record of @p key to @p out. */
+void
+putKeyRecord(std::string &out, std::uint8_t op, const std::string &key)
+{
+    out.push_back(static_cast<char>(op));
+    tracefile::putVarint(out, key.size());
+    out += key;
+    putU32(out, digest::crc32(key.data(), key.size()));
+}
+
+/** The size of putKeyRecord()'s record for a key of @p keyLen bytes. */
+std::uint64_t
+keyRecordBytes(std::uint64_t keyLen)
+{
+    std::uint64_t varint = 1;
+    for (std::uint64_t v = keyLen; v >= 0x80; v >>= 7)
+        ++varint;
+    return 1 + varint + keyLen + 4;
+}
+
+/** Write @p n bytes of @p src at offset @p at of @p fd. */
 bool
-writeFully(int fd, const char *src, std::size_t n)
+writeAt(int fd, const char *src, std::size_t n, std::uint64_t at)
 {
     std::size_t put = 0;
     while (put < n) {
-        ssize_t r = ::write(fd, src + put, n - put);
+        ssize_t r = ::pwrite(fd, src + put, n - put,
+                             static_cast<off_t>(at + put));
         if (r > 0) {
             put += static_cast<std::size_t>(r);
             continue;
@@ -136,8 +158,12 @@ ResultStore::ResultStore(std::string dir, std::uint64_t maxBytes)
 
 ResultStore::~ResultStore()
 {
-    if (fd_ >= 0)
-        ::close(fd_);
+    if (fd_ < 0)
+        return;
+    std::string records;
+    takeTouchesLocked(records);
+    writeLocked(records);
+    ::close(fd_);
 }
 
 bool
@@ -173,12 +199,11 @@ ResultStore::load(std::string &err)
     }
     if (end == 0) {
         std::string h = headerBytes();
-        if (!writeFully(fd_, h.data(), h.size())) {
+        if (!writeAt(fd_, h.data(), h.size(), 0)) {
             err = "cannot write store header to '" + path_ + "'";
             return false;
         }
         logBytes_ = h.size();
-        stats_.logBytes = logBytes_;
         return true;
     }
     std::string log(static_cast<std::size_t>(end), '\0');
@@ -217,6 +242,8 @@ ResultStore::replayLog(const std::string &log, std::string &err)
 
     index_.clear();
     lru_.clear();
+    marked_ = 0;
+    pendingBytes_ = 0;
     stats_.liveBytes = 0;
     // Replay every whole record: one that frames and verifies. At a
     // record that does not, neither its contents nor its lengths can
@@ -245,7 +272,7 @@ ResultStore::replayLog(const std::string &log, std::string &err)
         auto it = index_.find(key);
         if (r.op == kOpPut) {
             if (it != index_.end())
-                dropLocked(key, /*logErase=*/false);
+                dropLocked(key);
             Entry e;
             e.valueOffset = r.valOff;
             e.valueLen = static_cast<std::uint32_t>(r.valLen);
@@ -256,7 +283,7 @@ ResultStore::replayLog(const std::string &log, std::string &err)
             if (r.op == kOpTouch)
                 lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             else
-                dropLocked(key, /*logErase=*/false);
+                dropLocked(key);
         }
     }
 
@@ -279,62 +306,91 @@ ResultStore::replayLog(const std::string &log, std::string &err)
         }
     }
     stats_.liveRecords = index_.size();
-    stats_.logBytes = logBytes_;
+    return true;
+}
+
+void
+ResultStore::takeTouchesLocked(std::string &records)
+{
+    records.reserve(records.size() + pendingBytes_);
+    // Replaying TOUCHes from the prefix's far end to the front puts
+    // the prefix back in front in its live order.
+    for (auto it = std::next(lru_.begin(), static_cast<std::ptrdiff_t>(
+                                               marked_));
+         it != lru_.begin();) {
+        Node &n = **--it;
+        putKeyRecord(records, kOpTouch, n.first);
+        n.second.marked = false;
+    }
+    marked_ = 0;
+    pendingBytes_ = 0;
+}
+
+bool
+ResultStore::writeLocked(const std::string &records)
+{
+    if (records.empty())
+        return true;
+    if (!writeAt(fd_, records.data(), records.size(), logBytes_))
+        return false;
+    logBytes_ += records.size();
     return true;
 }
 
 bool
-ResultStore::appendRecord(const std::string &record)
+ResultStore::eraseLocked(const std::string &key)
 {
-    if (::lseek(fd_, static_cast<off_t>(logBytes_), SEEK_SET) < 0)
-        return false;
-    if (!writeFully(fd_, record.data(), record.size()))
-        return false;
-    logBytes_ += record.size();
-    stats_.logBytes = logBytes_;
-    return true;
+    dropLocked(key);
+    std::string records;
+    takeTouchesLocked(records);
+    putKeyRecord(records, kOpErase, key);
+    return writeLocked(records);
 }
 
 void
 ResultStore::insertLocked(std::string key, const Entry &e)
 {
     auto it = index_.emplace(std::move(key), e).first;
-    lru_.push_front(&it->first);
+    lru_.push_front(&*it);
     it->second.lruIt = lru_.begin();
+    stats_.liveRecords = index_.size();
 }
 
 void
-ResultStore::touchLocked(const std::string &key, Entry &e)
+ResultStore::markLocked(Node &n)
 {
+    Entry &e = n.second;
+    // An unmarked front key means nothing is marked: the log already
+    // replays it in front.
     if (e.lruIt == lru_.begin())
         return;
     lru_.splice(lru_.begin(), lru_, e.lruIt);
-    std::string record;
-    record.push_back(static_cast<char>(kOpTouch));
-    tracefile::putVarint(record, key.size());
-    record += key;
-    putU32(record, digest::crc32(key.data(), key.size()));
-    appendRecord(record);
+    if (e.marked)
+        return;
+    e.marked = true;
+    ++marked_;
+    pendingBytes_ += keyRecordBytes(n.first.size());
+    if (pendingBytes_ >= kMaxPendingTouchBytes) {
+        std::string records;
+        takeTouchesLocked(records);
+        writeLocked(records);
+    }
 }
 
 void
-ResultStore::dropLocked(const std::string &key, bool logErase)
+ResultStore::dropLocked(const std::string &key)
 {
     auto it = index_.find(key);
     if (it == index_.end())
         return;
+    if (it->second.marked) {
+        --marked_;
+        pendingBytes_ -= keyRecordBytes(key.size());
+    }
     stats_.liveBytes -= key.size() + it->second.valueLen;
     lru_.erase(it->second.lruIt);
     index_.erase(it);
     stats_.liveRecords = index_.size();
-    if (logErase) {
-        std::string record;
-        record.push_back(static_cast<char>(kOpErase));
-        tracefile::putVarint(record, key.size());
-        record += key;
-        putU32(record, digest::crc32(key.data(), key.size()));
-        appendRecord(record);
-    }
 }
 
 bool
@@ -375,10 +431,10 @@ ResultStore::get(const std::string &key, std::string &value)
         stats_.misses++;
         warn("result store '%s': CRC mismatch, invalidating one entry",
              path_.c_str());
-        dropLocked(key, /*logErase=*/true);
+        eraseLocked(key);
         return false;
     }
-    touchLocked(key, it->second);
+    markLocked(*it);
     stats_.hits++;
     return true;
 }
@@ -389,43 +445,40 @@ ResultStore::put(const std::string &key, const std::string &value)
     if (key.empty())
         return false;
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end())
-        dropLocked(key, /*logErase=*/false);
+    dropLocked(key);
 
-    std::string record;
-    record.push_back(static_cast<char>(kOpPut));
-    tracefile::putVarint(record, key.size());
-    record += key;
-    tracefile::putVarint(record, value.size());
-    std::size_t valRel = record.size();
-    record += value;
-    std::uint32_t crc = entryCrc(key, value);
-    putU32(record, crc);
-
-    std::uint64_t valOff = logBytes_ + valRel;
-    if (!appendRecord(record))
-        return false;
-
+    std::string records;
+    takeTouchesLocked(records);
+    records.push_back(static_cast<char>(kOpPut));
+    tracefile::putVarint(records, key.size());
+    records += key;
+    tracefile::putVarint(records, value.size());
     Entry e;
-    e.valueOffset = valOff;
+    e.valueOffset = logBytes_ + records.size();
     e.valueLen = static_cast<std::uint32_t>(value.size());
-    e.crc = crc;
+    e.crc = entryCrc(key, value);
+    records += value;
+    putU32(records, e.crc);
     insertLocked(key, e);
     stats_.liveBytes += key.size() + value.size();
-    stats_.liveRecords = index_.size();
-    stats_.puts++;
 
     // Size cap: shed least-recently-used entries, always keeping the
     // entry just written. Copy the victim key: dropLocked() erases the
-    // index node whose key lru_.back() points at, then logs an ERASE
-    // record built from the key.
+    // index node whose key lru_.back() points at.
     while (maxBytes_ != 0 && stats_.liveBytes > maxBytes_ &&
            lru_.size() > 1) {
-        std::string victim = *lru_.back();
-        dropLocked(victim, /*logErase=*/true);
+        const std::string victim = lru_.back()->first;
+        dropLocked(victim);
+        putKeyRecord(records, kOpErase, victim);
         stats_.evictions++;
     }
+    if (!writeLocked(records)) {
+        // Nothing may point past the log's end. Evicted keys stay out
+        // of memory; their PUTs, still in the log, return on reload.
+        dropLocked(key);
+        return false;
+    }
+    stats_.puts++;
     return true;
 }
 
@@ -435,8 +488,7 @@ ResultStore::erase(const std::string &key)
     std::lock_guard<std::mutex> lk(mu_);
     if (index_.find(key) == index_.end())
         return false;
-    dropLocked(key, /*logErase=*/true);
-    return true;
+    return eraseLocked(key);
 }
 
 bool
@@ -445,10 +497,11 @@ ResultStore::compact(std::string &err)
     std::lock_guard<std::mutex> lk(mu_);
     std::string fresh = headerBytes();
     // Replaying PUTs pushes each key to the LRU front, so writing
-    // least-recent first reproduces today's recency order on reload.
+    // least-recent first reproduces today's recency order on reload,
+    // pending TOUCHes included.
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        const std::string &key = **it;
-        const Entry &e = index_.at(key);
+        const std::string &key = (*it)->first;
+        const Entry &e = (*it)->second;
         std::string value;
         if (!readValueLocked(key, e, value)) {
             err = "corrupt entry during compaction of '" + path_ + "'";
@@ -468,7 +521,7 @@ ResultStore::compact(std::string &err)
         err = "cannot open '" + tmp + "' for compaction";
         return false;
     }
-    bool ok = writeFully(tfd, fresh.data(), fresh.size()) &&
+    bool ok = writeAt(tfd, fresh.data(), fresh.size(), 0) &&
         ::fsync(tfd) == 0;
     ::close(tfd);
     if (!ok || std::rename(tmp.c_str(), path_.c_str()) != 0) {
@@ -502,7 +555,9 @@ StoreStats
 ResultStore::stats() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    StoreStats s = stats_;
+    s.logBytes = logBytes_ + pendingBytes_;
+    return s;
 }
 
 } // namespace tcfill::service

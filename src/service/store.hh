@@ -21,7 +21,7 @@
  * where a whole record starts, so the damage costs only the records
  * it touched (each skipped stretch counts in corruptDrops). A tail
  * that holds no whole record is torn: the log is truncated back to
- * the last whole record (a crash mid-append costs at most the record
+ * the last whole record (a crash mid-append costs at most the records
  * being written). The log format itself has no resync marker: ops,
  * lengths and the CRC are enough, because no key is empty. A false
  * start must verify the CRC over at least one key byte, a 1-in-2^32
@@ -30,11 +30,22 @@
  * holds, so put() refuses an empty key and replay never reads one.
  * Every get() re-reads its value bytes from disk and re-verifies the
  * CRC, so silent on-disk corruption of one record degrades to a miss
- * for that key, never a wrong result. TOUCH records persist recency,
- * so the LRU order survives restarts; when maxBytes is set, put()
- * evicts least-recently-used entries (appending ERASE) until live
- * key+value bytes fit. compact() rewrites the log with one PUT per
- * live entry in LRU order and swaps it in atomically via rename.
+ * for that key, never a wrong result.
+ *
+ * A get() writes nothing. It moves its key to the front of the LRU
+ * list in memory and marks it; the marked keys are always a prefix of
+ * that list, because nothing else reorders it without appending. Each
+ * append (a put(), with its evictions' ERASEs, or an erase()) is one
+ * pwrite that begins with one TOUCH per marked key, from the far end
+ * of the prefix to the front, so replaying the log rebuilds the live
+ * LRU order exactly. The destructor writes pending TOUCHes too, and
+ * so does a get() once kMaxPendingTouchBytes of them wait; compact()
+ * rewrites the log in the live order, which subsumes them. A crash
+ * therefore loses only the recency of keys read since the last write,
+ * never a record. When maxBytes is set, put() evicts least-recently-
+ * used entries (appending ERASE) until live key+value bytes fit.
+ * compact() rewrites the log with one PUT per live entry in LRU order
+ * and swaps it in atomically via rename.
  *
  * All public methods are thread-safe behind one internal mutex.
  */
@@ -47,6 +58,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace tcfill::service
 {
@@ -64,7 +76,8 @@ struct StoreStats
                                     ///< get() CRC invalidations
     std::uint64_t liveRecords = 0;  ///< keys currently resident
     std::uint64_t liveBytes = 0;    ///< live key+value payload bytes
-    std::uint64_t logBytes = 0;     ///< on-disk log size incl. header
+    std::uint64_t logBytes = 0;     ///< log size incl. header, counting
+                                    ///< pending TOUCHes as written
 };
 
 class ResultStore
@@ -85,8 +98,9 @@ class ResultStore
 
     /**
      * Fetch the value for @p key, CRC-verifying the on-disk bytes and
-     * refreshing its LRU position. False on miss (or on a corrupt
-     * record, which is invalidated in passing).
+     * refreshing its LRU position in memory (its TOUCH record waits
+     * for the next write). False on miss (or on a corrupt record,
+     * which is invalidated in passing).
      */
     bool get(const std::string &key, std::string &value);
 
@@ -111,21 +125,36 @@ class ResultStore
     StoreStats stats() const;
     const std::string &path() const { return path_; }
 
+    /** Pending TOUCH bytes that make a get() write them out. */
+    static constexpr std::uint64_t kMaxPendingTouchBytes = 64 * 1024;
+
   private:
+    struct Entry;
+    /// An index node: a key and its entry. Nodes never move.
+    using Node = std::pair<const std::string, Entry>;
+
     struct Entry
     {
         std::uint64_t valueOffset = 0;  ///< value bytes, within the log
         std::uint32_t valueLen = 0;
         std::uint32_t crc = 0;          ///< CRC-32(key || value)
-        std::list<const std::string *>::iterator lruIt;
+        bool marked = false;            ///< read since the last write
+        std::list<Node *>::iterator lruIt;
     };
 
     bool replayLog(const std::string &log, std::string &err);
-    bool appendRecord(const std::string &record);
     /** Index a key absent from index_ as the most recently used. */
     void insertLocked(std::string key, const Entry &e);
-    void touchLocked(const std::string &key, Entry &e);
-    void dropLocked(const std::string &key, bool logErase);
+    /** Move @p n to the LRU front and mark it (a get()'s bookkeeping). */
+    void markLocked(Node &n);
+    /** Unindex @p key (no record; the caller logs what it must). */
+    void dropLocked(const std::string &key);
+    /** Append the marked prefix's TOUCHes, far end first; unmark it. */
+    void takeTouchesLocked(std::string &records);
+    /** Write @p records at the log's end in one pwrite. */
+    bool writeLocked(const std::string &records);
+    /** Unindex @p key and write the pending TOUCHes and its ERASE. */
+    bool eraseLocked(const std::string &key);
     bool readValueLocked(const std::string &key, const Entry &e,
                          std::string &value);
 
@@ -134,11 +163,13 @@ class ResultStore
     std::string path_;
     std::uint64_t maxBytes_;
     int fd_ = -1;
-    std::uint64_t logBytes_ = 0;
+    std::uint64_t logBytes_ = 0;        ///< on-disk log size
+    std::uint64_t pendingBytes_ = 0;    ///< TOUCH bytes not yet written
+    std::size_t marked_ = 0;            ///< length of the marked prefix
     std::unordered_map<std::string, Entry> index_;
-    /// index_'s keys (a node's key never moves), front = most
-    /// recently used: each key is held once, however long.
-    std::list<const std::string *> lru_;
+    /// index_'s nodes, front = most recently used: each key is held
+    /// once, however long.
+    std::list<Node *> lru_;
     StoreStats stats_;
 };
 

@@ -63,8 +63,7 @@ Processor::Processor(const Program *prog, CommitSource *src,
                                   ctrl_, dispatch_.renameTable(),
                                   inst_pool_}),
       recovery_(pipeline::RecoveryEnv{window_, dispatch_.renameTable(),
-                                      ctrl_, fetch_latch_, core_,
-                                      inst_pool_}),
+                                      ctrl_, fetch_latch_, core_}),
       stats_("sim")
 {
     ctrl_.pc = entry_pc_;

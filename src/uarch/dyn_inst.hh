@@ -6,9 +6,9 @@
  * Processor's SlabArena (allocDynInst) and hands it to the fetch
  * latch; dispatch moves it into the InstWindow, which owns it until
  * its slot pops. Its block is freed explicitly (freeDynInst) in
- * exactly three places: when its window slot pops at retire (as a
- * commit or as a squashed slot), when recovery drops a fetch-latch
- * line, and at Processor teardown. Every other holder keeps a raw
+ * exactly two places: when its window slot pops at retire (as a
+ * commit or as a squashed slot), and at Processor teardown (window
+ * and fetch latch). Every other holder keeps a raw
  * pointer that the ownership rules keep valid, or a seq. The one
  * edge that outlives its producer, a renamed source operand, is a
  * value: an Operand is sealed to {completion cycle, FU} as soon as

@@ -10,8 +10,8 @@
  *
  * Blocks are freed explicitly (allocDynInst/freeDynInst in
  * dyn_inst.hh): the in-flight window owns every instruction, and a
- * block returns here when its window slot pops, when recovery drops a
- * fetch-latch line, or at Processor teardown (DESIGN.md §13). live()
+ * block returns here when its window slot pops or at Processor
+ * teardown (DESIGN.md §13). live()
  * counts the blocks handed out; the Processor checks it against the
  * window and fetch latch at the end of every run, and the destructor
  * panics unless it is back at 0. Under AddressSanitizer a freed block

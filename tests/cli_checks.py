@@ -383,10 +383,12 @@ def check_service():
     sweep = ["--opts-list", "all;none;extended;moves",
              "--fill-latency-list", "1;5", "--max-insts", 20000]
     sock = path("sock")
+    log = path("store/results.tcfstore")
     daemon = start_daemon(sock, "--shards", 2, "--shard-threads", 2)
     try:
         client(sock, *sweep, "--stats-json", path("cold.json"),
                "--require", "computed", "compress,li")
+        cold_size = os.path.getsize(log)
         client(sock, *sweep, "--stats-json", path("warm.json"),
                "--require", "store", "compress,li")
         # Neither sweep asked for progress, so none was sent; with
@@ -414,8 +416,15 @@ def check_service():
             if reply.get("type") != "error" or \
                     reply.get("message") != want:
                 fail(f"old-protocol hello not refused clearly: {reply}")
+        # Store hits write nothing; their recency goes out with the
+        # next append or, here, at shutdown.
+        if os.path.getsize(log) != cold_size:
+            fail(f"store hits wrote to the log: {cold_size} bytes after "
+                 f"the cold sweep, {os.path.getsize(log)} while serving")
     finally:
         stop_daemon(daemon, sock)
+    if os.path.getsize(log) <= cold_size:
+        fail("shutdown wrote no TOUCH record for the keys read")
     same_replay(path("cold.json"), path("warm.json"))
 
     # The compacted store still serves every point after a restart.

@@ -178,7 +178,7 @@ struct RecoveryFixture : ::testing::Test
     RecoveryFixture()
         : m(loopProgram(4)),
           recovery(RecoveryEnv{m.window, rename, m.ctrl, m.fetch_latch,
-                               m.core, m.arena})
+                               m.core})
     {
         // Dispatched as rename would, but never issued: each waits in
         // its station until a squash frees the slot.
@@ -220,10 +220,13 @@ TEST_F(RecoveryFixture, SquashRangeBoundsAreHalfOpen)
     EXPECT_EQ(m.core.occupancy(), 7u);      // 4, 5 and 8 left stations
 }
 
-TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
+/**
+ * Window: a mispredicted branch at seq 5; 6..7 fetched inactively
+ * along the correct path (the rescue range); 8.. on the wrong path.
+ */
+DynInst *
+mispredictAtSeq5(StubMachine &m)
 {
-    // Window: branch at seq 5; 6..7 fetched inactively along the
-    // correct path (the rescue range); 8.. on the wrong path.
     DynInst *br = m.window.insts[4];
     br->isBranch = true;
     br->mispredicted = true;
@@ -233,17 +236,17 @@ TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
     br->rescueHi = 8;
     for (InstSeqNum s : {6u, 7u})
         m.window.insts[s - 1]->inactive = true;
-    // A younger line still waiting in the fetch latch is dropped, and
-    // its instructions freed.
-    m.fetch_latch.lines.push_back(FetchLine{
-        9, {windowInst(m.arena, 11), windowInst(m.arena, 12)}, false});
-    ASSERT_EQ(m.arena.live(), 12u);
+    return br;
+}
+
+TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
+{
+    DynInst *br = mispredictAtSeq5(m);
 
     recovery.resolveBranch(*br, /*now=*/10);
 
-    EXPECT_TRUE(m.fetch_latch.empty());
+    // Squashed instructions keep their window slots until retire.
     EXPECT_EQ(m.arena.live(), 10u);
-
     EXPECT_FALSE(m.window.insts[5]->inactive);  // rescued...
     EXPECT_FALSE(m.window.insts[6]->inactive);
     EXPECT_FALSE(squashed(6));                  // ...and spared
@@ -256,6 +259,22 @@ TEST_F(RecoveryFixture, MispredictRescuesInactiveRangeAndRedirects)
     // Stall charged from fetch of the branch to its resolution.
     EXPECT_EQ(recovery.stallCycles(), 8u);
     EXPECT_EQ(registry.counterValue("recovery.rescued_insts"), 2u);
+}
+
+// Fetch stalls on a mispredicted branch in the line build that
+// fetches it, and lines dispatch whole and in order, so a mispredict
+// never resolves with a younger line waiting in the fetch latch: one
+// there is a broken invariant, not a line to drop.
+using RecoveryDeath = RecoveryFixture;
+
+TEST_F(RecoveryDeath, MispredictWithAYoungerLatchLinePanics)
+{
+    DynInst *br = mispredictAtSeq5(m);
+    m.fetch_latch.lines.push_back(FetchLine{
+        9, {windowInst(m.arena, 11), windowInst(m.arena, 12)}, false});
+    EXPECT_DEATH(recovery.resolveBranch(*br, /*now=*/10),
+                 "mispredict of seq 5 resolved with a non-empty fetch "
+                 "latch \\(1 lines\\)");
 }
 
 TEST_F(RecoveryFixture, CorrectPredictionDiscardsInactiveTail)
@@ -368,7 +387,7 @@ struct SealFixture : ::testing::Test
           retire(RetireEnv{m.cfg, m.window, m.oracle, m.fill, m.core,
                            m.ctrl, dispatch.renameTable(), m.arena}),
           recovery(RecoveryEnv{m.window, dispatch.renameTable(),
-                               m.ctrl, m.fetch_latch, m.core, m.arena})
+                               m.ctrl, m.fetch_latch, m.core})
     {
         m.oracle.ensure(1);
         const ExecRecord &rec = m.oracle.at(0);

@@ -19,13 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <list>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -44,6 +48,7 @@
 #include "sim/processor.hh"
 #include "sim/result_io.hh"
 #include "sim/runner.hh"
+#include "tracefile/format.hh"
 #include "workloads/suite.hh"
 
 using namespace tcfill;
@@ -106,29 +111,50 @@ bitwiseCrc32(const unsigned char *p, std::size_t len, std::uint32_t seed)
     return c ^ 0xffffffffu;
 }
 
-// Slice-by-8 folds eight bytes per step, so pin it against the
-// reference at every start alignment and every tail length, chained.
+// Slice-by-8 folds eight bytes per step; the PCLMULQDQ path folds 64
+// (then 16) and leaves the last 0-15 bytes to slice-by-8. Pin both the
+// dispatched crc32 and slice-by-8 itself (the only path on hosts
+// without PCLMULQDQ) against the reference at every start alignment
+// within 16 bytes, at every length to 2,048 and at 4,096, seeded and
+// chained across split points.
 TEST(Digest, Crc32MatchesBitwiseReferenceAtEveryAlignment)
 {
+    using Crc32 = std::uint32_t (*)(const void *, std::size_t,
+                                    std::uint32_t);
+    const std::pair<const char *, Crc32> paths[] = {
+        {"crc32", &digest::crc32},
+        {"crc32SliceBy8", &digest::crc32SliceBy8}};
+    constexpr std::size_t kEveryLength = 2048, kLongest = 4096;
     Random rng(7);
-    unsigned char buf[64 + 8];
+    std::vector<unsigned char> buf(kLongest + 16);
     for (unsigned char &b : buf)
         b = static_cast<unsigned char>(rng.next());
-    for (std::size_t align = 0; align < 8; ++align) {
-        for (std::size_t len = 0; len <= 64; ++len) {
-            const unsigned char *p = buf + align;
-            const std::uint32_t seed =
-                static_cast<std::uint32_t>(align * 131 + len);
-            EXPECT_EQ(digest::crc32(p, len), bitwiseCrc32(p, len, 0))
-                << "align " << align << " len " << len;
-            EXPECT_EQ(digest::crc32(p, len, seed),
-                      bitwiseCrc32(p, len, seed))
-                << "align " << align << " len " << len;
-            // Any split point chains to the one-shot value.
-            const std::size_t cut = len / 3;
-            EXPECT_EQ(digest::crc32(p + cut, len - cut,
-                                    digest::crc32(p, cut, seed)),
-                      bitwiseCrc32(p, len, seed));
+    for (std::size_t align = 0; align < 16; ++align) {
+        const unsigned char *p = buf.data() + align;
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        // The reference of each length chains one byte onto the last.
+        std::uint32_t want = 0, wantSeeded = seed;
+        for (std::size_t len = 0; len <= kLongest; ++len) {
+            if (len != 0) {
+                want = bitwiseCrc32(p + len - 1, 1, want);
+                wantSeeded = bitwiseCrc32(p + len - 1, 1, wantSeeded);
+            }
+            if (len > kEveryLength && len != kLongest)
+                continue;
+            for (const auto &[name, crc] : paths) {
+                EXPECT_EQ(crc(p, len, 0), want)
+                    << name << " align " << align << " len " << len;
+                EXPECT_EQ(crc(p, len, seed), wantSeeded)
+                    << name << " align " << align << " len " << len;
+                // Any split point chains to the one-shot value.
+                for (const std::size_t cut :
+                     {len / 3, len - std::min<std::size_t>(len, 17)}) {
+                    EXPECT_EQ(crc(p + cut, len - cut, crc(p, cut, seed)),
+                              wantSeeded)
+                        << name << " align " << align << " len " << len
+                        << " cut " << cut;
+                }
+            }
         }
     }
 }
@@ -1729,6 +1755,228 @@ TEST(StoreFuzz, ZeroFilledTornPutIsTruncated)
         EXPECT_FALSE(store.get("", v)) << keyLen;
         ASSERT_TRUE(store.get("point 0@1", v)) << keyLen;
         EXPECT_EQ(v, "{record 0}");
+    }
+}
+
+constexpr int kPutOp = 0x01, kTouchOp = 0x02, kEraseOp = 0x03;
+
+/** Each record of the store log @p log, in order: its op and key. */
+std::vector<std::pair<int, std::string>>
+logRecords(const std::string &log)
+{
+    std::vector<std::pair<int, std::string>> out;
+    std::size_t pos = 12;   // past the magic and version
+    while (pos < log.size()) {
+        const int op = static_cast<unsigned char>(log[pos++]);
+        std::uint64_t keyLen = 0, valueLen = 0;
+        EXPECT_TRUE(tracefile::getVarint(log, pos, keyLen));
+        std::string key = log.substr(pos, keyLen);
+        pos += keyLen;
+        if (op == kPutOp) {
+            EXPECT_TRUE(tracefile::getVarint(log, pos, valueLen));
+            pos += valueLen;
+        }
+        pos += 4;
+        out.emplace_back(op, std::move(key));
+    }
+    EXPECT_EQ(pos, log.size()) << "the log does not end on a record";
+    return out;
+}
+
+/** The keys of the ERASE records after the log's last PUT, in order. */
+std::vector<std::string>
+erasesAfterLastPut(const std::string &log)
+{
+    std::vector<std::string> out;
+    for (const auto &[op, key] : logRecords(log)) {
+        if (op == kPutOp)
+            out.clear();
+        else if (op == kEraseOp)
+            out.push_back(key);
+    }
+    return out;
+}
+
+// A hit writes nothing: 1,000 gets round-robin over 15 keys leave the
+// log file as it was. A key read since the last write owes one TOUCH
+// record, which stats().logBytes counts from its first read on, so the
+// 985 gets after the first round move nothing; closing the store
+// writes exactly one TOUCH per key.
+TEST(Store, HitsWriteNothingAndCloseWritesOneTouchPerKey)
+{
+    const std::string dir = scratchDir("hits");
+    auto key = [](int k) { return "point " + std::to_string(k) + "@1"; };
+    std::string path;
+    std::uint64_t owed = 0;
+    {
+        ResultStore store(dir);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        for (int k = 0; k < 15; ++k) {
+            ASSERT_TRUE(
+                store.put(key(k), "{record " + std::to_string(k) + "}"));
+        }
+        path = store.path();
+        const std::size_t written = readFile(path).size();
+        ASSERT_EQ(store.stats().logBytes, written);
+        std::string v;
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_TRUE(store.get(key(i % 15), v));
+            if (i == 14)
+                owed = store.stats().logBytes;
+        }
+        EXPECT_EQ(readFile(path).size(), written) << "a hit wrote";
+        EXPECT_EQ(store.stats().logBytes, owed);
+        // "point K@1" is 9 or 10 bytes: op, length, key, CRC.
+        EXPECT_EQ(owed - written, 10 * (1 + 1 + 9 + 4) + 5 * (1 + 1 + 10 + 4));
+        EXPECT_EQ(store.stats().hits, 1000u);
+    }
+    const std::string log = readFile(path);
+    EXPECT_EQ(log.size(), owed);
+    std::map<std::string, int> touches;
+    for (const auto &[op, k] : logRecords(log)) {
+        if (op == kTouchOp)
+            ++touches[k];
+    }
+    EXPECT_EQ(touches.size(), 15u);
+    for (const auto &[k, n] : touches)
+        EXPECT_EQ(n, 1) << k;
+}
+
+// Pending TOUCHes go out with a get() once kMaxPendingTouchBytes of
+// them wait: 1,007-byte records of 1,000-byte keys, so the 66th key
+// read crosses 64 KiB.
+TEST(Store, PendingTouchesAreWrittenAtTheBound)
+{
+    const std::string dir = scratchDir("touchbound");
+    auto key = [](int k) {
+        const std::string tag = std::to_string(k) + ":";
+        return tag + std::string(1000 - tag.size(), 'k');
+    };
+    constexpr int kKeys = 80;
+    constexpr std::uint64_t kTouch = 1 + 2 + 1000 + 4;
+    static_assert(65 * kTouch < ResultStore::kMaxPendingTouchBytes &&
+                  66 * kTouch >= ResultStore::kMaxPendingTouchBytes);
+    ResultStore store(dir);
+    std::string err;
+    ASSERT_TRUE(store.load(err)) << err;
+    for (int k = 0; k < kKeys; ++k)
+        ASSERT_TRUE(store.put(key(k), "{}"));
+    const std::size_t written = readFile(store.path()).size();
+    std::string v;
+    for (int k = 0; k < 65; ++k)
+        ASSERT_TRUE(store.get(key(k), v));
+    EXPECT_EQ(readFile(store.path()).size(), written);
+    ASSERT_TRUE(store.get(key(65), v));
+    EXPECT_EQ(readFile(store.path()).size(), written + 66 * kTouch);
+    EXPECT_EQ(store.stats().logBytes, written + 66 * kTouch);
+}
+
+// Recency goes out with the next append, so a log copied right after
+// any append (a crash there) replays to the live LRU order, and so
+// does the closed log. A seeded mix of gets, puts, an overwrite, an
+// erase and cap evictions runs beside a model of the order: the live
+// store must hit and evict (its ERASE records) as the model does, and
+// each copy, reopened, must evict in the model's order of its moment.
+TEST(StoreFuzz, EveryAppendPersistsTheLiveLruOrder)
+{
+    constexpr std::uint64_t kCap = 600;
+    constexpr int kOps = 400;
+    auto key = [](int k) { return "key " + std::to_string(k); };
+    auto value = [](int k) {
+        return "{record " + std::to_string(k) + "}" +
+            std::string(static_cast<std::size_t>(k % 5) * 10, 'r');
+    };
+
+    // Front = most recently used, as the store's list.
+    std::list<std::string> model;
+    std::map<std::string, std::size_t> liveSizes;
+    std::uint64_t liveBytes = 0;
+    auto modelDrop = [&](const std::string &k) {
+        liveBytes -= liveSizes.at(k);
+        liveSizes.erase(k);
+        model.remove(k);
+    };
+    auto leastRecentFirst = [&] {
+        return std::vector<std::string>(model.rbegin(), model.rend());
+    };
+
+    // A put past the cap evicts every other key, least recent first.
+    auto evictionOrder = [&](const std::string &log) {
+        const std::string d = storeWithLog("recency-copy", log);
+        {
+            ResultStore copy(d, kCap);
+            std::string err;
+            EXPECT_TRUE(copy.load(err)) << err;
+            EXPECT_TRUE(copy.put("probe", std::string(kCap, 'p')));
+        }
+        return erasesAfterLastPut(readFile(d + "/results.tcfstore"));
+    };
+
+    const std::string dir = scratchDir("recency");
+    std::vector<std::pair<std::string, std::vector<std::string>>> crashes;
+    std::string path;
+    Random rng(29);
+    auto anyLive = [&] {
+        return *std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                             rng.below(model.size())));
+    };
+    int fresh = 0;
+    {
+        ResultStore store(dir, kCap);
+        std::string err;
+        ASSERT_TRUE(store.load(err)) << err;
+        path = store.path();
+        auto put = [&](const std::string &kk, const std::string &v) {
+            if (liveSizes.count(kk))
+                modelDrop(kk);
+            model.push_front(kk);
+            liveSizes[kk] = kk.size() + v.size();
+            liveBytes += kk.size() + v.size();
+            std::vector<std::string> victims;
+            while (liveBytes > kCap && model.size() > 1) {
+                victims.push_back(model.back());
+                modelDrop(model.back());
+            }
+            ASSERT_TRUE(store.put(kk, v));
+            const std::string log = readFile(path);
+            EXPECT_EQ(erasesAfterLastPut(log), victims) << "put of " << kk;
+            crashes.emplace_back(log, leastRecentFirst());
+        };
+        for (int op = 0; op < kOps; ++op) {
+            const std::uint64_t r = rng.below(100);
+            if (op == kOps / 2) {
+                put(anyLive(), std::string(40, 'o'));   // an overwrite
+            } else if (op == 3 * kOps / 4) {
+                const std::string kk = anyLive();
+                ASSERT_TRUE(store.erase(kk));
+                modelDrop(kk);
+                crashes.emplace_back(readFile(path), leastRecentFirst());
+            } else if (r < 70 && fresh != 0) {
+                // Mostly live keys, sometimes one that may be evicted.
+                const std::string kk = (r < 55 && !model.empty())
+                    ? anyLive()
+                    : key(static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(fresh))));
+                const bool live = liveSizes.count(kk) != 0;
+                std::string v;
+                ASSERT_EQ(store.get(kk, v), live) << kk << " at op " << op;
+                if (live)
+                    model.splice(model.begin(), model,
+                                 std::find(model.begin(), model.end(), kk));
+            } else {
+                put(key(fresh), value(fresh));
+                ++fresh;
+            }
+        }
+        EXPECT_GT(store.stats().evictions, 20u);
+    }
+    EXPECT_EQ(evictionOrder(readFile(path)), leastRecentFirst())
+        << "the closed log";
+    ASSERT_GT(crashes.size(), 100u);
+    for (std::size_t i = 0; i < crashes.size(); ++i) {
+        EXPECT_EQ(evictionOrder(crashes[i].first), crashes[i].second)
+            << "the log copied after append " << i;
     }
 }
 
